@@ -4,21 +4,27 @@ Subcommands: typed solve | typed families | hp0 brute | hp0 aminus |
 counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 
 Outputs are deterministic (byte-identical for identical configurations and
-cache states).  Exit codes: 0 success, 2 flag/validation errors, 3 resource
-guardrail exceeded (partial result is still printed), 4 cache corruption.
+cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
+--prime that is not a prime below 2^31), 3 resource guardrail exceeded
+(partial result is still printed), 4 cache corruption, 5 a kernel that could
+not be certified over Q.  --workers N runs on a process pool whose workers
+read, re-verify and write the cache exactly as a serial run does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import repeat
 
 from ptl.cache import CacheCorruption, ResultCache, code_version, ENV_CACHE_DIR
 from ptl.engine import BracketSpanProblem, GuardrailExceeded, check_aminus_identity, hp0_graded_dims
-from ptl.linalg import DEFAULT_PRIME
+from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT
 from ptl.partitions import (
     bn_hilbert,
     multipartition_count,
@@ -29,7 +35,13 @@ from ptl.partitions import (
 from ptl.poly import parse_polynomial
 from ptl.context import svar_context
 from ptl.series import TruncatedEvenSeries
-from ptl.solver import family_generators, is_kernel_member, kernel_basis
+from ptl.solver import (
+    KernelCertificationError,
+    display_table,
+    family_generators,
+    is_kernel_member,
+    kernel_basis,
+)
 from ptl.strata import leaves_kleinian, leaves_symmetric_power, leaves_type_d
 from ptl.tables import GradedDimensionTable
 from ptl.weyl import GroupSpec, hh0_dimension
@@ -68,6 +80,13 @@ def _cache_from_args(args) -> ResultCache:
 
 # -- typed solve ---------------------------------------------------------------
 
+def _display_fields(dual_weights: dict) -> dict:
+    display = display_table(GradedDimensionTable(
+        {int(w): dim for w, dim in dual_weights.items()}))
+    return {"display_series": display.series(),
+            "display_series_latex": display.series(latex=True)}
+
+
 def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
     key = {"module": "typed-solver", "family": "D", "n": n,
            "weight": weight, "prime": prime, "code": code_version()}
@@ -78,18 +97,29 @@ def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
             vectors = [parse_polynomial(text, ctx) for text in payload["vectors"]]
         except Exception:
             return False
+        counts: dict[str, int] = {}
+        for v in vectors:
+            weights = {ctx.weight_of(e) for e in v.terms}
+            if len(weights) != 1:
+                return False
+            w = str(weights.pop())
+            counts[w] = counts.get(w, 0) + 1
+        if counts != payload.get("dual_weights"):
+            return False
+        if any(payload.get(k) != text for k, text in _display_fields(counts).items()):
+            return False
         return all(is_kernel_member(v, n) for v in vectors)
 
     cached = cache.get(key, verify=verify)
     if cached is not None:
         return cached
     sb = kernel_basis(n, weight, prime=prime)
+    dual_weights = {str(w): dim for w, dim in sb.weight_dims.items()}
     payload = {
         "family": "D",
         "n": n,
-        "dual_weights": {str(w): dim for w, dim in sb.weight_dims.items()},
-        "display_series": sb.display.series(),
-        "display_series_latex": sb.display.series(latex=True),
+        "dual_weights": dual_weights,
+        **_display_fields(dual_weights),
         "vectors": [v.text() for v in sb.vectors],
     }
     cache.put(key, payload)
@@ -112,17 +142,13 @@ def cmd_typed_solve(args) -> int:
     if args.n is None and args.n_max is None:
         raise SystemExit2("one of --n / --n-max is required")
     ns = [args.n] if args.n is not None else list(range(2, args.n_max + 1))
+    pool = None
     if args.workers > 1 and len(ns) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            payloads = list(pool.map(_solve_worker,
-                                     [(n, args.weight, prime) for n in ns]))
-        for n, payload in zip(ns, payloads):
-            cache.put({"module": "typed-solver", "family": "D", "n": n,
-                       "weight": args.weight, "prime": prime,
-                       "code": code_version()}, payload)
-    else:
-        payloads = [_solve_payload(n, args.weight, prime, cache) for n in ns]
+        pool = ProcessPoolExecutor(max_workers=args.workers)
+    with pool or nullcontext():
+        payloads = list((pool.map if pool else map)(
+            _solve_payload, ns, repeat(args.weight), repeat(prime), repeat(cache)))
     if args.n is not None:
         payload = payloads[0]
         if args.format == "json":
@@ -153,19 +179,6 @@ def cmd_typed_solve(args) -> int:
         sys.stdout.write(_table_lines(
             [(p["n"], p["display_series"]) for p in payloads], ("n", "series in t^(1/4)")))
     return 0
-
-
-def _solve_worker(task):
-    n, weight, prime = task
-    sb = kernel_basis(n, weight, prime=prime)
-    return {
-        "family": "D",
-        "n": n,
-        "dual_weights": {str(w): dim for w, dim in sb.weight_dims.items()},
-        "display_series": sb.display.series(),
-        "display_series_latex": sb.display.series(latex=True),
-        "vectors": [v.text() for v in sb.vectors],
-    }
 
 
 def cmd_typed_families(args) -> int:
@@ -433,6 +446,15 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
+def _word_prime(text: str) -> int:
+    """--prime: a prime below 2^31, so that the mod-p echelon's int64
+    products cannot overflow."""
+    p = int(text)
+    if not 2 <= p < PRIME_LIMIT or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")
+    return p
+
+
 def _add_common(p, *, cacheable: bool = False, prime: bool = False):
     p.add_argument("--format", choices=("table", "csv", "json", "latex"),
                    default="table")
@@ -441,8 +463,8 @@ def _add_common(p, *, cacheable: bool = False, prime: bool = False):
                        help=f"result cache directory (or ${ENV_CACHE_DIR})")
         p.add_argument("--no-cache", action="store_true")
     if prime:
-        p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                       help="word-sized prime for the modular fast path")
+        p.add_argument("--prime", type=_word_prime, default=DEFAULT_PRIME,
+                       help="prime below 2^31 for the modular fast path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,6 +588,9 @@ def main(argv=None) -> int:
     except CacheCorruption as exc:
         sys.stderr.write(f"cache corruption: {exc}\n")
         return 4
+    except KernelCertificationError as exc:
+        sys.stderr.write(f"certification failed: {exc}\n")
+        return 5
     except SystemExit2 as exc:
         return int(exc.code)
     except ValueError as exc:

@@ -24,8 +24,10 @@ c = #{i >= 2 : (a_i, b_i) = (0, 1)}, are exposed as dedicated checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,8 +48,8 @@ from ptl.poly import SparsePolynomial
 from ptl.tables import GradedDimensionTable
 from ptl.weyl import (
     GroupSpec,
+    _sn_orbit,
     invariant_basis_raw,
-    stabilizer_invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
 )
@@ -99,19 +101,19 @@ class GuardrailExceeded(Exception):
 
 # -- bases per problem --------------------------------------------------------
 
-def _h_basis_raw(problem: BracketSpanProblem, degree: int) -> list[dict]:
+def _h_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
     if degree < 0:
-        return []
+        return ()
     spec = problem.spec
     if problem.subgroup == "full":
         return invariant_basis_raw(spec, degree)
     if problem.subgroup == "last-point-stabilizer":
-        return stabilizer_invariant_basis_raw(spec.n, degree)
+        return invariant_basis_raw(GroupSpec("symmetric-full", spec.n - 1), degree)
     m = problem.structure().pairs
-    return [{e: 1} for e in monomials_of_degree(2 * m, degree)]
+    return tuple({e: 1} for e in monomials_of_degree(2 * m, degree))
 
 
-def _g_basis_raw(problem: BracketSpanProblem, degree: int) -> list[dict]:
+def _g_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
     return invariant_basis_raw(problem.spec, degree)
 
 
@@ -139,21 +141,13 @@ def _power_sum_generators(problem: BracketSpanProblem, degree: int) -> list[dict
             b = degree - a
             expo = [0] * (2 * m)
             expo[0], expo[m] = a, b
-            out.append({e: 1 for e in _orbit_of(tuple(expo), m)})
+            out.append({e: 1 for e in _sn_orbit(tuple(expo), m)})
     if spec.family == "demihyperoctahedral" and degree == spec.n:
         expo = [0] * (2 * m)
         for i in range(m):
             expo[m + i] = 1
         out.append({tuple(expo): 1})
     return out
-
-
-def _orbit_of(expo: tuple, m: int) -> list[tuple]:
-    pairs = [(expo[i], expo[m + i]) for i in range(m)]
-    out = set()
-    for pp in set(itertools.permutations(pairs)):
-        out.add(tuple(q[0] for q in pp) + tuple(q[1] for q in pp))
-    return sorted(out)
 
 
 def _reflection_power_sum(n: int, a: int, b: int) -> SparsePolynomial:
@@ -175,7 +169,7 @@ def _reflection_power_sum(n: int, a: int, b: int) -> SparsePolynomial:
 
 # -- one degree cell ----------------------------------------------------------
 
-def _cell_rows(problem: BracketSpanProblem, hbasis: list[dict], degree: int):
+def _cell_rows(problem: BracketSpanProblem, hbasis: tuple[dict, ...], degree: int):
     """(row index map, length, compressed?) for the degree-d coordinate space."""
     m = problem.structure().pairs
     monomial_h = problem.spec.family != "symmetric-reflection" or \
@@ -213,73 +207,66 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
     if dim == 0:
         return 0
     row_index, length, compressed = _cell_rows(problem, hbasis, degree)
-    structure = problem.structure()
-
-    g_cache: dict[int, list[dict]] = {}
-    h_cache: dict[int, list[dict]] = {}
-
-    def gb(a: int) -> list[dict]:
-        if a not in g_cache:
-            g_cache[a] = (_power_sum_generators(problem, a) if generator_mode
-                          else _g_basis_raw(problem, a))
-        return g_cache[a]
-
-    def hb(b: int) -> list[dict]:
-        if b not in h_cache:
-            h_cache[b] = hbasis if b == degree else _h_basis_raw(problem, b)
-        return h_cache[b]
-
+    gb = _power_sum_generators if generator_mode else _g_basis_raw
+    blocks = ((gb(problem, a), _h_basis_raw(problem, b))
+              for a, b in _column_pairs(problem, degree, generator_mode))
     if max_columns is not None:
-        n_cols = sum(len(gb(a)) * len(hb(b))
-                     for a, b in _column_pairs(problem, degree, generator_mode))
+        blocks = list(blocks)
+        n_cols = sum(len(us) * len(vs) for us, vs in blocks)
         if n_cols > max_columns:
             raise GuardrailExceeded(
                 f"degree {degree} needs {n_cols} columns (> {max_columns})", None)
+    columns = _bracket_columns(blocks, problem.structure(), row_index)
+    return dim - _certified_rank(columns, length, dim, prime=prime, certify=certify,
+                                 compressed=compressed)
 
-    def columns():
-        for a, b in _column_pairs(problem, degree, generator_mode):
-            us = gb(a)
-            vs = hb(b)
-            for iu, u in enumerate(us):
-                for iv, v in enumerate(vs):
-                    vec = raw_bracket(u, v, structure)
-                    if not vec:
-                        continue
-                    mapped = {}
-                    for key, val in vec.items():
-                        idx = row_index.get(key)
-                        if idx is not None:
-                            mapped[idx] = val
-                    if mapped:
-                        yield (a, iu, iv), mapped
 
+def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict):
+    """Stream the nonzero brackets {u, v}, u in us, v in vs for each block,
+    as sparse columns over the row indices (other monomials are dropped)."""
+    for us, vs in blocks:
+        for u in us:
+            for v in vs:
+                mapped = {}
+                for key, val in raw_bracket(u, v, structure).items():
+                    idx = row_index.get(key)
+                    if idx is not None:
+                        mapped[idx] = val
+                if mapped:
+                    yield mapped
+
+
+def _certified_rank(columns, length: int, dim: int, *, prime: int,
+                    certify: str, compressed: bool) -> int:
+    """Rank over Q of streamed integer columns whose rank is at most dim.
+
+    The mod-p echelon stops at full rank, which certifies itself; a deficit
+    is certified by `_certify_deficit`, with full rational elimination as
+    the fallback.  certify="always" is the rational reference path.
+    """
     if certify == "always":
         ech = SparseRationalEchelon()
-        for tag, col in columns():
-            ech.add({k: Fraction(v) for k, v in col.items()}, tag)
-        return dim - ech.rank
-
+        for col in columns:
+            ech.add({k: Fraction(v) for k, v in col.items()})
+        return ech.rank
     ech = IncrementalModEchelon(length, prime)
     stored: list[dict] = []
-    for tag, col in columns():
+    for col in columns:
         stored.append(col)
         ech.add(col, len(stored) - 1)
         if ech.rank == dim:
-            return 0  # full modular rank is full rational rank
-    rank = ech.rank
-    if rank == dim:
-        return 0
+            return dim  # full modular rank is full rational rank
     try:
-        return dim - _certify_deficit(ech, stored, dim, compressed)
+        return _certify_deficit(ech, stored, compressed)
     except (ValueError, AssertionError):
-        ech2 = SparseRationalEchelon()
+        rat = SparseRationalEchelon()
         for col in stored:
-            ech2.add({k: Fraction(v) for k, v in col.items()})
-        return dim - ech2.rank
+            rat.add({k: Fraction(v) for k, v in col.items()})
+        return rat.rank
 
 
 def _certify_deficit(ech: IncrementalModEchelon, stored: list[dict],
-                     dim: int, compressed: bool) -> int:
+                     compressed: bool) -> int:
     """Certify that the rational rank equals the modular rank.
 
     Compressed cells (coordinates = invariant-basis dimension): build the
@@ -336,41 +323,30 @@ def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
             "truncated": False}
     if problem.subgroup != "full":
         meta["subgroup"] = problem.subgroup
-    degrees = list(range(max_degree + 1))
+    degrees = range(max_degree + 1)
+    task = functools.partial(_cell_task, problem, prime=prime, certify=certify,
+                             max_columns=max_columns, generator_mode=generator_mode)
     entries: dict[int, int] = {}
+    pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(problem, d, prime, certify, max_columns, generator_mode) for d in degrees]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for d, value in zip(degrees, pool.map(_cell_task, args)):
-                if value is None:
-                    meta["truncated"] = True
-                    meta["truncated_at_degree"] = d
-                    table = GradedDimensionTable(entries, meta)
-                    raise GuardrailExceeded(f"guardrail exceeded at degree {d}", table)
-                if value:
-                    entries[d] = value
-        return GradedDimensionTable(entries, meta)
-    for d in degrees:
-        try:
-            value = _cell_dimension(problem, d, prime=prime, certify=certify,
-                                    max_columns=max_columns,
-                                    generator_mode=generator_mode)
-        except GuardrailExceeded:
-            meta["truncated"] = True
-            meta["truncated_at_degree"] = d
-            table = GradedDimensionTable(entries, meta)
-            raise GuardrailExceeded(f"guardrail exceeded at degree {d}", table) from None
-        if value:
-            entries[d] = value
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or nullcontext():
+        for d, value in zip(degrees, (pool.map if pool else map)(task, degrees)):
+            if value is None:
+                meta["truncated"] = True
+                meta["truncated_at_degree"] = d
+                table = GradedDimensionTable(entries, meta)
+                raise GuardrailExceeded(f"guardrail exceeded at degree {d}", table)
+            if value:
+                entries[d] = value
     return GradedDimensionTable(entries, meta)
 
 
-def _cell_task(args):
-    problem, d, prime, certify, max_columns, generator_mode = args
+def _cell_task(problem: BracketSpanProblem, degree: int, **options) -> int | None:
+    """One cell for `map` or a process pool; None marks a guardrail hit."""
     try:
-        return _cell_dimension(problem, d, prime=prime, certify=certify,
-                               max_columns=max_columns, generator_mode=generator_mode)
+        return _cell_dimension(problem, degree, **options)
     except GuardrailExceeded:
         return None
 
@@ -388,58 +364,21 @@ def check_aminus_identity(n: int, max_degree: int, *,
     spec = GroupSpec("demihyperoctahedral", n)
     structure = darboux_structure(n)
     report: dict[int, str] = {}
-    bplus_cache: dict[int, list[dict]] = {}
-    aminus_cache: dict[int, list[dict]] = {}
-
-    def aplus(a):
-        if a not in bplus_cache:
-            bplus_cache[a] = invariant_basis_raw(spec, a, sector="+")
-        return bplus_cache[a]
-
-    def aminus(b):
-        if b not in aminus_cache:
-            aminus_cache[b] = invariant_basis_raw(spec, b, sector="-")
-        return aminus_cache[b]
-
     for d in range(0, max_degree + 1):
         if (d - n) % 2:
             continue
-        target = aminus(d)
+        target = invariant_basis_raw(spec, d, sector="-")
         dim = len(target)
         if dim == 0:
             report[d] = "pass"
             continue
         row_index = {max(vec): i for i, vec in enumerate(target)}
-        ech = IncrementalModEchelon(dim, prime)
-        stored = []
-        for a in range(2, d + 2, 2):
-            b = d + 2 - a
-            for u in aplus(a):
-                for v in aminus(b):
-                    vec = raw_bracket(u, v, structure)
-                    mapped = {}
-                    for key, val in vec.items():
-                        idx = row_index.get(key)
-                        if idx is not None:
-                            mapped[idx] = val
-                    if mapped:
-                        stored.append(mapped)
-                        ech.add(mapped, len(stored) - 1)
-            if ech.rank == dim:
-                break
-        if ech.rank == dim:
-            report[d] = "pass"
-            continue
-        # certified deficit would disprove the identity; re-check over Q
-        try:
-            _certify_deficit(ech, stored, dim, True)
-            certified_rank = ech.rank
-        except (ValueError, AssertionError):
-            rat = SparseRationalEchelon()
-            for col in stored:
-                rat.add({k: Fraction(v) for k, v in col.items()})
-            certified_rank = rat.rank
-        report[d] = "pass" if certified_rank == dim else "fail"
+        blocks = ((invariant_basis_raw(spec, a, sector="+"),
+                   invariant_basis_raw(spec, d + 2 - a, sector="-"))
+                  for a in range(2, d + 2, 2))
+        rank = _certified_rank(_bracket_columns(blocks, structure, row_index), dim, dim,
+                               prime=prime, certify="fast", compressed=True)
+        report[d] = "pass" if rank == dim else "fail"
     return report
 
 
@@ -562,7 +501,7 @@ def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
     for expo, coeff in bracket.terms.items():
         rep = orbit_rep(expo, n)
         if rep == expo:
-            orbit_size = len(_orbit_of(expo, n))
+            orbit_size = len(_sn_orbit(expo, n))
             components[rep] = coeff * orbit_size
     observed = components.get(orbit_rep(target_expo, n), Fraction(0))
     higher = all(symmetrized_order_key(rep, n) > target_key

@@ -27,6 +27,10 @@ import numpy as np
 # rank filtering.  All reported dimensions are certified over Q regardless.
 DEFAULT_PRIME = 1048573
 
+# Moduli of the mod-p echelon stay below 2^31: then (p - 1)^2 < 2^62, so
+# every product and difference fits in int64 (larger p would silently wrap).
+PRIME_LIMIT = 2 ** 31
+
 # 61-bit primes for the exact-nullspace reconstruction path.
 BIG_PRIMES = (
     2305843009213693951,
@@ -57,6 +61,8 @@ class IncrementalModEchelon:
     """
 
     def __init__(self, length: int, p: int = DEFAULT_PRIME):
+        if not 2 <= p < PRIME_LIMIT:
+            raise ValueError(f"modulus {p} is outside [2, 2^31)")
         self.length = length
         self.p = p
         self.rank = 0

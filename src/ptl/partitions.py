@@ -39,13 +39,6 @@ def partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def partitions_exact_parts(n: int, k: int):
-    """Partitions of n with exactly k parts."""
-    for lam in partitions(n):
-        if len(lam) == k:
-            yield lam
-
-
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
     """p(n) by the Euler pentagonal-number recurrence."""

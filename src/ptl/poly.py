@@ -245,25 +245,6 @@ class SparsePolynomial:
             out[expo] = c
         return SparsePolynomial._raw(self.context, out)
 
-    def evaluate(self, assignment: dict) -> Fraction:
-        """Evaluate at a full rational point {name: value}."""
-        vals = [None] * self.context.arity
-        for name, v in assignment.items():
-            vals[self.context.var_index(name)] = _as_scalar(v)
-        total = Fraction(0)
-        for expo, c in self.terms.items():
-            term = c
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                if vals[i] is None:
-                    raise ValueError(f"no value for variable {self.context.names[i]}")
-                if e < 0 and vals[i] == 0:
-                    raise ZeroDivisionError("evaluating a Laurent pole at zero")
-                term *= vals[i] ** e
-            total += term
-        return total
-
     def substitute(self, images: dict, target: VariableContext | None = None,
                    _power_cache: dict | None = None) -> "SparsePolynomial":
         """Ring homomorphism sending each variable to `images[name]`.

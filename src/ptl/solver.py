@@ -507,8 +507,12 @@ def kernel_basis(n: int, weight: int | None = None, *,
                 vectors.append(SparsePolynomial(ctx, terms))
     meta = {"family": "D", "n": n, "grading": "dual-weight"}
     weight_dims = GradedDimensionTable(weight_entries, meta)
-    display = weight_dims.reindexed(lambda w_: -w_ // 4, grading="display-exponent")
-    return SolutionBasis(n, weight, vectors, weight_dims, display)
+    return SolutionBasis(n, weight, vectors, weight_dims, display_table(weight_dims))
+
+
+def display_table(weight_dims: GradedDimensionTable) -> GradedDimensionTable:
+    """Re-key a dual-weight table by the display exponent -w/4."""
+    return weight_dims.reindexed(lambda w: -w // 4, grading="display-exponent")
 
 
 def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:

@@ -5,7 +5,8 @@ permutations, its index-two subgroup D_n (even number of sign flips), S_n
 itself acting either monomially on Darboux coordinates of C^{2n}
 (``symmetric-full``) or through the eliminated-coordinate realization of the
 reflection representation (``symmetric-reflection``), and the last-point
-stabilizer S_{n-1} inside the latter.
+stabilizer S_{n-1} inside the latter, which acts on the n-1 surviving
+coordinate pairs as ``symmetric-full`` does.
 
 An element acts by x_i -> sign_i * x_{perm(i)} and simultaneously on y; the
 action is a ring homomorphism, preserves degree, and commutes with the
@@ -310,34 +311,33 @@ def _sn_orbit(expo: tuple, m: int) -> list[tuple]:
     return sorted(out)
 
 
-def invariant_basis_raw(spec: GroupSpec, degree: int, sector: str | None = None) -> list[dict]:
+@lru_cache(maxsize=None)
+def invariant_basis_raw(spec: GroupSpec, degree: int, sector: str | None = None) -> tuple[dict, ...]:
     """Invariant-space basis as raw {exponent: +-1} dicts, deterministic order.
 
     For the monomial families these are orbit sums (coefficient one per
     monomial).  `sector` restricts demihyperoctahedral bases to the
     all-even ("+") or all-odd ("-") eigenspace of the sign character.
     For symmetric-reflection the group averages are row-reduced to an
-    independent subset of full-group orbit sums.
+    independent subset of full-group orbit sums.  Cached per (spec, degree,
+    sector): the result is shared and must be treated as read-only.
     """
     if degree < 0:
-        return []
+        return ()
     m = spec.pairs
     if spec.family == "symmetric-reflection":
-        return [dict(p.terms) for p in _reflection_invariants(spec.n, degree)]
+        return tuple(dict(p.terms) for p in _reflection_invariants(spec.n, degree))
     out = []
-    seen = set()
     for expo in monomials_of_degree(2 * m, degree):
-        rep = orbit_rep(expo, m)
-        if rep != expo or rep in seen:
+        if orbit_rep(expo, m) != expo:
             continue
-        seen.add(rep)
         sec = _index_parity_ok(expo, m, spec.family)
         if sec is None or (sector is not None and sec != sector and sec != ""):
             continue
         out.append({e: 1 for e in _sn_orbit(expo, m)})
     # graded-lex descending on representatives
     out.sort(key=lambda d: max(d), reverse=True)
-    return out
+    return tuple(out)
 
 
 def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
@@ -345,22 +345,6 @@ def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
     ctx = spec.context()
     return [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
             for d in invariant_basis_raw(spec, degree)]
-
-
-def stabilizer_invariant_basis_raw(n: int, degree: int) -> list[dict]:
-    """Orbit-sum basis for S_{n-1} (stabilizer of the eliminated point)
-    acting monomially on the 2(n-1) surviving reflection coordinates."""
-    m = n - 1
-    out = []
-    seen = set()
-    for expo in monomials_of_degree(2 * m, degree):
-        rep = orbit_rep(expo, m)
-        if rep != expo or rep in seen:
-            continue
-        seen.add(rep)
-        out.append({e: 1 for e in _sn_orbit(expo, m)})
-    out.sort(key=lambda d: max(d), reverse=True)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -474,24 +458,14 @@ def _det_minus_id(g: SignedPermutation, reflection: bool = False) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def fixed_point_free_class_count(spec: GroupSpec) -> int:
-    """Brute-force scan: conjugacy classes of g with det(g - Id) != 0 on C^{2n}.
-
-    Enumerates the whole group, keeps elements whose n x n block determinant
-    is nonzero (the C^{2n} determinant is its square), and counts conjugation
-    orbits by breadth-first search under the group generators.  No cycle-type
-    classification is consulted.
-    """
-    reflection = spec.family == "symmetric-reflection"
-    survivors = set()
-    for g in spec.elements():
-        if _det_minus_id(g, reflection):
-            survivors.add((g.perm, g.signs))
+def _conjugation_orbit_count(spec: GroupSpec, members: set) -> int:
+    """Number of orbits of the conjugation action on a conjugation-stable set
+    of (perm, signs) keys, by breadth-first search under the group generators."""
     gens = spec.generators()
     gens = gens + [h.inverse() for h in gens]
     classes = 0
     visited = set()
-    for key in sorted(survivors):
+    for key in sorted(members):
         if key in visited:
             continue
         classes += 1
@@ -504,11 +478,24 @@ def fixed_point_free_class_count(spec: GroupSpec) -> int:
                 c = g.conjugate_by(h)
                 ck = (c.perm, c.signs)
                 if ck not in visited:
-                    if ck not in survivors:
-                        raise AssertionError("conjugation left the fixed-point-free locus")
+                    if ck not in members:
+                        raise AssertionError("conjugation left the locus")
                     visited.add(ck)
                     stack.append(ck)
     return classes
+
+
+def fixed_point_free_class_count(spec: GroupSpec) -> int:
+    """Brute-force scan: conjugacy classes of g with det(g - Id) != 0 on C^{2n}.
+
+    Enumerates the whole group, keeps elements whose n x n block determinant
+    is nonzero (the C^{2n} determinant is its square), and counts conjugation
+    orbits by breadth-first search under the group generators.  No cycle-type
+    classification is consulted.
+    """
+    reflection = spec.family == "symmetric-reflection"
+    return _conjugation_orbit_count(
+        spec, {(g.perm, g.signs) for g in spec.elements() if _det_minus_id(g, reflection)})
 
 
 def bn_class_count(n: int) -> int:
@@ -534,24 +521,4 @@ def dn_class_count(n: int) -> int:
 
 def conjugacy_class_count_brute(spec: GroupSpec) -> int:
     """Count conjugacy classes by BFS orbits of the conjugation action."""
-    all_elems = {(g.perm, g.signs) for g in spec.elements()}
-    gens = spec.generators()
-    gens = gens + [h.inverse() for h in gens]
-    visited = set()
-    classes = 0
-    for key in sorted(all_elems):
-        if key in visited:
-            continue
-        classes += 1
-        stack = [key]
-        visited.add(key)
-        while stack:
-            p, s = stack.pop()
-            g = SignedPermutation(p, s)
-            for h in gens:
-                c = g.conjugate_by(h)
-                ck = (c.perm, c.signs)
-                if ck not in visited:
-                    visited.add(ck)
-                    stack.append(ck)
-    return classes
+    return _conjugation_orbit_count(spec, {(g.perm, g.signs) for g in spec.elements()})

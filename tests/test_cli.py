@@ -5,6 +5,8 @@ import pytest
 
 from ptl.cache import ResultCache, code_version
 from ptl.cli import main
+from ptl.linalg import IncrementalModEchelon
+from ptl.solver import KernelCertificationError
 
 
 def run_cli(capsys, *argv):
@@ -188,3 +190,84 @@ def test_typed_families_cli(capsys):
 def test_code_version_stable():
     assert code_version() == code_version()
     assert len(code_version()) == 16
+
+
+def _b2_table(capsys, *extra):
+    return run_cli(capsys, "hp0", "brute", "--group", "hyperoctahedral", "--n", "2",
+                   "--max-degree", "12", "--no-cache", "--format", "json", *extra)
+
+
+@pytest.mark.parametrize("prime", [2 ** 31 - 1, 1048571])
+def test_prime_range_agrees_with_default(capsys, prime):
+    code, default = _b2_table(capsys)
+    assert code == 0
+    code, out = _b2_table(capsys, "--prime", str(prime))
+    assert code == 0
+    assert json.loads(out)["dims"] == json.loads(default)["dims"] == {"0": 1, "4": 1}
+
+
+@pytest.mark.parametrize("prime", [2 ** 61 - 1, 1048575, 2147483659])
+def test_unsafe_prime_exits_2(prime):
+    for argv in (["hp0", "brute", "--group", "hyperoctahedral", "--n", "2",
+                  "--max-degree", "12", "--no-cache"],
+                 ["typed", "solve", "--n", "10", "--no-cache"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--prime", str(prime)])
+        assert exc.value.code == 2
+    if prime >= 2 ** 31:
+        with pytest.raises(ValueError):
+            IncrementalModEchelon(4, prime)
+
+
+def test_certification_failure_exit_5(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise KernelCertificationError("family span exceeds the modular bound")
+
+    monkeypatch.setattr("ptl.cli.kernel_basis", fail)
+    code = main(["typed", "solve", "--n", "3", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "certification failed: family span exceeds the modular bound\n"
+
+
+def _forge_record(cache_dir, n, edit):
+    # rewrite the typed-solve record for n with a consistent checksum
+    for path in Path(cache_dir).glob("*.json"):
+        record = json.loads(path.read_text())
+        if record["key"]["n"] == n:
+            payload = dict(record["payload"])
+            edit(payload)
+            ResultCache(cache_dir).put(record["key"], payload)
+            return
+    raise AssertionError(f"no record for n={n}")
+
+
+def _inflate_dual_weights(payload):
+    w = next(iter(payload["dual_weights"]))
+    payload["dual_weights"] = dict(payload["dual_weights"], **{w: payload["dual_weights"][w] + 1})
+
+
+def _retitle_display(payload):
+    payload["display_series"] = "1 + t"
+
+
+@pytest.mark.parametrize("edit", [_inflate_dual_weights, _retitle_display])
+def test_cache_reverifies_counts_and_series(tmp_path, capsys, edit):
+    args = ("typed", "solve", "--n", "4", "--format", "json", "--cache-dir", str(tmp_path))
+    code, _ = run_cli(capsys, *args)
+    assert code == 0
+    _forge_record(tmp_path, 4, edit)
+    code, _ = run_cli(capsys, *args)
+    assert code == 4
+
+
+def test_workers_reverify_cache(tmp_path, capsys):
+    args = ("typed", "solve", "--n-max", "5", "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold = run_cli(capsys, *args)
+    assert code == 0
+    code, warm = run_cli(capsys, *args, "--workers", "2")
+    assert code == 0 and warm == cold
+    _forge_record(tmp_path, 3, lambda payload: payload.update(vectors=["s2"]))
+    code, _ = run_cli(capsys, *args, "--workers", "2")
+    assert code == 4

@@ -17,7 +17,6 @@ from ptl.weyl import (
     invariant_basis,
     invariant_basis_raw,
     monomials_of_degree,
-    stabilizer_invariant_basis_raw,
 )
 
 
@@ -167,7 +166,7 @@ def test_averaging_lands_in_span(rng):
 
 def test_stabilizer_basis_counts():
     # S_{n-1} orbit sums on the surviving 2(n-1) coordinates
-    basis = stabilizer_invariant_basis_raw(3, 2)
+    basis = invariant_basis_raw(GroupSpec("symmetric-full", 2), 2)
     # degree-2 monomials in x1,x2,y1,y2 up to swapping index 1<->2
     assert len(basis) == 6
 
