@@ -7,8 +7,11 @@ Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
 --prime that is not a prime below 2^31), 3 resource guardrail exceeded
 (partial result is still printed), 4 cache corruption, 5 a kernel that could
-not be certified over Q.  --workers N runs on a process pool whose workers
-read, re-verify and write the cache exactly as a serial run does.
+not be certified over Q or an internal check (AssertionError) that failed,
+with one line on stderr.  --workers N runs on a process pool whose workers
+read, re-verify and write the cache exactly as a serial run does.  Only
+typed-solver payloads are cached; `hp0 brute` accepts --cache-dir but
+recomputes its table on every run.
 """
 
 from __future__ import annotations
@@ -197,28 +200,21 @@ def cmd_typed_families(args) -> int:
 # -- hp0 ------------------------------------------------------------------------
 
 def cmd_hp0_brute(args) -> int:
-    cache = _cache_from_args(args)
-    spec = GroupSpec(args.group, args.n)
-    problem = BracketSpanProblem(spec, args.subgroup)
-    key = {"module": "hp0-engine", "group": args.group, "n": args.n,
-           "subgroup": args.subgroup, "max_degree": args.max_degree,
-           "prime": args.prime, "certify": args.certify,
-           "generator_mode": args.generator_mode, "code": code_version()}
-    payload = cache.get(key)
+    # Tables are recomputed on every run: a cached table would carry no
+    # certificate that a load could re-check.  --cache-dir is accepted and
+    # ignored.
+    problem = BracketSpanProblem(GroupSpec(args.group, args.n), args.subgroup)
     exit_code = 0
-    if payload is None:
-        try:
-            table = hp0_graded_dims(problem, args.max_degree, prime=args.prime,
-                                    certify=args.certify, max_columns=args.max_columns,
-                                    generator_mode=args.generator_mode,
-                                    workers=args.workers)
-            payload = table.to_json_dict()
-            cache.put(key, payload)
-        except GuardrailExceeded as exc:
-            payload = exc.table.to_json_dict()
-            sys.stderr.write(f"guardrail: {exc}; partial table follows\n")
-            exit_code = 3
-    _write_hp0_table(payload, args.format)
+    try:
+        table = hp0_graded_dims(problem, args.max_degree, prime=args.prime,
+                                certify=args.certify, max_columns=args.max_columns,
+                                generator_mode=args.generator_mode,
+                                workers=args.workers)
+    except GuardrailExceeded as exc:
+        table = exc.table
+        sys.stderr.write(f"guardrail: {exc}; partial table follows\n")
+        exit_code = 3
+    _write_hp0_table(table.to_json_dict(), args.format)
     return exit_code
 
 
@@ -590,6 +586,9 @@ def main(argv=None) -> int:
         return 4
     except KernelCertificationError as exc:
         sys.stderr.write(f"certification failed: {exc}\n")
+        return 5
+    except AssertionError as exc:
+        sys.stderr.write(f"internal check failed: {exc}\n")
         return 5
     except SystemExit2 as exc:
         return int(exc.code)

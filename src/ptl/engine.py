@@ -3,12 +3,14 @@
 For each polynomial degree d the span {O^G_a, O^H_b : a + b = d + 2, a >= 1}
 is generated column by column from invariant orbit-sum bases, and the entry
 reported is dim O^H_d minus the certified rank of that span.  Columns are
-streamed through a mod-p echelon first; a full modular rank certifies
-itself, and a deficit is certified over Q before being reported (quotient
-functionals verified against every column, or full rational elimination as
-a fallback).  Degree 0 needs no special casing: the empty bracket span is
-{0} unless 1 is literally a bracket, as happens for Darboux structures
-whose group fixes a Darboux pair.
+streamed through a mod-p echelon (kept in RREF) first; a full modular rank
+certifies itself, and a deficit is certified over Q before being reported.
+On orbit-compressed rows the quotient functionals are read off the RREF,
+rationally reconstructed, scaled to integers and checked exactly against
+every column; full rational elimination is only the last resort, when
+reconstruction or a check fails.  Degree 0 needs no special casing: the
+empty bracket span is {0} unless 1 is literally a bracket, as happens for
+Darboux structures whose group fixes a Darboux pair.
 
 Rows are compressed to orbit representatives whenever H acts monomially
 (the coefficient of an invariant polynomial at a representative determines
@@ -35,7 +37,7 @@ from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
     SparseRationalEchelon,
-    solve_dense_rational,
+    rational_reconstruct,
 )
 from ptl.poisson import (
     PoissonStructure,
@@ -52,6 +54,7 @@ from ptl.weyl import (
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
+    restrict_to_zero_sum,
 )
 
 SUBGROUP_KINDS = ("full", "last-point-stabilizer", "ambient")
@@ -127,14 +130,11 @@ def _power_sum_generators(problem: BracketSpanProblem, degree: int) -> list[dict
     spec = problem.spec
     m = spec.pairs
     if spec.family == "symmetric-reflection":
-        # eliminated-coordinate images of the power sums
-        out = []
-        for a in range(degree, -1, -1):
-            b = degree - a
-            p = _reflection_power_sum(spec.n, a, b)
-            if p.terms:
-                out.append(dict(p.terms))
-        return out
+        # restrictions of the power sums of C^{2n}
+        n = spec.n
+        orbits = [{e: 1 for e in _sn_orbit((a,) + (0,) * m + (degree - a,) + (0,) * m, n)}
+                  for a in range(degree, -1, -1)]
+        return [p for p in restrict_to_zero_sum(n, degree, orbits) if p]
     out = []
     if degree % 2 == 0 or spec.family == "symmetric-full":
         for a in range(degree, -1, -1):
@@ -148,23 +148,6 @@ def _power_sum_generators(problem: BracketSpanProblem, degree: int) -> list[dict
             expo[m + i] = 1
         out.append({tuple(expo): 1})
     return out
-
-
-def _reflection_power_sum(n: int, a: int, b: int) -> SparsePolynomial:
-    spec = GroupSpec("symmetric-reflection", n)
-    ctx = spec.context()
-    m = n - 1
-    total = SparsePolynomial.zero(ctx)
-    sum_x = SparsePolynomial(ctx, {tuple(1 if k == i else 0 for k in range(2 * m)): -1
-                                   for i in range(m)})
-    sum_y = SparsePolynomial(ctx, {tuple(1 if k == m + i else 0 for k in range(2 * m)): -1
-                                   for i in range(m)})
-    for i in range(m):
-        x = SparsePolynomial.variable(ctx, ctx.names[i])
-        y = SparsePolynomial.variable(ctx, ctx.names[m + i])
-        total = total + x ** a * y ** b
-    total = total + sum_x ** a * sum_y ** b
-    return total
 
 
 # -- one degree cell ----------------------------------------------------------
@@ -241,8 +224,9 @@ def _certified_rank(columns, length: int, dim: int, *, prime: int,
     """Rank over Q of streamed integer columns whose rank is at most dim.
 
     The mod-p echelon stops at full rank, which certifies itself; a deficit
-    is certified by `_certify_deficit`, with full rational elimination as
-    the fallback.  certify="always" is the rational reference path.
+    is certified by `_certify_deficit` (integer quotient functionals read
+    off the RREF), with full rational elimination as the last resort.
+    certify="always" is the rational reference path.
     """
     if certify == "always":
         ech = SparseRationalEchelon()
@@ -258,7 +242,7 @@ def _certified_rank(columns, length: int, dim: int, *, prime: int,
             return dim  # full modular rank is full rational rank
     try:
         return _certify_deficit(ech, stored, compressed)
-    except (ValueError, AssertionError):
+    except ValueError:
         rat = SparseRationalEchelon()
         for col in stored:
             rat.add({k: Fraction(v) for k, v in col.items()})
@@ -267,19 +251,27 @@ def _certified_rank(columns, length: int, dim: int, *, prime: int,
 
 def _certify_deficit(ech: IncrementalModEchelon, stored: list[dict],
                      compressed: bool) -> int:
-    """Certify that the rational rank equals the modular rank.
+    """Certify that the rational rank of the stored columns equals ech.rank.
 
-    Compressed cells (coordinates = invariant-basis dimension): build the
-    quotient functionals from the pivot rows and verify them against every
-    column, exactly.  Uncompressed cells: rational re-elimination of the
-    pivot columns, then exact reduction of every remaining column.
-    Raises on any mismatch (caller falls back to full rational elimination).
+    Compressed cells (coordinates = invariant-basis dimension): the echelon
+    is in RREF, so for each non-lead coordinate r the functional
+    phi_r = e_r - sum_i M[i, r] e_{lead_i} (M = ech.matrix) kills every
+    column mod p; these are `ech.nullspace_modp()`.  Their nonzero
+    coefficients are rationally reconstructed, denominators are cleared,
+    and phi_r . col = 0 is checked in exact integer arithmetic against
+    every stored column.  Soundness: the phi_r
+    are independent (each has its own e_r and no other non-lead entry), so
+    the length - rank_p of them bound rank_Q <= rank_p; and rank_Q >= rank_p
+    always holds for integer columns (a minor nonzero mod p is nonzero).
+    Uncompressed cells: rational re-elimination of the pivot columns, then
+    exact reduction of every remaining column.
+    Raises ValueError on any failure (caller falls back to full rational
+    elimination).
     """
     rank = ech.rank
-    pivots = [stored[t] for t in ech.pivot_tags]
     if not compressed:
         rat = SparseRationalEchelon()
-        for col in pivots:
+        for col in (stored[t] for t in ech.pivot_tags):
             if not rat.add({k: Fraction(v) for k, v in col.items()}):
                 raise ValueError("pivot columns dependent over Q")
         for i, col in enumerate(stored):
@@ -287,21 +279,16 @@ def _certify_deficit(ech: IncrementalModEchelon, stored: list[dict],
             if red:
                 raise ValueError("modular rank deficit not rational")
         return rank
-    leads = list(ech.leads)
-    lead_set = set(leads)
-    S = [[Fraction(col.get(r, 0)) for col in pivots] for r in leads]
-    others = [r for r in range(ech.length) if r not in lead_set]
-    rhs = [[Fraction(col.get(r, 0)) for col in pivots] for r in others]
-    lambdas = solve_dense_rational(S, rhs)  # raises if singular
-    # functional for row r: e_r - sum_j lambda_j e_{lead_j}; must kill all columns
-    for r, lam in zip(others, lambdas):
-        for col in stored:
-            val = Fraction(col.get(r, 0))
-            for j, lead in enumerate(leads):
-                cj = col.get(lead)
-                if cj:
-                    val -= lam[j] * cj
-            if val:
+    functionals = []
+    for phi_p in ech.nullspace_modp():
+        coeffs = {k: rational_reconstruct(v, ech.p) for k, v in phi_p.items()}
+        if None in coeffs.values():
+            raise ValueError("quotient functional does not reconstruct")
+        den = math.lcm(*(q.denominator for q in coeffs.values()))
+        functionals.append({k: int(q * den) for k, q in coeffs.items()})
+    for col in stored:
+        for phi in functionals:
+            if sum(v * phi.get(k, 0) for k, v in col.items()):
                 raise ValueError("quotient functional fails on a column")
     return rank
 

@@ -298,25 +298,3 @@ class PurePythonModEchelon:
             basis.append(vec)
         return basis
 
-
-def solve_dense_rational(S: list[list[Fraction]], rhs_cols: list[list[Fraction]]):
-    """Solve S x = b over Q for several right-hand sides by one elimination.
-
-    Returns the list of solution vectors; raises ValueError when S is
-    singular (certification then falls back to full rational elimination).
-    """
-    n = len(S)
-    m = len(rhs_cols)
-    aug = [list(map(Fraction, S[i])) + [rhs_cols[j][i] for j in range(m)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("singular certification system")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(m)]

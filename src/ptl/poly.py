@@ -245,43 +245,6 @@ class SparsePolynomial:
             out[expo] = c
         return SparsePolynomial._raw(self.context, out)
 
-    def substitute(self, images: dict, target: VariableContext | None = None,
-                   _power_cache: dict | None = None) -> "SparsePolynomial":
-        """Ring homomorphism sending each variable to `images[name]`.
-
-        Variables absent from `images` must exist in the target context and
-        map to themselves.  Used for linear group actions; exponents must be
-        nonnegative.
-        """
-        ctx = self.context
-        tgt = target if target is not None else next(
-            (p.context for p in images.values() if isinstance(p, SparsePolynomial)), ctx)
-        cache = _power_cache if _power_cache is not None else {}
-        var_polys = []
-        for i, name in enumerate(ctx.names):
-            img = images.get(name)
-            if img is None:
-                img = SparsePolynomial.variable(tgt, name)
-            elif not isinstance(img, SparsePolynomial):
-                img = SparsePolynomial.constant(tgt, img)
-            var_polys.append(img)
-        result = SparsePolynomial.zero(tgt)
-        for expo, c in self.terms.items():
-            term = SparsePolynomial.constant(tgt, c)
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                if e < 0:
-                    raise ValueError("cannot substitute into a Laurent exponent")
-                key = (i, e)
-                pw = cache.get(key)
-                if pw is None:
-                    pw = var_polys[i] ** e
-                    cache[key] = pw
-                term = term * pw
-            result = result + term
-        return result
-
     # -- canonical text form ----------------------------------------------
 
     def sorted_terms(self):

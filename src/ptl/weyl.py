@@ -12,8 +12,10 @@ An element acts by x_i -> sign_i * x_{perm(i)} and simultaneously on y; the
 action is a ring homomorphism, preserves degree, and commutes with the
 Poisson bracket.  Invariant subspaces are spanned by orbit sums of
 monomials, kept with coefficient 1 per orbit member so the rank engine sees
-small integers; for the non-monomial reflection action the orbit sum of a
-monomial means the sum over the full group of its images.
+small integers; the orbits are enumerated directly as multisets of per-index
+(x, y) exponent pairs.  For the non-monomial reflection action the
+invariants are S_n-orbit sums on C^{2n} restricted to the zero-sum
+hyperplane pair, again with integer coefficients.
 
 Class counts: dim HH_0 of the invariant Weyl algebra equals the number of
 conjugacy classes acting without eigenvalue one (the trace count of the
@@ -32,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ptl.context import VariableContext, darboux_context
+from ptl.poisson import _raw_mul
 from ptl.poly import SparsePolynomial
 from ptl.partitions import partition_count, partition_count_exact_parts, even_part_count, partitions
 
@@ -202,66 +205,30 @@ def act_monomial_raw(g: SignedPermutation, expo: tuple, m: int) -> tuple[tuple, 
     return tuple(out), sign
 
 
-class _ReflectionAction:
-    """Cached linear substitution action of S_n on eliminated coordinates."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.context = _spec_context("symmetric-reflection", n)
-        self._images: dict[SignedPermutation, dict] = {}
-        self._caches: dict[SignedPermutation, dict] = {}
-
-    def images(self, g: SignedPermutation) -> dict:
-        imgs = self._images.get(g)
-        if imgs is None:
-            ctx, n, m = self.context, self.n, self.n - 1
-            minus_sum_x = SparsePolynomial(
-                ctx, {tuple(1 if k == i else 0 for k in range(2 * m)): -1 for i in range(m)})
-            minus_sum_y = SparsePolynomial(
-                ctx, {tuple(1 if k == m + i else 0 for k in range(2 * m)): -1 for i in range(m)})
-            imgs = {}
-            for i in range(m):
-                j = g.perm[i]
-                if j < m:
-                    imgs[ctx.names[i]] = SparsePolynomial.variable(ctx, ctx.names[j])
-                    imgs[ctx.names[m + i]] = SparsePolynomial.variable(ctx, ctx.names[m + j])
-                else:
-                    imgs[ctx.names[i]] = minus_sum_x
-                    imgs[ctx.names[m + i]] = minus_sum_y
-            self._images[g] = imgs
-            self._caches[g] = {}
-        return imgs
-
-    def apply(self, g: SignedPermutation, f: SparsePolynomial) -> SparsePolynomial:
-        imgs = self.images(g)
-        return f.substitute(imgs, self.context, _power_cache=self._caches[g])
-
-
-@lru_cache(maxsize=None)
-def _reflection_action(n: int) -> _ReflectionAction:
-    return _ReflectionAction(n)
-
-
 def act(g: SignedPermutation, f: SparsePolynomial, spec: GroupSpec) -> SparsePolynomial:
-    """Ring-homomorphism action x_i -> sign_i x_{perm(i)}, y likewise."""
+    """Ring-homomorphism action x_i -> sign_i x_{perm(i)}, y likewise.
+
+    For symmetric-reflection, f is lifted to C^{2n} (free of x_n, y_n),
+    permuted there and restricted back to the eliminated coordinates.
+    """
     if not spec.contains(g):
         raise ValueError(f"element not in {spec.family}({spec.n})")
-    if spec.family == "symmetric-reflection":
-        action = _reflection_action(spec.n)
-        if f.context != action.context:
-            raise ValueError("context mismatch")
-        return action.apply(g, f)
     if f.context != spec.context():
         raise ValueError("context mismatch")
     m = spec.pairs
+    lift = spec.family == "symmetric-reflection"
     out: dict = {}
     for expo, c in f.terms.items():
-        key, sign = act_monomial_raw(g, expo, m)
+        if lift:
+            expo = expo[:m] + (0,) + expo[m:] + (0,)
+        key, sign = act_monomial_raw(g, expo, g.n)
         s = out.get(key, 0) + sign * c
         if s:
             out[key] = s
         else:
             del out[key]
+    if lift:
+        out = restrict_to_zero_sum(g.n, max(map(sum, out), default=0), [out])[0]
     return SparsePolynomial._raw(f.context, out)
 
 
@@ -311,33 +278,46 @@ def _sn_orbit(expo: tuple, m: int) -> list[tuple]:
     return sorted(out)
 
 
+def _pair_sequences(m: int, degree: int, bound: tuple[int, int]):
+    """Non-increasing sequences of m (a, b) pairs, each at most `bound`, with
+    the a + b summing to `degree`: the S_m-orbits of degree-d monomials."""
+    if m == 1:
+        yield from (((a, degree - a),) for a in range(min(degree, bound[0]), -1, -1)
+                    if (a, degree - a) <= bound)
+        return
+    for a in range(min(degree, bound[0]), -1, -1):
+        top = degree - a if a < bound[0] else min(degree - a, bound[1])
+        for b in range(top, -1, -1):
+            for rest in _pair_sequences(m - 1, degree - a - b, (a, b)):
+                yield ((a, b),) + rest
+
+
 @lru_cache(maxsize=None)
 def invariant_basis_raw(spec: GroupSpec, degree: int, sector: str | None = None) -> tuple[dict, ...]:
-    """Invariant-space basis as raw {exponent: +-1} dicts, deterministic order.
+    """Invariant-space basis as raw {exponent: int} dicts, deterministic order.
 
     For the monomial families these are orbit sums (coefficient one per
-    monomial).  `sector` restricts demihyperoctahedral bases to the
-    all-even ("+") or all-odd ("-") eigenspace of the sign character.
-    For symmetric-reflection the group averages are row-reduced to an
-    independent subset of full-group orbit sums.  Cached per (spec, degree,
-    sector): the result is shared and must be treated as read-only.
+    monomial), one per orbit representative (per-index pairs sorted
+    descending), in descending order of the representative.  `sector`
+    restricts demihyperoctahedral bases to the all-even ("+") or all-odd
+    ("-") eigenspace of the sign character.  For symmetric-reflection see
+    `_reflection_invariants`.  Cached per (spec, degree, sector): the result
+    is shared and must be treated as read-only.
     """
     if degree < 0:
         return ()
-    m = spec.pairs
     if spec.family == "symmetric-reflection":
-        return tuple(dict(p.terms) for p in _reflection_invariants(spec.n, degree))
-    out = []
-    for expo in monomials_of_degree(2 * m, degree):
-        if orbit_rep(expo, m) != expo:
-            continue
+        return _reflection_invariants(spec.n, degree)
+    m = spec.pairs
+    reps = []
+    for seq in _pair_sequences(m, degree, (degree, degree)):
+        expo = tuple(a for a, _ in seq) + tuple(b for _, b in seq)
         sec = _index_parity_ok(expo, m, spec.family)
         if sec is None or (sector is not None and sec != sector and sec != ""):
             continue
-        out.append({e: 1 for e in _sn_orbit(expo, m)})
-    # graded-lex descending on representatives
-    out.sort(key=lambda d: max(d), reverse=True)
-    return tuple(out)
+        reps.append(expo)
+    reps.sort(reverse=True)
+    return tuple({e: 1 for e in _sn_orbit(expo, m)} for expo in reps)
 
 
 def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
@@ -347,25 +327,55 @@ def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
             for d in invariant_basis_raw(spec, degree)]
 
 
-@lru_cache(maxsize=None)
-def _reflection_invariants(n: int, degree: int) -> tuple:
-    """Independent orbit sums spanning the S_n-invariants of the eliminated
-    ring in a fixed degree (exact incremental row reduction)."""
-    spec = GroupSpec("symmetric-reflection", n)
-    ctx = spec.context()
+def restrict_to_zero_sum(n: int, degree: int, polys) -> list[dict]:
+    """Restrict raw polynomials on C^{2n} of degree at most `degree` to the
+    eliminated coordinates: x_n = -(x_1 + ... + x_{n-1}), y_n likewise.
+
+    The powers of the two linear forms are expanded once, as integer dicts;
+    each input is split by its (x_n, y_n) exponents and multiplied out.
+    """
     m = n - 1
-    action = _reflection_action(n)
-    elements = list(spec.elements())
-    basis: list[SparsePolynomial] = []
+    zero = (0,) * (2 * m)
+    lin_x = {zero[:i] + (1,) + zero[i + 1:]: -1 for i in range(m)}
+    lin_y = {zero[:m + i] + (1,) + zero[m + i + 1:]: -1 for i in range(m)}
+    xpow, ypow = [{zero: 1}], [{zero: 1}]
+    for _ in range(degree):
+        xpow.append(_raw_mul(xpow[-1], lin_x))
+        ypow.append(_raw_mul(ypow[-1], lin_y))
+    out = []
+    for poly in polys:
+        by_last: dict[tuple[int, int], dict] = {}
+        for e, c in poly.items():
+            part = by_last.setdefault((e[m], e[n + m]), {})
+            key = e[:m] + e[n:n + m]
+            part[key] = part.get(key, 0) + c
+        total: dict = {}
+        for (a, b), part in by_last.items():
+            for k, c in _raw_mul(_raw_mul(part, xpow[a]), ypow[b]).items():
+                s = total.get(k, 0) + c
+                if s:
+                    total[k] = s
+                else:
+                    del total[k]
+        out.append(total)
+    return out
+
+
+def _reflection_invariants(n: int, degree: int) -> tuple[dict, ...]:
+    """Independent integer polynomials spanning the S_n-invariants of the
+    eliminated ring in one degree.
+
+    The candidates are the S_n-orbit sums of degree-d monomials on C^{2n},
+    restricted to the zero-sum hyperplane pair.  They span: restriction of
+    invariants is onto for a finite group in characteristic 0 (restrict the
+    Reynolds average of any lift).  Exact incremental row reduction keeps
+    an independent subset, in candidate order.
+    """
+    orbits = invariant_basis_raw(GroupSpec("symmetric-full", n), degree)
+    basis = []
     echelon: dict[tuple, dict] = {}   # pivot monomial -> reduced vector
-    for expo in monomials_of_degree(2 * m, degree):
-        mono = SparsePolynomial.monomial(ctx, expo)
-        total = SparsePolynomial.zero(ctx)
-        for g in elements:
-            total = total + action.apply(g, mono)
-        if not total.terms:
-            continue
-        vec = dict(total.terms)
+    for total in restrict_to_zero_sum(n, degree, orbits):
+        vec = {k: Fraction(v) for k, v in total.items()}
         # reduce against current echelon (graded-lex descending pivots)
         while vec:
             lead = max(vec)

@@ -5,7 +5,9 @@ import pytest
 
 from ptl.cache import ResultCache, code_version
 from ptl.cli import main
-from ptl.linalg import IncrementalModEchelon
+from ptl.engine import BracketSpanProblem, hp0_graded_dims
+from ptl.linalg import DEFAULT_PRIME, IncrementalModEchelon
+from ptl.weyl import GroupSpec
 from ptl.solver import KernelCertificationError
 
 
@@ -78,6 +80,22 @@ def test_hp0_cache_byte_identical(tmp_path, capsys):
     _, cold = run_cli(capsys, *args)
     _, warm = run_cli(capsys, *args)
     assert warm == cold
+
+
+def test_hp0_ignores_forged_cache_record(tmp_path, capsys):
+    # a re-checksummed hp0 record claiming dim 7 at degree 4 is never served
+    key = {"module": "hp0-engine", "group": "hyperoctahedral", "n": 2,
+           "subgroup": "full", "max_degree": 6, "prime": DEFAULT_PRIME,
+           "certify": "fast", "generator_mode": False, "code": code_version()}
+    payload = hp0_graded_dims(BracketSpanProblem(GroupSpec("hyperoctahedral", 2)),
+                              6).to_json_dict()
+    payload["dims"]["4"] = 7
+    ResultCache(tmp_path).put(key, payload)
+    code, out = run_cli(capsys, "hp0", "brute", "--group", "hyperoctahedral", "--n", "2",
+                        "--max-degree", "6", "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["dims"] == {"0": 1, "4": 1}
+    assert len(list(tmp_path.glob("*.json"))) == 1  # and nothing is written
 
 
 def test_cache_corruption_exit_4(tmp_path, capsys):
@@ -229,6 +247,19 @@ def test_certification_failure_exit_5(monkeypatch, capsys):
     assert code == 5
     assert captured.out == ""
     assert captured.err == "certification failed: family span exceeds the modular bound\n"
+
+
+def test_assertion_error_exit_5(monkeypatch, capsys):
+    def fail(args):
+        raise AssertionError("conjugation left the locus")
+
+    monkeypatch.setattr("ptl.cli.cmd_hp0_brute", fail)
+    code = main(["hp0", "brute", "--group", "hyperoctahedral", "--n", "2",
+                 "--max-degree", "4", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "internal check failed: conjugation left the locus\n"
 
 
 def _forge_record(cache_dir, n, edit):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptl import engine
 from ptl.engine import (
     BracketSpanProblem,
     GuardrailExceeded,
@@ -86,6 +87,34 @@ def test_hyperoctahedral_4_matches_partition_statistic():
     table = hp0_graded_dims(_prob("hyperoctahedral", 4), 12)
     expected = {e: c for e, c in bn_hilbert(4).items() if 4 * e <= 12}
     assert dict(table.reindexed(lambda d: d // 4).items()) == expected
+
+
+def test_deficit_certificate_needs_no_rational_fallback(monkeypatch):
+    # B_4 and D_4 have rank-deficit cells at degrees 0, 4 and 8; the integer
+    # quotient functionals certify all of them without rational elimination
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational fallback taken")
+
+    monkeypatch.setattr(engine, "SparseRationalEchelon", refuse)
+    table = hp0_graded_dims(_prob("hyperoctahedral", 4), 8)
+    assert dict(table.items()) == {0: 1, 4: 1, 8: 2}
+    table = hp0_graded_dims(_prob("demihyperoctahedral", 4), 8)
+    assert dict(table.items()) == {0: 1, 4: 1, 8: 1}
+
+
+def test_fast_certificate_matches_rational_reference(monkeypatch):
+    for family in ("hyperoctahedral", "demihyperoctahedral"):
+        fast = hp0_graded_dims(_prob(family, 3), 10, certify="fast")
+        always = hp0_graded_dims(_prob(family, 3), 10, certify="always")
+        assert fast == always
+    fast = check_aminus_identity(3, 7)
+    certified_rank = engine._certified_rank
+
+    def always_rational(columns, length, dim, **options):
+        return certified_rank(columns, length, dim, **dict(options, certify="always"))
+
+    monkeypatch.setattr(engine, "_certified_rank", always_rational)
+    assert check_aminus_identity(3, 7) == fast
 
 
 def test_engine_certification_survives_bad_primes():

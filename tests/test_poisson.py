@@ -99,11 +99,17 @@ def test_degree_homogeneity(rng):
 
 def test_reflection_sum_images_vanish():
     # the eliminated-coordinate images of sum x_i and sum y_i are zero
-    from ptl.engine import _reflection_power_sum
+    from ptl.weyl import _sn_orbit, restrict_to_zero_sum
     for n in (2, 3, 4):
-        assert not _reflection_power_sum(n, 1, 0).terms
-        assert not _reflection_power_sum(n, 0, 1).terms
-        assert _reflection_power_sum(n, 2, 0).terms  # sum x_i^2 survives
+        pad = (0,) * (n - 1)
+
+        def power_sum(a, b):
+            orbit = {e: 1 for e in _sn_orbit((a,) + pad + (b,) + pad, n)}
+            return restrict_to_zero_sum(n, a + b, [orbit])[0]
+
+        assert not power_sum(1, 0)
+        assert not power_sum(0, 1)
+        assert power_sum(2, 0)  # sum x_i^2 survives
 
 
 def test_ad_h_acts_diagonally(rng):

@@ -17,6 +17,9 @@ from ptl.weyl import (
     invariant_basis,
     invariant_basis_raw,
     monomials_of_degree,
+    orbit_rep,
+    _index_parity_ok,
+    _sn_orbit,
 )
 
 
@@ -147,14 +150,15 @@ def test_invariant_basis_is_fixed_by_generators(rng):
 
 def test_averaging_lands_in_span(rng):
     # the Reynolds image of any monomial lies in the span of the basis
-    for family in ("hyperoctahedral", "demihyperoctahedral"):
-        spec = GroupSpec(family, 2)
+    for family, n, degree in (("hyperoctahedral", 2, 4), ("demihyperoctahedral", 2, 4),
+                              ("symmetric-reflection", 3, 4),
+                              ("symmetric-reflection", 4, 4)):
+        spec = GroupSpec(family, n)
         ctx = spec.context()
-        degree = 4
         ech = SparseRationalEchelon()
         for b in invariant_basis_raw(spec, degree):
-            ech.add({e: Fraction(c) for e, c in b.items()})
-        for expo in monomials_of_degree(4, degree):
+            assert ech.add({e: Fraction(c) for e, c in b.items()})
+        for expo in monomials_of_degree(2 * spec.pairs, degree):
             avg = SparsePolynomial.zero(ctx)
             mono = SparsePolynomial.monomial(ctx, expo)
             for g in spec.elements():
@@ -162,6 +166,41 @@ def test_averaging_lands_in_span(rng):
             if avg.terms:
                 red, _ = ech.reduce_only(dict(avg.terms))
                 assert not red
+
+
+def test_reflection_basis_sizes():
+    # dimensions of the S_n-invariants on the reflection pair, by degree
+    sizes = {3: [1, 0, 3, 4, 6, 10, 17, 18, 31], 4: [1, 0, 3, 4, 11, 12, 32]}
+    for n, expected in sizes.items():
+        spec = GroupSpec("symmetric-reflection", n)
+        assert [len(invariant_basis_raw(spec, d)) for d in range(len(expected))] == expected
+
+
+def _scanned_basis(spec, degree, sector):
+    # reference construction: scan every monomial, keep orbit representatives
+    m = spec.pairs
+    out = []
+    for expo in monomials_of_degree(2 * m, degree):
+        if orbit_rep(expo, m) != expo:
+            continue
+        sec = _index_parity_ok(expo, m, spec.family)
+        if sec is None or (sector is not None and sec != sector and sec != ""):
+            continue
+        out.append({e: 1 for e in _sn_orbit(expo, m)})
+    out.sort(key=lambda d: max(d), reverse=True)
+    return out
+
+
+def test_direct_orbit_enumeration_matches_scan():
+    for family in ("symmetric-full", "hyperoctahedral", "demihyperoctahedral"):
+        for n in range(1, 5):
+            spec = GroupSpec(family, n)
+            for degree in range(9):
+                for sector in (None, "+", "-"):
+                    basis = invariant_basis_raw(spec, degree, sector)
+                    reference = _scanned_basis(spec, degree, sector)
+                    assert [list(b.items()) for b in basis] == \
+                        [list(b.items()) for b in reference], (family, n, degree, sector)
 
 
 def test_stabilizer_basis_counts():
