@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -27,7 +26,7 @@ from itertools import repeat
 
 from ptl.cache import CacheCorruption, ResultCache, code_version, ENV_CACHE_DIR
 from ptl.engine import BracketSpanProblem, GuardrailExceeded, check_aminus_identity, hp0_graded_dims
-from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT
+from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, independent, is_prime
 from ptl.partitions import (
     bn_hilbert,
     multipartition_count,
@@ -100,16 +99,18 @@ def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
             vectors = [parse_polynomial(text, ctx) for text in payload["vectors"]]
         except Exception:
             return False
-        counts: dict[str, int] = {}
+        by_weight: dict[str, list[dict]] = {}
         for v in vectors:
             weights = {ctx.weight_of(e) for e in v.terms}
             if len(weights) != 1:
                 return False
-            w = str(weights.pop())
-            counts[w] = counts.get(w, 0) + 1
+            by_weight.setdefault(str(weights.pop()), []).append(v.terms)
+        counts = {w: len(vs) for w, vs in by_weight.items()}
         if counts != payload.get("dual_weights"):
             return False
         if any(payload.get(k) != text for k, text in _display_fields(counts).items()):
+            return False
+        if not all(independent(vs, prime) for vs in by_weight.values()):
             return False
         return all(is_kernel_member(v, n) for v in vectors)
 
@@ -446,7 +447,7 @@ def _word_prime(text: str) -> int:
     """--prime: a prime below 2^31, so that the mod-p echelon's int64
     products cannot overflow."""
     p = int(text)
-    if not 2 <= p < PRIME_LIMIT or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+    if not 2 <= p < PRIME_LIMIT or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")
     return p
 

@@ -4,13 +4,13 @@ For each polynomial degree d the span {O^G_a, O^H_b : a + b = d + 2, a >= 1}
 is generated column by column from invariant orbit-sum bases, and the entry
 reported is dim O^H_d minus the certified rank of that span.  Columns are
 streamed through a mod-p echelon (kept in RREF) first; a full modular rank
-certifies itself, and a deficit is certified over Q before being reported.
-On orbit-compressed rows the quotient functionals are read off the RREF,
-rationally reconstructed, scaled to integers and checked exactly against
-every column; full rational elimination is only the last resort, when
-reconstruction or a check fails.  Degree 0 needs no special casing: the
-empty bracket span is {0} unless 1 is literally a bracket, as happens for
-Darboux structures whose group fixes a Darboux pair.
+certifies itself, and a deficit is certified over Q before being reported:
+the quotient functionals (the nullspace of the columns, one per non-lead
+row) are lifted off the same echelon by `linalg.certified_nullspace`, the
+core shared with the solver, and checked exactly against every column.
+Degree 0 needs no special casing: the empty bracket span is {0} unless 1
+is literally a bracket, as happens for Darboux structures whose group
+fixes a Darboux pair.
 
 Rows are compressed to orbit representatives whenever H acts monomially
 (the coefficient of an invariant polynomial at a representative determines
@@ -37,7 +37,7 @@ from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
     SparseRationalEchelon,
-    rational_reconstruct,
+    certified_nullspace,
 )
 from ptl.poisson import (
     PoissonStructure,
@@ -152,19 +152,14 @@ def _power_sum_generators(problem: BracketSpanProblem, degree: int) -> list[dict
 
 # -- one degree cell ----------------------------------------------------------
 
-def _cell_rows(problem: BracketSpanProblem, hbasis: tuple[dict, ...], degree: int):
-    """(row index map, length, compressed?) for the degree-d coordinate space."""
+def _cell_rows(problem: BracketSpanProblem, hbasis: tuple[dict, ...], degree: int) -> dict:
+    """Row index map of the degree-d coordinate space."""
     m = problem.structure().pairs
     monomial_h = problem.spec.family != "symmetric-reflection" or \
         problem.subgroup == "last-point-stabilizer"
     if monomial_h and problem.subgroup != "ambient":
-        index = {}
-        for vec in hbasis:
-            rep = max(vec)
-            index[rep] = len(index)
-        return index, len(index), True
-    index = {e: i for i, e in enumerate(monomials_of_degree(2 * m, degree))}
-    return index, len(index), False
+        return {max(vec): i for i, vec in enumerate(hbasis)}
+    return {e: i for i, e in enumerate(monomials_of_degree(2 * m, degree))}
 
 
 def _column_pairs(problem: BracketSpanProblem, degree: int, generator_mode: bool):
@@ -189,7 +184,7 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
     dim = len(hbasis)
     if dim == 0:
         return 0
-    row_index, length, compressed = _cell_rows(problem, hbasis, degree)
+    row_index = _cell_rows(problem, hbasis, degree)
     gb = _power_sum_generators if generator_mode else _g_basis_raw
     blocks = ((gb(problem, a), _h_basis_raw(problem, b))
               for a, b in _column_pairs(problem, degree, generator_mode))
@@ -200,8 +195,7 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
             raise GuardrailExceeded(
                 f"degree {degree} needs {n_cols} columns (> {max_columns})", None)
     columns = _bracket_columns(blocks, problem.structure(), row_index)
-    return dim - _certified_rank(columns, length, dim, prime=prime, certify=certify,
-                                 compressed=compressed)
+    return dim - _certified_rank(columns, len(row_index), dim, prime=prime, certify=certify)
 
 
 def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict):
@@ -219,13 +213,12 @@ def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict):
                     yield mapped
 
 
-def _certified_rank(columns, length: int, dim: int, *, prime: int,
-                    certify: str, compressed: bool) -> int:
+def _certified_rank(columns, length: int, dim: int, *, prime: int, certify: str) -> int:
     """Rank over Q of streamed integer columns whose rank is at most dim.
 
-    The mod-p echelon stops at full rank, which certifies itself; a deficit
-    is certified by `_certify_deficit` (integer quotient functionals read
-    off the RREF), with full rational elimination as the last resort.
+    The mod-p echelon stops at full rank, which certifies itself; on a
+    deficit the rank is length minus the dimension of the exact nullspace
+    that `certified_nullspace` lifts off the same echelon.
     certify="always" is the rational reference path.
     """
     if certify == "always":
@@ -237,60 +230,10 @@ def _certified_rank(columns, length: int, dim: int, *, prime: int,
     stored: list[dict] = []
     for col in columns:
         stored.append(col)
-        ech.add(col, len(stored) - 1)
+        ech.add(col)
         if ech.rank == dim:
             return dim  # full modular rank is full rational rank
-    try:
-        return _certify_deficit(ech, stored, compressed)
-    except ValueError:
-        rat = SparseRationalEchelon()
-        for col in stored:
-            rat.add({k: Fraction(v) for k, v in col.items()})
-        return rat.rank
-
-
-def _certify_deficit(ech: IncrementalModEchelon, stored: list[dict],
-                     compressed: bool) -> int:
-    """Certify that the rational rank of the stored columns equals ech.rank.
-
-    Compressed cells (coordinates = invariant-basis dimension): the echelon
-    is in RREF, so for each non-lead coordinate r the functional
-    phi_r = e_r - sum_i M[i, r] e_{lead_i} (M = ech.matrix) kills every
-    column mod p; these are `ech.nullspace_modp()`.  Their nonzero
-    coefficients are rationally reconstructed, denominators are cleared,
-    and phi_r . col = 0 is checked in exact integer arithmetic against
-    every stored column.  Soundness: the phi_r
-    are independent (each has its own e_r and no other non-lead entry), so
-    the length - rank_p of them bound rank_Q <= rank_p; and rank_Q >= rank_p
-    always holds for integer columns (a minor nonzero mod p is nonzero).
-    Uncompressed cells: rational re-elimination of the pivot columns, then
-    exact reduction of every remaining column.
-    Raises ValueError on any failure (caller falls back to full rational
-    elimination).
-    """
-    rank = ech.rank
-    if not compressed:
-        rat = SparseRationalEchelon()
-        for col in (stored[t] for t in ech.pivot_tags):
-            if not rat.add({k: Fraction(v) for k, v in col.items()}):
-                raise ValueError("pivot columns dependent over Q")
-        for i, col in enumerate(stored):
-            red, _ = rat.reduce_only({k: Fraction(v) for k, v in col.items()})
-            if red:
-                raise ValueError("modular rank deficit not rational")
-        return rank
-    functionals = []
-    for phi_p in ech.nullspace_modp():
-        coeffs = {k: rational_reconstruct(v, ech.p) for k, v in phi_p.items()}
-        if None in coeffs.values():
-            raise ValueError("quotient functional does not reconstruct")
-        den = math.lcm(*(q.denominator for q in coeffs.values()))
-        functionals.append({k: int(q * den) for k, q in coeffs.items()})
-    for col in stored:
-        for phi in functionals:
-            if sum(v * phi.get(k, 0) for k, v in col.items()):
-                raise ValueError("quotient functional fails on a column")
-    return rank
+    return length - len(certified_nullspace(ech, stored))
 
 
 # -- public operations ---------------------------------------------------------
@@ -364,7 +307,7 @@ def check_aminus_identity(n: int, max_degree: int, *,
                    invariant_basis_raw(spec, d + 2 - a, sector="-"))
                   for a in range(2, d + 2, 2))
         rank = _certified_rank(_bracket_columns(blocks, structure, row_index), dim, dim,
-                               prime=prime, certify="fast", compressed=True)
+                               prime=prime, certify="fast")
         report[d] = "pass" if rank == dim else "fail"
     return report
 

@@ -7,9 +7,11 @@ re-certified before any dimension is reported:
 
 * full modular rank certifies itself (independence mod p implies
   independence over Q);
-* a modular rank deficit is certified by exhibiting exact rational
-  witnesses -- nullspace vectors or quotient functionals -- and verifying
-  them against every column or row with exact arithmetic.
+* a modular rank deficit is certified by `certified_nullspace`, the one
+  core shared by the solver and the engine: the mod-p nullspace is lifted
+  by CRT over a stream of word-sized primes, rationally reconstructed, and
+  every vector is checked in exact integer arithmetic against every input
+  vector.
 
 The incremental echelon below is kept fully reduced (RREF), so reducing an
 incoming sparse vector costs one small matrix-vector product against the
@@ -18,6 +20,7 @@ stored pivot rows, and the mod-p nullspace can be read off directly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,33 +34,38 @@ DEFAULT_PRIME = 1048573
 # every product and difference fits in int64 (larger p would silently wrap).
 PRIME_LIMIT = 2 ** 31
 
-# 61-bit primes for the exact-nullspace reconstruction path.
-BIG_PRIMES = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693693,
-    2305843009213693669,
-)
 
-
-def frac_mod(c, p: int) -> int:
-    """Image of an exact scalar in F_p; ValueError if the denominator dies."""
-    if isinstance(c, int):
-        return c % p
-    num, den = c.numerator, c.denominator
-    if den % p == 0:
-        raise ValueError(f"denominator divisible by p={p}")
-    return num % p * pow(den, -1, p) % p
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 7 and 61 (exact below 2^32)."""
+    if n >= 2 ** 32:
+        raise ValueError("is_prime is exact only below 2^32")
+    if n < 2:
+        return False
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class IncrementalModEchelon:
     """Streaming RREF over F_p for sparse vectors of a fixed length.
 
-    Vectors arrive as {coordinate: int} dicts (or dense int64 arrays); each
-    is reduced in a single pass against the stored reduced echelon.  Tracks
-    which input tags became pivots and the pivot coordinate of each.
+    Vectors arrive as {coordinate: int} dicts; each is reduced in a single
+    pass against the stored reduced echelon.  Tracks the pivot (lead)
+    coordinate of each stored row.
     """
 
     def __init__(self, length: int, p: int = DEFAULT_PRIME):
@@ -70,7 +78,6 @@ class IncrementalModEchelon:
         self.matrix = np.zeros((self._cap, max(length, 1)), dtype=np.int64)
         self.leads: list[int] = []
         self.lead_of_coord: dict[int, int] = {}
-        self.pivot_tags: list = []
         # largest number of products safely accumulated in int64
         self.chunk = max(1, (2 ** 63 - 1) // max((p - 1) ** 2, 1))
 
@@ -82,32 +89,25 @@ class IncrementalModEchelon:
             acc = (acc + coeffs[i:i + self.chunk] @ rows[i:i + self.chunk]) % self.p
         return acc
 
-    def reduce(self, vec) -> np.ndarray:
-        """Fully reduce a vector against the echelon (mod p)."""
+    def reduce(self, vec: dict) -> np.ndarray:
+        """Fully reduce a vector against the echelon (mod p), as a dense array."""
         p = self.p
-        if isinstance(vec, dict):
-            dense = np.zeros(self.length, dtype=np.int64)
-            hits = []
-            for coord, val in vec.items():
-                v = val % p
-                dense[coord] = v
-                idx = self.lead_of_coord.get(coord)
-                if idx is not None and v:
-                    hits.append(idx)
-            if hits:
-                hits.sort()
-                rows = self.matrix[hits]
-                coeffs = dense[[self.leads[i] for i in hits]]
-                dense = (dense - self._matvec(coeffs, rows)) % p
-        else:
-            dense = np.asarray(vec, dtype=np.int64) % p
-            if self.rank:
-                coeffs = dense[self.leads]
-                if np.any(coeffs):
-                    dense = (dense - self._matvec(coeffs, self.matrix[:self.rank])) % p
+        dense = np.zeros(self.length, dtype=np.int64)
+        hits = []
+        for coord, val in vec.items():
+            v = val % p
+            dense[coord] = v
+            idx = self.lead_of_coord.get(coord)
+            if idx is not None and v:
+                hits.append(idx)
+        if hits:
+            hits.sort()
+            rows = self.matrix[hits]
+            coeffs = dense[[self.leads[i] for i in hits]]
+            dense = (dense - self._matvec(coeffs, rows)) % p
         return dense
 
-    def add(self, vec, tag=None) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True when it increased the rank."""
         dense = self.reduce(vec)
         nz = np.nonzero(dense)[0]
@@ -130,34 +130,39 @@ class IncrementalModEchelon:
         self.matrix[self.rank] = dense
         self.leads.append(lead)
         self.lead_of_coord[lead] = self.rank
-        self.pivot_tags.append(tag)
         self.rank += 1
         return True
 
-    def nullspace_modp(self) -> list[dict[int, int]]:
-        """Nullspace basis of the row space, one vector per free coordinate.
-
-        Only meaningful when the streamed vectors were the *rows* of the
-        matrix whose kernel is wanted.
-        """
-        lead_set = set(self.leads)
-        basis = []
+    def nullspace_modp(self) -> dict[int, dict[int, int]]:
+        """Basis of {x : v . x = 0 for every stored v} mod p, keyed by free
+        (non-lead) coordinate f: x_f = 1, 0 at the other free coordinates."""
+        basis = {}
         for f in range(self.length):
-            if f in lead_set:
+            if f in self.lead_of_coord:
                 continue
             vec = {f: 1}
             col = self.matrix[:self.rank, f]
             for i in np.nonzero(col)[0]:
                 vec[self.leads[int(i)]] = int(-col[int(i)]) % self.p
-            basis.append(vec)
+            basis[f] = vec
         return basis
+
+    def shape(self) -> tuple:
+        """Smaller is luckier: higher rank first, then lexicographically
+        earlier leads (a prime can only lose rank or delay leads)."""
+        return -self.rank, sorted(self.leads)
+
+
+def integer_vector(vec: dict) -> dict:
+    """An exact vector scaled by the lcm of its denominators, as ints."""
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:
     """Wang's rational reconstruction of a mod m; None if no small fraction."""
-    from math import gcd, isqrt
     a %= m
-    bound = isqrt(m // 2)
+    bound = math.isqrt(m // 2)
     r0, r1 = m, a
     s0, s1 = 0, 1
     while r1 > bound:
@@ -169,7 +174,7 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     num, den = r1, s1
     if den < 0:
         num, den = -num, -den
-    if gcd(num, den) != 1:
+    if math.gcd(num, den) != 1:
         return None
     return Fraction(num, den)
 
@@ -237,64 +242,135 @@ class SparseRationalEchelon:
         return len(self.rows)
 
 
-class PurePythonModEchelon:
-    """Dict-based streaming RREF mod a big prime (for reconstruction passes)."""
+def rational_nullspace(vectors: list[dict], length: int) -> list[dict]:
+    """Exact nullspace basis by rational elimination, one vector per non-lead
+    coordinate f with x_f = 1 (the last resort of `certified_nullspace`)."""
+    ech = SparseRationalEchelon()
+    for vec in vectors:
+        ech.add({c: Fraction(v) for c, v in vec.items()})
+    order = sorted(range(ech.rank), key=lambda i: ech.leads[i], reverse=True)
+    basis = []
+    for f in range(length):
+        if f in ech.lead_index:
+            continue
+        vec = {f: Fraction(1)}
+        for i in order:
+            row, lead = ech.rows[i], ech.leads[i]
+            total = sum(coeff * vec[c] for c, coeff in row.items() if c != lead and c in vec)
+            if total:
+                vec[lead] = -total / row[lead]
+        basis.append(vec)
+    return basis
 
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[dict] = []
-        self.leads: list[int] = []
-        self.lead_index: dict[int, int] = {}
 
-    def add(self, vec: dict) -> bool:
-        p = self.p
-        vec = {k: v % p for k, v in vec.items() if v % p}
-        # single-pass reduction is valid because stored rows are fully reduced
-        adjust: dict[int, int] = {}
-        for k, v in vec.items():
-            idx = self.lead_index.get(k)
-            if idx is not None:
-                adjust[idx] = v
-        if adjust:
-            out = dict(vec)
-            for idx, coef in adjust.items():
-                for k, v in self.rows[idx].items():
-                    s = (out.get(k, 0) - coef * v) % p
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            vec = out
-        if not vec:
-            return False
-        lead = min(vec)
-        inv = pow(vec[lead], -1, p)
-        vec = {k: v * inv % p for k, v in vec.items()}
-        for row in self.rows:
-            c = row.get(lead)
-            if c:
-                for k, v in vec.items():
-                    s = (row.get(k, 0) - c * v) % p
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
-        self.lead_index[lead] = len(self.rows)
-        self.rows.append(vec)
-        self.leads.append(lead)
+def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list[dict]:
+    """Exact basis of {x : v . x = 0 for every v in vectors}.
+
+    `ech` holds the integer dict `vectors` at its own prime.  Its nullspace
+    vectors (x_f = 1 at their own non-lead coordinate f) are lifted by CRT
+    over `_prime_stream`; after each prime every pending vector is
+    rationally reconstructed and checked in exact integer arithmetic
+    against every input vector, and kept once it passes.  A stream prime
+    of lower rank or later leads (`IncrementalModEchelon.shape`) is
+    skipped; a luckier one restarts the lift from its own nullspace.
+
+    Certificate: the length - rank_p returned vectors are independent by
+    their shape, so rank_Q <= rank_p; and rank_Q >= rank_p for integer
+    vectors.  So they are a basis of the rational nullspace, normalized as
+    in `rational_nullspace`.  Every entry of that basis is a ratio of
+    minors bounded by the Hadamard bound H of the input, so a lift of the
+    right shape succeeds before its modulus passes 2 H^2; past that bound
+    the result is settled by `rational_nullspace`.
+    """
+    bits = sum((sum(v * v for v in vec.values()).bit_length() + 1) // 2 for vec in vectors)
+    primes = _prime_stream(ech.p)
+    shape, pending, modulus, found = ech.shape(), ech.nullspace_modp(), ech.p, {}
+    while True:
+        found.update(_verified(pending, modulus, vectors))
+        pending = {f: res for f, res in pending.items() if f not in found}
+        if not pending:
+            return [found[f] for f in sorted(found)]
+        past_bound = modulus.bit_length() > 2 * bits + 1
+        nxt = None if past_bound else _lucky_echelon(primes, ech.length, vectors, shape)
+        if nxt is None:
+            return rational_nullspace(vectors, ech.length)
+        if nxt.shape() < shape:
+            shape, pending, modulus, found = nxt.shape(), nxt.nullspace_modp(), nxt.p, {}
+        else:
+            pending = _crt(pending, modulus, nxt.nullspace_modp(), nxt.p)
+            modulus *= nxt.p
+
+
+def _prime_stream(skip: int):
+    """Primes below PRIME_LIMIT, largest first, without `skip`."""
+    for q in range(PRIME_LIMIT - 1, 2, -2):
+        if q != skip and is_prime(q):
+            yield q
+
+
+def _lucky_echelon(primes, length: int, vectors: list[dict], shape: tuple):
+    """Echelon at the next stream prime whose shape is at least as lucky
+    (None once the stream runs out)."""
+    for q in primes:
+        ech = IncrementalModEchelon(length, q)
+        for vec in vectors:
+            ech.add(vec)
+        if ech.shape() <= shape:
+            return ech
+    return None
+
+
+def _crt(residues: dict, modulus: int, new: dict, q: int) -> dict:
+    """Combine residue vectors mod `modulus` with those mod q (same keys);
+    the vectors of `new` are overwritten with the result."""
+    inv = pow(modulus, -1, q)
+    out = {}
+    for f, vec in residues.items():
+        other = out[f] = new[f]
+        for c in vec.keys() | other.keys():
+            a = vec.get(c, 0)
+            other[c] = a + modulus * ((other.get(c, 0) - a) * inv % q)
+    return out
+
+
+def _verified(pending: dict, modulus: int, vectors: list[dict]) -> dict:
+    """The pending residue vectors whose rational reconstruction every
+    input vector annihilates exactly, keyed as `pending`."""
+    candidates = {}
+    for f, res in pending.items():
+        vec = {}
+        for c, r in res.items():
+            q = rational_reconstruct(r, modulus)
+            if q is None:
+                break
+            if q:
+                vec[c] = q
+        else:
+            candidates[f] = vec
+    index: dict[int, list] = {}  # coordinate -> (f, entry of f's integer image)
+    for f, vec in candidates.items():
+        den = math.lcm(*(q.denominator for q in vec.values()))
+        for c, q in vec.items():
+            index.setdefault(c, []).append((f, q.numerator * (den // q.denominator)))
+    failed = set()
+    for row in vectors:
+        sums: dict[int, int] = {}
+        for c, a in row.items():
+            for f, x in index.get(c, ()):
+                sums[f] = sums.get(f, 0) + a * x
+        failed.update(f for f, s in sums.items() if s)
+    return {f: vec for f, vec in candidates.items() if f not in failed}
+
+
+def independent(vectors: list[dict], p: int = DEFAULT_PRIME) -> bool:
+    """Whether exact sparse vectors (any hashable coordinates) are linearly
+    independent over Q: full rank mod p of their integer scalings certifies
+    itself; otherwise rational elimination settles it."""
+    index: dict = {}
+    scaled = [{index.setdefault(c, len(index)): v for c, v in integer_vector(vec).items()}
+              for vec in vectors]
+    ech = IncrementalModEchelon(len(index), p)
+    if all(ech.add(vec) for vec in scaled):
         return True
-
-    def nullspace_modp(self, length: int) -> list[dict[int, int]]:
-        lead_set = set(self.leads)
-        basis = []
-        for f in range(length):
-            if f in lead_set:
-                continue
-            vec = {f: 1}
-            for row, lead in zip(self.rows, self.leads):
-                c = row.get(f)
-                if c:
-                    vec[lead] = (-c) % self.p
-            basis.append(vec)
-        return basis
-
+    rat = SparseRationalEchelon()
+    return all(rat.add({c: Fraction(v) for c, v in vec.items()}) for vec in vectors)

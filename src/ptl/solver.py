@@ -20,10 +20,11 @@ The constraints preserve the bigrading, so the kernel is computed one
 (degree, dual weight) component at a time: modular elimination gives the
 candidate dimension and is then certified exactly, either by the known
 solution families (multiples of s1^2 and the s2^k s_{k+1} g corrections)
-when they already span, or by exact nullspace vectors obtained through
-big-prime rational reconstruction and verified against every constraint
-row.  Each reported basis is annihilated by every assembled constraint,
-with exact arithmetic, before it leaves this module.
+when they already span, or by `linalg.certified_nullspace`, which lifts
+the modular nullspace over a stream of word-sized primes and checks every
+reconstructed vector against every constraint row (scaled to integers).
+Each reported basis is annihilated by every assembled constraint, with
+exact arithmetic, before it leaves this module.
 """
 
 from __future__ import annotations
@@ -32,16 +33,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from ptl.context import svar_context
 from ptl.linalg import (
-    BIG_PRIMES,
     DEFAULT_PRIME,
     IncrementalModEchelon,
-    PurePythonModEchelon,
     SparseRationalEchelon,
-    frac_mod,
-    rational_reconstruct,
+    certified_nullspace,
+    integer_vector,
 )
 from ptl.partitions import partitions
 from ptl.poly import SparsePolynomial
@@ -189,21 +189,21 @@ class ConstraintSystem:
     labels: list[tuple]              # (k, ambient Laurent monomial) per row
 
 
-def _components(n: int) -> dict[int, list[tuple]]:
-    """Component monomials keyed by dual weight w = 4*(parts - n)."""
+@lru_cache(maxsize=None)
+def _components(n: int) -> MappingProxyType:
+    """Component monomials keyed by dual weight w = 4*(parts - n), read-only
+    because the result is cached."""
     N = 2 * n
     comps: dict[int, list[tuple]] = {}
     for lam in partitions(n):
         w = 4 * (len(lam) - n)
         comps.setdefault(w, []).append(_partition_to_expo(lam, N))
-    for w in comps:
-        comps[w].sort(reverse=True)
-    return dict(sorted(comps.items()))
+    return MappingProxyType({w: tuple(sorted(cols, reverse=True))
+                             for w, cols in sorted(comps.items())})
 
 
 def component_system(n: int, weight: int, k_max: int | None = None) -> ConstraintSystem:
-    comps = _components(n)
-    columns = comps.get(weight, [])
+    columns = list(_components(n).get(weight, ()))
     N = 2 * n
     k_top = k_max if k_max is not None else n
     row_index: dict = {}
@@ -366,9 +366,10 @@ def _component_kernel(system: ConstraintSystem, families: list[dict],
     ncols = len(system.columns)
     if ncols == 0:
         return []
+    rows = [integer_vector(row) for row in system.rows]
     ech = IncrementalModEchelon(ncols, prime)
-    for row in system.rows:
-        ech.add({c: frac_mod(v, prime) for c, v in row.items()})
+    for row in rows:
+        ech.add(row)
     d = ncols - ech.rank
     if d == 0:
         return []
@@ -384,91 +385,8 @@ def _component_kernel(system: ConstraintSystem, families: list[dict],
         return fam_basis
     if len(fam_basis) > d:
         raise KernelCertificationError("family span exceeds the modular bound")
-    # exceptional component: reconstruct an exact nullspace
-    residues: list[dict] | None = None
-    free_sig: frozenset | None = None
-    modulus = 1
-    for big in BIG_PRIMES:
-        pech = PurePythonModEchelon(big)
-        for row in system.rows:
-            pech.add({c: frac_mod(v, big) for c, v in row.items()})
-        if ncols - len(pech.rows) != d:
-            continue  # unlucky prime; try the next one
-        sig = frozenset(range(ncols)) - frozenset(pech.leads)
-        null_p = pech.nullspace_modp(ncols)
-        if residues is None or sig != free_sig:
-            residues, free_sig, modulus = null_p, sig, big
-        else:
-            residues = _crt_merge(residues, modulus, null_p, big)
-            modulus *= big
-        candidate = []
-        ok = True
-        for vec_res in residues:
-            vec = {}
-            for c, r in vec_res.items():
-                q = rational_reconstruct(r, modulus)
-                if q is None:
-                    ok = False
-                    break
-                if q:
-                    vec[c] = q
-            if not ok:
-                break
-            candidate.append(vec)
-        if ok and all(_verify_in_kernel(system, v) for v in candidate):
-            check = SparseRationalEchelon()
-            if all(check.add(dict(v)) for v in candidate) and check.rank == d:
-                return candidate
-    # last resort: exact rational elimination
-    ech_q = SparseRationalEchelon()
-    for row in system.rows:
-        ech_q.add(dict(row))
-    basis = _rational_nullspace_from_echelon(ech_q, ncols)
-    if len(basis) != d:
-        # the modular count was a strict upper bound; trust the exact result
-        pass
-    for v in basis:
-        if not _verify_in_kernel(system, v):
-            raise KernelCertificationError("exact nullspace failed verification")
-    return basis
-
-
-def _crt_merge(res_a: list[dict], mod_a: int, res_b: list[dict], mod_b: int) -> list[dict]:
-    inv = pow(mod_a % mod_b, -1, mod_b)
-    merged = []
-    for va, vb in zip(res_a, res_b):
-        out = {}
-        for c in set(va) | set(vb):
-            a = va.get(c, 0)
-            b = vb.get(c, 0)
-            t = (b - a) % mod_b * inv % mod_b
-            out[c] = a + mod_a * t
-        merged.append(out)
-    return merged
-
-
-def _rational_nullspace_from_echelon(ech: SparseRationalEchelon, ncols: int) -> list[dict]:
-    lead_set = set(ech.leads)
-    order = sorted(range(len(ech.rows)), key=lambda i: ech.leads[i], reverse=True)
-    basis = []
-    for f in range(ncols):
-        if f in lead_set:
-            continue
-        vec = {f: Fraction(1)}
-        for i in order:
-            row = ech.rows[i]
-            lead = ech.leads[i]
-            total = Fraction(0)
-            for c, coeff in row.items():
-                if c == lead:
-                    continue
-                v = vec.get(c)
-                if v:
-                    total += coeff * v
-            if total:
-                vec[lead] = -total / row[lead]
-        basis.append(vec)
-    return basis
+    # exceptional component: the families fall short of the modular bound
+    return certified_nullspace(ech, rows)
 
 
 def kernel_basis(n: int, weight: int | None = None, *,

@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 from ptl.cache import ResultCache, code_version
-from ptl.cli import main
+from ptl.cli import _display_fields, main
+from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, IncrementalModEchelon
+from ptl.poly import parse_polynomial
 from ptl.weyl import GroupSpec
 from ptl.solver import KernelCertificationError
 
@@ -283,7 +285,18 @@ def _retitle_display(payload):
     payload["display_series"] = "1 + t"
 
 
-@pytest.mark.parametrize("edit", [_inflate_dual_weights, _retitle_display])
+def _duplicate_last_vector(payload):
+    # a dependent record whose counts and series are all consistent
+    ctx = svar_context(payload["n"])
+    last = payload["vectors"][-1]
+    w = str(ctx.weight_of(next(iter(parse_polynomial(last, ctx).terms))))
+    dual = dict(payload["dual_weights"], **{w: payload["dual_weights"][w] + 1})
+    payload.update(vectors=payload["vectors"] + [last], dual_weights=dual,
+                   **_display_fields(dual))
+
+
+@pytest.mark.parametrize("edit", [_inflate_dual_weights, _retitle_display,
+                                  _duplicate_last_vector])
 def test_cache_reverifies_counts_and_series(tmp_path, capsys, edit):
     args = ("typed", "solve", "--n", "4", "--format", "json", "--cache-dir", str(tmp_path))
     code, _ = run_cli(capsys, *args)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptl import engine
+from ptl import engine, linalg, solver
 from ptl.engine import (
     BracketSpanProblem,
     GuardrailExceeded,
@@ -14,6 +14,7 @@ from ptl.engine import (
 from ptl.partitions import bn_hilbert
 from ptl.poisson import darboux_structure
 from ptl.poly import SparsePolynomial
+from ptl.solver import kernel_basis
 from ptl.weyl import GroupSpec
 
 
@@ -90,16 +91,25 @@ def test_hyperoctahedral_4_matches_partition_statistic():
 
 
 def test_deficit_certificate_needs_no_rational_fallback(monkeypatch):
-    # B_4 and D_4 have rank-deficit cells at degrees 0, 4 and 8; the integer
-    # quotient functionals certify all of them without rational elimination
+    # B_4 and D_4 have rank-deficit cells at degrees 0, 4 and 8, and in the
+    # solver components below the families fall short of the modular bound;
+    # the certified nullspace settles all of them without rational elimination
     def refuse(*args, **kwargs):
         raise AssertionError("rational fallback taken")
 
-    monkeypatch.setattr(engine, "SparseRationalEchelon", refuse)
+    monkeypatch.setattr(linalg, "rational_nullspace", refuse)
     table = hp0_graded_dims(_prob("hyperoctahedral", 4), 8)
     assert dict(table.items()) == {0: 1, 4: 1, 8: 2}
     table = hp0_graded_dims(_prob("demihyperoctahedral", 4), 8)
     assert dict(table.items()) == {0: 1, 4: 1, 8: 1}
+    lifted = []
+    monkeypatch.setattr(solver, "certified_nullspace",
+                        lambda *a: lifted.append(a) or linalg.certified_nullspace(*a))
+    exceptional = ((8, -20, 2), (9, -24, 2), (11, -28, 6), (12, -32, 8),
+                   (13, -36, 7), (14, -40, 8), (14, -36, 16))
+    for n, w, dim in exceptional:
+        assert dict(kernel_basis(n, w).weight_dims.items()) == {w: dim}
+    assert len(lifted) == len(exceptional)
 
 
 def test_fast_certificate_matches_rational_reference(monkeypatch):
