@@ -4,8 +4,8 @@ Records are JSON files named by the hash of their key; keys embed a code
 version hash over the package sources, so any algorithm change invalidates
 stale entries.  Writes go through a temp file and an atomic rename.
 Payloads carry a checksum over their canonical JSON; solver payloads are
-additionally re-verified against the constraints on load by the caller's
-verify hook.
+additionally re-verified on load by the caller's verify hook, by `get` and
+by `verify_all` alike.
 """
 
 from __future__ import annotations
@@ -58,16 +58,23 @@ class ResultCache:
     def _path(self, key: dict) -> Path:
         return self.dir / (_digest(canonical_json(key)) + ".json")
 
+    @staticmethod
+    def _read(path: Path) -> dict:
+        try:
+            record = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CacheCorruption(f"unreadable cache record {path.name}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise CacheCorruption(f"cache record {path.name} is not a record")
+        return record
+
     def get(self, key: dict, verify=None):
         if not self.dir:
             return None
         path = self._path(key)
         if not path.exists():
             return None
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CacheCorruption(f"unreadable cache record {path.name}: {exc}") from exc
+        record = self._read(path)
         if record.get("key") != key:
             raise CacheCorruption(f"cache record {path.name} key mismatch")
         payload = record.get("payload")
@@ -101,18 +108,17 @@ class ResultCache:
             return []
         return sorted(self.dir.glob("*.json"))
 
-    def verify_all(self) -> int:
-        """Checksum-verify every record; raises CacheCorruption on damage."""
-        count = 0
-        for path in self.entries():
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CacheCorruption(f"unreadable cache record {path.name}: {exc}") from exc
-            if record.get("checksum") != _digest(canonical_json(record.get("payload"))):
-                raise CacheCorruption(f"cache record {path.name} checksum mismatch")
-            count += 1
-        return count
+    def verify_all(self, verifier) -> int:
+        """Load every record through `get`, with the hook `verifier(key)`
+        builds from its key (None: checksum only); raises CacheCorruption
+        on damage."""
+        paths = self.entries()
+        for path in paths:
+            key = self._read(path).get("key")
+            if not isinstance(key, dict) or self._path(key) != path:
+                raise CacheCorruption(f"cache record {path.name} key mismatch")
+            self.get(key, verify=verifier(key))
+        return len(paths)
 
     def clear(self) -> int:
         n = 0

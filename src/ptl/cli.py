@@ -10,8 +10,9 @@ cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
 not be certified over Q or an internal check (AssertionError) that failed,
 with one line on stderr.  --workers N runs on a process pool whose workers
 read, re-verify and write the cache exactly as a serial run does.  Only
-typed-solver payloads are cached; `hp0 brute` accepts --cache-dir but
-recomputes its table on every run.
+typed-solver payloads are cached; `cache verify` re-verifies each of them
+as a load does.  `hp0 brute` accepts --cache-dir but recomputes its table
+on every run.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 from ptl.cache import CacheCorruption, ResultCache, code_version, ENV_CACHE_DIR
 from ptl.engine import BracketSpanProblem, GuardrailExceeded, check_aminus_identity, hp0_graded_dims
-from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, independent, is_prime
+from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, is_prime
 from ptl.partitions import (
     bn_hilbert,
     multipartition_count,
@@ -41,8 +43,8 @@ from ptl.solver import (
     KernelCertificationError,
     display_table,
     family_generators,
-    is_kernel_member,
     kernel_basis,
+    recertifies,
 )
 from ptl.strata import leaves_kleinian, leaves_symmetric_power, leaves_type_d
 from ptl.tables import GradedDimensionTable
@@ -89,32 +91,43 @@ def _display_fields(dual_weights: dict) -> dict:
             "display_series_latex": display.series(latex=True)}
 
 
+def _verify_solve(n: int, weight, prime: int, payload) -> bool:
+    """Re-verification hook of a typed-solver record: its vector counts and
+    display series, then the solver's component certificate run again."""
+    ctx = svar_context(n)
+    try:
+        vectors = [parse_polynomial(text, ctx) for text in payload["vectors"]]
+    except Exception:
+        return False
+    counts: dict[str, int] = {}
+    for v in vectors:
+        weights = {ctx.weight_of(e) for e in v.terms}
+        if len(weights) != 1:
+            return False
+        w = str(weights.pop())
+        counts[w] = counts.get(w, 0) + 1
+    if counts != payload.get("dual_weights"):
+        return False
+    if any(payload.get(k) != text for k, text in _display_fields(counts).items()):
+        return False
+    return recertifies(n, weight, vectors, prime)
+
+
+def _record_verifier(key: dict):
+    """The re-verification hook of a cache record, built from its key (None:
+    the checksum is all there is to check)."""
+    if key.get("module") != "typed-solver":
+        return None
+    n, weight, prime = key.get("n"), key.get("weight"), key.get("prime")
+    valid = (type(n) is int and n >= 1 and type(weight) in (int, type(None))
+             and type(prime) is int and 2 <= prime < PRIME_LIMIT and is_prime(prime))
+    return partial(_verify_solve, n, weight, prime) if valid else (lambda payload: False)
+
+
 def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
     key = {"module": "typed-solver", "family": "D", "n": n,
            "weight": weight, "prime": prime, "code": code_version()}
-
-    def verify(payload) -> bool:
-        ctx = svar_context(n)
-        try:
-            vectors = [parse_polynomial(text, ctx) for text in payload["vectors"]]
-        except Exception:
-            return False
-        by_weight: dict[str, list[dict]] = {}
-        for v in vectors:
-            weights = {ctx.weight_of(e) for e in v.terms}
-            if len(weights) != 1:
-                return False
-            by_weight.setdefault(str(weights.pop()), []).append(v.terms)
-        counts = {w: len(vs) for w, vs in by_weight.items()}
-        if counts != payload.get("dual_weights"):
-            return False
-        if any(payload.get(k) != text for k, text in _display_fields(counts).items()):
-            return False
-        if not all(independent(vs, prime) for vs in by_weight.values()):
-            return False
-        return all(is_kernel_member(v, n) for v in vectors)
-
-    cached = cache.get(key, verify=verify)
+    cached = cache.get(key, verify=_record_verifier(key))
     if cached is not None:
         return cached
     sb = kernel_basis(n, weight, prime=prime)
@@ -153,24 +166,10 @@ def cmd_typed_solve(args) -> int:
     with pool or nullcontext():
         payloads = list((pool.map if pool else map)(
             _solve_payload, ns, repeat(args.weight), repeat(prime), repeat(cache)))
-    if args.n is not None:
-        payload = payloads[0]
-        if args.format == "json":
-            sys.stdout.write(_emit_json(_solve_doc(payload)))
-        elif args.format == "latex":
-            sys.stdout.write("\\begin{tabular}{c|c}\n" + FIGURE_HEADER + "\n")
-            sys.stdout.write(f"${payload['n']}$ & ${payload['display_series_latex']}$ \\\\\n")
-            sys.stdout.write("\\end{tabular}\n")
-        elif args.format == "csv":
-            sys.stdout.write(_csv_lines([("n", "display_series")] +
-                                        [(payload["n"], payload["display_series"])]))
-        else:
-            sys.stdout.write(_table_lines(
-                [(payload["n"], payload["display_series"])], ("n", "series in t^(1/4)")))
-        return 0
     if args.format == "json":
-        sys.stdout.write(_emit_json({"kind": "typed-solve-sweep",
-                                     "results": [_solve_doc(p) for p in payloads]}))
+        doc = (_solve_doc(payloads[0]) if args.n is not None else
+               {"kind": "typed-solve-sweep", "results": [_solve_doc(p) for p in payloads]})
+        sys.stdout.write(_emit_json(doc))
     elif args.format == "latex":
         sys.stdout.write("\\begin{tabular}{c|c}\n" + FIGURE_HEADER + "\n")
         for p in payloads:
@@ -412,27 +411,16 @@ def cmd_compare_hp0_hh0(args) -> int:
 def cmd_cache(args) -> int:
     cache = _cache_from_args(args)
     if args.action == "info":
-        n = len(cache.entries())
-        if args.format == "json":
-            sys.stdout.write(_emit_json({"kind": "cache-info", "entries": n}))
-        else:
-            sys.stdout.write(f"{n} cache entries\n")
-        return 0
-    if args.action == "verify":
-        n = cache.verify_all()
-        if args.format == "json":
-            sys.stdout.write(_emit_json({"kind": "cache-info", "entries": n}))
-        else:
-            sys.stdout.write(f"{n} cache entries verified\n")
-        return 0
-    if args.action == "clear":
-        n = cache.clear()
-        if args.format == "json":
-            sys.stdout.write(_emit_json({"kind": "cache-info", "entries": n}))
-        else:
-            sys.stdout.write(f"{n} cache entries removed\n")
-        return 0
-    raise AssertionError(args.action)
+        n, done = len(cache.entries()), ""
+    elif args.action == "verify":
+        n, done = cache.verify_all(_record_verifier), " verified"
+    else:
+        n, done = cache.clear(), " removed"
+    if args.format == "json":
+        sys.stdout.write(_emit_json({"kind": "cache-info", "entries": n}))
+    else:
+        sys.stdout.write(f"{n} cache entries{done}\n")
+    return 0
 
 
 # -- parser -------------------------------------------------------------------------------

@@ -347,30 +347,24 @@ def _verified(pending: dict, modulus: int, vectors: list[dict]) -> dict:
                 vec[c] = q
         else:
             candidates[f] = vec
-    index: dict[int, list] = {}  # coordinate -> (f, entry of f's integer image)
-    for f, vec in candidates.items():
-        den = math.lcm(*(q.denominator for q in vec.values()))
-        for c, q in vec.items():
-            index.setdefault(c, []).append((f, q.numerator * (den // q.denominator)))
-    failed = set()
-    for row in vectors:
+    ok = annihilated(vectors, [integer_vector(vec) for vec in candidates.values()])
+    return {f: vec for (f, vec), good in zip(candidates.items(), ok) if good}
+
+
+def annihilated(rows: list[dict], vectors: list[dict]) -> list[bool]:
+    """Whether every row annihilates each integer dict vector, exactly: one
+    batched pass over the rows through a coordinate index of the vectors."""
+    index: dict[int, list] = {}  # coordinate -> (vector number, entry)
+    for i, vec in enumerate(vectors):
+        for c, x in vec.items():
+            index.setdefault(c, []).append((i, x))
+    ok = [True] * len(vectors)
+    for row in rows:
         sums: dict[int, int] = {}
         for c, a in row.items():
-            for f, x in index.get(c, ()):
-                sums[f] = sums.get(f, 0) + a * x
-        failed.update(f for f, s in sums.items() if s)
-    return {f: vec for f, vec in candidates.items() if f not in failed}
-
-
-def independent(vectors: list[dict], p: int = DEFAULT_PRIME) -> bool:
-    """Whether exact sparse vectors (any hashable coordinates) are linearly
-    independent over Q: full rank mod p of their integer scalings certifies
-    itself; otherwise rational elimination settles it."""
-    index: dict = {}
-    scaled = [{index.setdefault(c, len(index)): v for c, v in integer_vector(vec).items()}
-              for vec in vectors]
-    ech = IncrementalModEchelon(len(index), p)
-    if all(ech.add(vec) for vec in scaled):
-        return True
-    rat = SparseRationalEchelon()
-    return all(rat.add({c: Fraction(v) for c, v in vec.items()}) for vec in vectors)
+            for i, x in index.get(c, ()):
+                sums[i] = sums.get(i, 0) + a * x
+        for i, s in sums.items():
+            if s:
+                ok[i] = False
+    return ok

@@ -15,21 +15,28 @@ involves d/ds_j with j > n, which kills degree-n polynomials).
 
 Since Q is applied to a ratio with zero constant term, every coefficient is
 an honest rational Laurent expression; no symbolic radicals appear here.
+In closed form, the d/ds_{k+t} coefficient is 2(k+t)-1 times a sum over
+the partitions of t that depends on k only through the index shift 2k
+(`_xi_slice`).
 
 The constraints preserve the bigrading, so the kernel is computed one
-(degree, dual weight) component at a time: modular elimination gives the
-candidate dimension and is then certified exactly, either by the known
-solution families (multiples of s1^2 and the s2^k s_{k+1} g corrections)
-when they already span, or by `linalg.certified_nullspace`, which lifts
-the modular nullspace over a stream of word-sized primes and checks every
-reconstructed vector against every constraint row (scaled to integers).
-Each reported basis is annihilated by every assembled constraint, with
-exact arithmetic, before it leaves this module.
+(degree, dual weight) component at a time by one certificate
+(`_component_kernel`): the mod-p rank bounds the dimension by
+d = ncols - rank_p; candidate vectors that every constraint row (scaled
+to integers) annihilates exactly and that are independent mod p are the
+basis when there are d of them, and otherwise `linalg.certified_nullspace`
+lifts the modular nullspace over a stream of word-sized primes and checks
+every reconstructed vector against every row.  The candidates are the
+known solution families (multiples of s1^2 and the s2^k s_{k+1} g
+corrections) when solving, and a cached record's vectors when
+re-verifying it (`recertifies`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +47,7 @@ from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
     SparseRationalEchelon,
+    annihilated,
     certified_nullspace,
     integer_vector,
 )
@@ -48,61 +56,34 @@ from ptl.poly import SparsePolynomial
 from ptl.series import binom_half
 from ptl.tables import GradedDimensionTable
 
-Mono = tuple  # sparse monomial: ((s-index, exponent), ...) sorted by index
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for i, e in m2:
-        s = acc.get(i, 0) + e
-        if s:
-            acc[i] = s
-        else:
-            del acc[i]
-    return tuple(sorted(acc.items()))
+@lru_cache(maxsize=None)
+def _xi_terms(t: int) -> tuple:
+    """One term per partition lambda of t: (C(1/2, l) * l! / prod m_u!, l,
+    ((u, m_u), ...)), with l the number of parts and m_u the multiplicity
+    of part u, parts ascending."""
+    out = []
+    for lam in partitions(t):
+        mult = Counter(lam)
+        coeff = binom_half(len(lam)) * math.factorial(len(lam))
+        for m in mult.values():
+            coeff /= math.factorial(m)
+        out.append((coeff, len(lam), tuple(sorted(mult.items()))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _xi_slices(k: int, nmax: int) -> tuple:
-    """Laurent coefficients of xi_k: slice t holds the d/ds_{k+t} coefficient
-    divided by (2(k+t)-1), as {sparse monomial: Fraction}.
+def _xi_slice(k: int, t: int) -> dict:
+    """Slice t of xi_k: its d/ds_{k+t} coefficient divided by 2(k+t)-1, as
+    {((s-index, exponent), ...) sorted by index: Fraction}.
 
-    Slice t collects binom(1/2, m) * s_{2k}^{-m} * [X^t] P^m over m <= t,
-    where P = sum_{u >= 1} s_{2k+u} X^u.  Treat the returned dicts as
-    immutable (they are cached).
+    That is [X^t] Q(P / s_{2k}) with P = sum_{u >= 1} s_{2k+u} X^u, which
+    the multinomial expansion of each P^l turns into a sum over the
+    partitions lambda of t (`_xi_terms`) of
+    C(1/2, l) * (l! / prod m_u!) * s_{2k}^(-l) * prod_i s_{2k+lambda_i}.
+    Treat the returned dict as immutable (it is cached).
     """
-    tmax = nmax - k
-    acc: list[dict] = [dict() for _ in range(tmax + 1)]
-    acc[0][()] = Fraction(1)
-    if tmax == 0:
-        return tuple(acc)
-    # M1[t] = s_{2k+t} / s_{2k}
-    m1 = {t: tuple(sorted(((2 * k, -1), (2 * k + t, 1)))) for t in range(1, tmax + 1)}
-    power: list[dict] = [dict() for _ in range(tmax + 1)]
-    for t, mono in m1.items():
-        power[t] = {mono: Fraction(1)}
-    m = 1
-    while m <= tmax:
-        coeff = binom_half(m)
-        for t in range(m, tmax + 1):
-            for mono, c in power[t].items():
-                acc[t][mono] = acc[t].get(mono, Fraction(0)) + coeff * c
-        m += 1
-        if m > tmax:
-            break
-        nxt: list[dict] = [dict() for _ in range(tmax + 1)]
-        for t in range(m - 1, tmax):
-            for mono, c in power[t].items():
-                for u in range(1, tmax - t + 1):
-                    key = _mono_mul(mono, m1[u])
-                    d = nxt[t + u]
-                    d[key] = d.get(key, Fraction(0)) + c
-        power = nxt
-    return tuple(acc)
+    return {(((2 * k, -ell),) + tuple((2 * k + u, m) for u, m in parts) if ell else ()): c
+            for c, ell, parts in _xi_terms(t)}
 
 
 @dataclass(frozen=True)
@@ -122,11 +103,10 @@ def xi_field(k: int, nmax: int) -> XiField:
     if not (1 <= k <= nmax):
         raise ValueError("need 1 <= k <= nmax")
     ctx = svar_context(nmax + k, localized_at=2 * k)
-    slices = _xi_slices(k, nmax)
     coeffs = {}
     for j in range(k, nmax + 1):
         terms = {}
-        for mono, c in slices[j - k].items():
+        for mono, c in _xi_slice(k, j - k).items():
             expo = [0] * ctx.arity
             for idx, e in mono:
                 expo[idx - 1] = e
@@ -152,7 +132,6 @@ def _column_rows_for_k(k: int, n: int, e: tuple, N: int):
     denominator uniformly across a component relabels rows bijectively, so
     the raw Laurent label is used directly.
     """
-    slices = _xi_slices(k, max(n, k))
     low = e[:2 * k - 1]
     nz = [i for i, v in enumerate(low) if v]
     if len(nz) > 1:
@@ -166,12 +145,10 @@ def _column_rows_for_k(k: int, n: int, e: tuple, N: int):
         js = [j + 1 for j in range(2 * k - 1, min(len(e), n)) if e[j]]
         # d/ds_j for k <= j < 2k hits zero exponents here; j > n never occurs
     for j in js:
-        if j - k >= len(slices) or j < k:
-            continue
         factor = e[j - 1]
         base = list(e)
         base[j - 1] -= 1
-        for mono, c in slices[j - k].items():
+        for mono, c in _xi_slice(k, j - k).items():
             label = list(base)
             for idx, ex in mono:
                 label[idx - 1] += ex
@@ -233,22 +210,6 @@ def component_system(n: int, weight: int, k_max: int | None = None) -> Constrain
     return ConstraintSystem(n, weight, columns, rows_out, labels_out)
 
 
-def _verify_in_kernel(system: ConstraintSystem, vec: dict) -> bool:
-    """Exact check that every constraint row annihilates the vector."""
-    support = set(vec)
-    for row in system.rows:
-        if support.isdisjoint(row):
-            continue
-        total = Fraction(0)
-        for c, coeff in row.items():
-            v = vec.get(c)
-            if v:
-                total += coeff * v
-        if total:
-            return False
-    return True
-
-
 # -- known solution families ---------------------------------------------------
 
 def family_generators(n: int) -> list[SparsePolynomial]:
@@ -296,30 +257,19 @@ def _monomials_in_range(total: int, lo: int, hi: int):
 
 def _family_two_element(n: int, h: dict, ctx) -> SparsePolynomial:
     """s_2^k s_{k+1} g  -  s_1 * xi_1(same), assembled exactly."""
-    N = n
-    slices = _xi_slices(1, n)
     terms: dict = {}
-    base = [0] * N
+    base = [0] * n
     for idx, e in h.items():
         base[idx - 1] = e
     terms[tuple(base)] = Fraction(1)
-    for j, e in list(h.items()):
-        if j - 1 >= len(slices):
-            continue
-        factor = e
+    for j, factor in h.items():
         dbase = list(base)
         dbase[j - 1] -= 1
         dbase[0] += 1  # the s_1 prefactor
-        for mono, c in slices[j - 1].items():
+        for mono, c in _xi_slice(1, j - 1).items():
             expo = list(dbase)
-            ok = True
             for idx, ex in mono:
-                if idx - 1 >= N:
-                    ok = False
-                    break
                 expo[idx - 1] += ex
-            if not ok:
-                continue
             key = tuple(expo)
             val = terms.get(key, Fraction(0)) - factor * c * (2 * j - 1)
             if val:
@@ -360,9 +310,18 @@ class KernelCertificationError(RuntimeError):
     pass
 
 
-def _component_kernel(system: ConstraintSystem, families: list[dict],
+def _component_kernel(system: ConstraintSystem, candidates: list[dict],
                       prime: int) -> list[dict]:
-    """Certified exact kernel basis of one component, as column-coefficient dicts."""
+    """Certified exact kernel basis of one component, as column-coefficient dicts.
+
+    d = ncols - rank_p bounds the kernel's dimension from above.  Every
+    constraint row must annihilate every candidate (the known families, or
+    the vectors of a cached record) exactly, else AssertionError; the
+    candidates independent mod p of those kept before them (hence
+    independent over Q) are the basis when there are d of them.  Otherwise
+    the basis is `certified_nullspace`'s, which depends only on the rows
+    and the prime.
+    """
     ncols = len(system.columns)
     if ncols == 0:
         return []
@@ -373,20 +332,35 @@ def _component_kernel(system: ConstraintSystem, families: list[dict],
     d = ncols - ech.rank
     if d == 0:
         return []
-    # candidate vectors from the known families, verified exactly
-    fam_ech = SparseRationalEchelon()
-    fam_basis: list[dict] = []
-    for vec in families:
-        if not _verify_in_kernel(system, vec):
-            raise AssertionError("family vector escaped the kernel")
-        if fam_ech.add(dict(vec)):
-            fam_basis.append(vec)
-    if len(fam_basis) == d:
-        return fam_basis
-    if len(fam_basis) > d:
+    images = [integer_vector(vec) for vec in candidates]
+    if not all(annihilated(rows, images)):
+        raise AssertionError("family vector escaped the kernel")
+    spanned = IncrementalModEchelon(ncols, prime)
+    kept = [vec for vec, image in zip(candidates, images) if spanned.add(image)]
+    if len(kept) == d:
+        return kept
+    if len(kept) > d:
         raise KernelCertificationError("family span exceeds the modular bound")
-    # exceptional component: the families fall short of the modular bound
     return certified_nullspace(ech, rows)
+
+
+def _column_vectors(n: int, polys) -> dict[int, list[dict]]:
+    """Polynomials in s1..sn as column-coefficient dicts over the degree-n
+    components, grouped by dual weight in input order; ValueError for one
+    that is not a nonzero element of a single component."""
+    ctx = svar_context(n)
+    index = {w: {e[:n]: i for i, e in enumerate(cols)} for w, cols in _components(n).items()}
+    out: dict[int, list[dict]] = {}
+    for f in polys:
+        weights = {ctx.weight_of(e) for e in f.terms}
+        if len(weights) != 1:
+            raise ValueError("not a nonzero weight-homogeneous polynomial")
+        w = weights.pop()
+        cols = index.get(w, {})
+        if not f.terms.keys() <= cols.keys():
+            raise ValueError(f"not homogeneous of degree {n}")
+        out.setdefault(w, []).append({cols[e]: c for e, c in f.terms.items()})
+    return out
 
 
 def kernel_basis(n: int, weight: int | None = None, *,
@@ -400,20 +374,10 @@ def kernel_basis(n: int, weight: int | None = None, *,
     if n < 1:
         raise ValueError("n >= 1 required")
     ctx = svar_context(n)
-    comps = _components(n)
-    fams: dict[int, list[dict]] = {}
-    if n >= 2:
-        col_index: dict[int, dict] = {
-            w: {e: i for i, e in enumerate(cols)} for w, cols in comps.items()}
-        for f in family_generators(n):
-            expo = next(iter(f.terms))
-            w = ctx.weight_of(expo)
-            idx = col_index[w]
-            vec = {idx[e + (0,) * n]: c for e, c in f.terms.items()}
-            fams.setdefault(w, []).append(vec)
+    fams = _column_vectors(n, family_generators(n)) if n >= 2 else {}
     weight_entries: dict[int, int] = {}
     vectors: list[SparsePolynomial] = []
-    for w, cols in comps.items():
+    for w, cols in _components(n).items():
         if weight is not None and w != weight:
             continue
         system = component_system(n, w, k_max)
@@ -426,6 +390,30 @@ def kernel_basis(n: int, weight: int | None = None, *,
     meta = {"family": "D", "n": n, "grading": "dual-weight"}
     weight_dims = GradedDimensionTable(weight_entries, meta)
     return SolutionBasis(n, weight, vectors, weight_dims, display_table(weight_dims))
+
+
+def recertifies(n: int, weight: int | None, polys, prime: int = DEFAULT_PRIME) -> bool:
+    """Whether `polys` are, component by component, the basis that
+    `_component_kernel` certifies with them as candidates: over every
+    component of degree n, or over `weight`'s only.
+
+    This is the certificate of `kernel_basis` re-run, not a count against
+    the bound ncols - rank_p: at an unlucky prime that bound overstates the
+    kernel, and `kernel_basis` returned `certified_nullspace`'s basis, which
+    re-running reproduces.
+    """
+    try:
+        by_weight = _column_vectors(n, polys)
+    except ValueError:
+        return False
+    weights = list(_components(n)) if weight is None else [weight]
+    if not by_weight.keys() <= set(weights):
+        return False
+    try:
+        return all(_component_kernel(component_system(n, w), by_weight.get(w, []), prime)
+                   == by_weight.get(w, []) for w in weights)
+    except AssertionError:  # a vector outside the kernel
+        return False
 
 
 def display_table(weight_dims: GradedDimensionTable) -> GradedDimensionTable:
@@ -483,7 +471,6 @@ def xi_pointwise_check(F: SparsePolynomial, k: int, point: dict) -> dict[int, Fr
     nmax = max((max((i + 1 for i, e in enumerate(expo) if e), default=1)
                 for expo in F.terms), default=1)
     nmax = max(nmax, k)
-    slices = _xi_slices(k, nmax)
     out: dict[int, Fraction] = {}
     for j in range(k, nmax + 1):
         dF = F.derivative(f"s{j}") if j <= F.context.arity else None
@@ -498,7 +485,7 @@ def xi_pointwise_check(F: SparsePolynomial, k: int, point: dict) -> dict[int, Fr
                     term *= values.get(i + 1, Fraction(0)) ** e
             dval += term
         cval = Fraction(0)
-        for mono, c in slices[j - k].items():
+        for mono, c in _xi_slice(k, j - k).items():
             term = c * (2 * j - 1)
             for idx, e in mono:
                 term *= values.get(idx, Fraction(0)) ** e

@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ptl.context import VariableContext, darboux_context
+from ptl.linalg import SparseRationalEchelon
 from ptl.poisson import _raw_mul
 from ptl.poly import SparsePolynomial
 from ptl.partitions import partition_count, partition_count_exact_parts, even_part_count, partitions
@@ -369,30 +370,13 @@ def _reflection_invariants(n: int, degree: int) -> tuple[dict, ...]:
     restricted to the zero-sum hyperplane pair.  They span: restriction of
     invariants is onto for a finite group in characteristic 0 (restrict the
     Reynolds average of any lift).  Exact incremental row reduction keeps
-    an independent subset, in candidate order.
+    the greedy independent subset, in candidate order (which does not depend
+    on the pivot order of the reduction).
     """
     orbits = invariant_basis_raw(GroupSpec("symmetric-full", n), degree)
-    basis = []
-    echelon: dict[tuple, dict] = {}   # pivot monomial -> reduced vector
-    for total in restrict_to_zero_sum(n, degree, orbits):
-        vec = {k: Fraction(v) for k, v in total.items()}
-        # reduce against current echelon (graded-lex descending pivots)
-        while vec:
-            lead = max(vec)
-            piv = echelon.get(lead)
-            if piv is None:
-                break
-            coef = vec[lead] / piv[lead]
-            for k, v in piv.items():
-                s = vec.get(k, 0) - coef * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-        if vec:
-            echelon[max(vec)] = vec
-            basis.append(total)
-    return tuple(basis)
+    echelon = SparseRationalEchelon()
+    return tuple(total for total in restrict_to_zero_sum(n, degree, orbits)
+                 if echelon.add({k: Fraction(v) for k, v in total.items()}))
 
 
 # -- trace-count dimensions (AFLS counts) ------------------------------------

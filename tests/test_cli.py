@@ -122,6 +122,17 @@ def test_cache_verify_detects_tampering(tmp_path, capsys):
     assert code == 4
 
 
+def test_cache_verify_rejects_misfiled_and_malformed_records(tmp_path, capsys):
+    run_cli(capsys, "typed", "solve", "--n", "2", "--cache-dir", str(tmp_path))
+    record = next(tmp_path.glob("*.json"))
+    misfiled = record.rename(tmp_path / ("0" * 64 + ".json"))
+    code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 4
+    misfiled.write_text("[]")
+    code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 4
+
+
 def test_cache_reverifies_kernel_payload(tmp_path, capsys):
     # a forged payload with a consistent checksum still fails kernel re-checks
     args = ("typed", "solve", "--n", "2", "--format", "json",
@@ -135,6 +146,8 @@ def test_cache_reverifies_kernel_payload(tmp_path, capsys):
     payload["vectors"] = ["s2"]  # not in the kernel
     cache.put(key, payload)     # checksum now matches the forged payload
     code, _ = run_cli(capsys, *args)
+    assert code == 4
+    code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 4
 
 
@@ -295,8 +308,18 @@ def _duplicate_last_vector(payload):
                    **_display_fields(dual))
 
 
+def _drop_last_vector(payload):
+    # a record one vector short whose counts and series are all consistent
+    ctx = svar_context(payload["n"])
+    last = payload["vectors"][-1]
+    w = str(ctx.weight_of(next(iter(parse_polynomial(last, ctx).terms))))
+    dual = dict(payload["dual_weights"], **{w: payload["dual_weights"][w] - 1})
+    dual = {k: v for k, v in dual.items() if v}
+    payload.update(vectors=payload["vectors"][:-1], dual_weights=dual, **_display_fields(dual))
+
+
 @pytest.mark.parametrize("edit", [_inflate_dual_weights, _retitle_display,
-                                  _duplicate_last_vector])
+                                  _duplicate_last_vector, _drop_last_vector])
 def test_cache_reverifies_counts_and_series(tmp_path, capsys, edit):
     args = ("typed", "solve", "--n", "4", "--format", "json", "--cache-dir", str(tmp_path))
     code, _ = run_cli(capsys, *args)
@@ -304,6 +327,22 @@ def test_cache_reverifies_counts_and_series(tmp_path, capsys, edit):
     _forge_record(tmp_path, 4, edit)
     code, _ = run_cli(capsys, *args)
     assert code == 4
+    code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 4
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_unlucky_prime_cache_reverifies(tmp_path, capsys, prime):
+    # at these primes ncols - rank_p overstates some kernels; the honest
+    # records must still re-verify, on load and under `cache verify`
+    args = ("typed", "solve", "--n-max", "9", "--prime", str(prime),
+            "--cache-dir", str(tmp_path))
+    code, cold = run_cli(capsys, *args)
+    assert code == 0
+    code, warm = run_cli(capsys, *args)
+    assert code == 0 and warm == cold
+    code, out = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 0 and out == "8 cache entries verified\n"
 
 
 def test_workers_reverify_cache(tmp_path, capsys):

@@ -8,8 +8,8 @@ from ptl import linalg
 from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
+    annihilated,
     certified_nullspace,
-    independent,
     is_prime,
     rational_nullspace,
 )
@@ -91,7 +91,10 @@ def test_unlucky_primes():
         {2: 1, 0: Fraction(-big, q), 1: -3 * big}]
 
 
-def test_independent_settles_unlucky_primes_exactly():
-    assert independent([{"a": 3, "b": 1}, {"b": 1}], 3)
-    assert not independent([{"a": 1, "b": 2}, {"a": 2, "b": 4}], 3)
-    assert not independent([{"a": 1}, {}])
+def test_annihilated_checks_each_vector_exactly():
+    rows = [{0: 1, 1: 2}, {2: 3}]
+    # the second vector passes the first row in Python ints beyond int64
+    # and fails the second row; the empty vector is trivially annihilated
+    assert annihilated(rows, [{0: 2, 1: -1}, {0: 2 ** 70, 1: -2 ** 69, 2: 1}, {}]) == [
+        True, False, True]
+    assert annihilated([], [{0: 5}]) == [True]

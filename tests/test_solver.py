@@ -4,8 +4,10 @@ import pytest
 
 from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
+from ptl.linalg import DEFAULT_PRIME
 from ptl.partitions import even_part_count, partitions
 from ptl.poly import SparsePolynomial, parse_polynomial
+from ptl.series import TruncatedEvenSeries, binom_half, compose_no_constant
 from ptl.solver import (
     component_system,
     constraint_residual,
@@ -13,6 +15,7 @@ from ptl.solver import (
     family_span_dims,
     is_kernel_member,
     kernel_basis,
+    recertifies,
     xi_field,
     xi_pointwise_check,
 )
@@ -54,6 +57,22 @@ def test_xi_field_homogeneity():
             for expo in c.terms:
                 assert ctx.degree_of(expo) == j - k
                 assert ctx.weight_of(expo) == -4 * (j - k)
+
+
+def test_xi_field_matches_series_expansion():
+    # Q(P) = sum_m C(1/2, m) P^m with P = sum_u (s_{2k+u}/s_{2k}) X^u,
+    # expanded as a truncated series with polynomial coefficients
+    order = 10
+    for k in range(1, 5):
+        xi = xi_field(k, k + order)
+        ctx = xi.coefficient(k).context
+        inv = SparsePolynomial.variable(ctx, f"s{2 * k}", -1)
+        inner = TruncatedEvenSeries(
+            [SparsePolynomial.zero(ctx)]
+            + [SparsePolynomial.variable(ctx, f"s{2 * k + u}") * inv for u in range(1, order + 1)])
+        q = compose_no_constant([binom_half(m) for m in range(order + 1)], inner)
+        for t in range(order + 1):
+            assert xi.coefficient(k + t) == (2 * (k + t) - 1) * q.coefficient(t), (k, t)
 
 
 def test_kernel_small_n():
@@ -189,6 +208,24 @@ def test_solver_certification_survives_bad_primes():
     for p in (3, 5):
         for n in (4, 6, 8):
             assert kernel_basis(n, prime=p).weight_dims == kernel_basis(n).weight_dims
+
+
+def test_recertifies_exactly_the_certified_basis():
+    # at the unlucky primes 3 and 5 the bound ncols - rank_p overstates some
+    # kernels, and the certified basis must still recertify
+    for p in (DEFAULT_PRIME, 3, 5):
+        for n in (4, 6, 8):
+            vectors = kernel_basis(n, prime=p).vectors
+            assert recertifies(n, None, vectors, p)
+            assert not recertifies(n, None, vectors[:-1], p)
+            assert not recertifies(n, None, vectors + vectors[-1:], p)
+    extra = kernel_basis(8, weight=-20).vectors
+    assert recertifies(8, -20, extra)
+    assert not recertifies(8, None, extra)
+    assert not recertifies(8, -16, extra)
+    ctx = svar_context(2)
+    assert not recertifies(2, None, [parse_polynomial("s2", ctx)])
+    assert not recertifies(2, None, [parse_polynomial("s1^2 + s2", ctx)])
 
 
 def test_hh0_comparison():
