@@ -5,14 +5,15 @@ counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 
 Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
---prime that is not a prime below 2^31), 3 resource guardrail exceeded
-(partial result is still printed), 4 cache corruption, 5 a kernel that could
-not be certified over Q or an internal check (AssertionError) that failed,
-with one line on stderr.  --workers N runs on a process pool whose workers
-read, re-verify and write the cache exactly as a serial run does.  Only
-typed-solver payloads are cached; `cache verify` re-verifies each of them
-as a load does.  `hp0 brute` accepts --cache-dir but recomputes its table
-on every run.
+--prime that is not a prime below 2^31, --workers below 1, a negative
+--max-degree or --max-columns, and --n given with --n-max), 3 resource
+guardrail exceeded (partial result is still printed), 4 cache corruption, 5
+a kernel that could not be certified over Q or an internal check
+(AssertionError) that failed, with one line on stderr.  --workers N runs on
+a process pool whose workers read, re-verify and write the cache exactly as
+a serial run does.  Only typed-solver payloads are cached; `cache verify`
+re-verifies each of them as a load does.  `hp0 brute` accepts --cache-dir
+but recomputes its table on every run.
 """
 
 from __future__ import annotations
@@ -156,8 +157,6 @@ def _solve_doc(payload: dict) -> dict:
 def cmd_typed_solve(args) -> int:
     cache = _cache_from_args(args)
     prime = args.prime
-    if args.n is None and args.n_max is None:
-        raise SystemExit2("one of --n / --n-max is required")
     ns = [args.n] if args.n is not None else list(range(2, args.n_max + 1))
     pool = None
     if args.workers > 1 and len(ns) > 1:
@@ -440,6 +439,16 @@ def _word_prime(text: str) -> int:
     return p
 
 
+def _at_least(minimum: int):
+    """An integer option type that rejects values below `minimum`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is below {minimum}")
+        return value
+    return integer
+
+
 def _add_common(p, *, cacheable: bool = False, prime: bool = False):
     p.add_argument("--format", choices=("table", "csv", "json", "latex"),
                    default="table")
@@ -461,10 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     typed = sub.add_parser("typed", help="typed constraint solver")
     tsub = typed.add_subparsers(dest="subcommand", required=True)
     solve = tsub.add_parser("solve")
-    solve.add_argument("--n", type=int, default=None)
-    solve.add_argument("--n-max", type=int, default=None)
+    which = solve.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int, default=None)
+    which.add_argument("--n-max", type=int, default=None)
     solve.add_argument("--weight", type=int, default=None)
-    solve.add_argument("--workers", type=int, default=1)
+    solve.add_argument("--workers", type=_at_least(1), default=1)
     _add_common(solve, cacheable=True, prime=True)
     solve.set_defaults(func=cmd_typed_solve)
     fam = tsub.add_parser("families")
@@ -479,18 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("symmetric-full", "symmetric-reflection",
                                 "hyperoctahedral", "demihyperoctahedral"))
     brute.add_argument("--n", type=int, required=True)
-    brute.add_argument("--max-degree", type=int, required=True)
+    brute.add_argument("--max-degree", type=_at_least(0), required=True)
     brute.add_argument("--subgroup", default="full",
                        choices=("full", "last-point-stabilizer", "ambient"))
     brute.add_argument("--certify", choices=("fast", "always"), default="fast")
-    brute.add_argument("--max-columns", type=int, default=None)
-    brute.add_argument("--workers", type=int, default=1)
+    brute.add_argument("--max-columns", type=_at_least(0), default=None)
+    brute.add_argument("--workers", type=_at_least(1), default=1)
     brute.add_argument("--generator-mode", action="store_true")
     _add_common(brute, cacheable=True, prime=True)
     brute.set_defaults(func=cmd_hp0_brute)
     aminus = hsub.add_parser("aminus")
     aminus.add_argument("--n", type=int, required=True)
-    aminus.add_argument("--max-degree", type=int, required=True)
+    aminus.add_argument("--max-degree", type=_at_least(0), required=True)
     _add_common(aminus, prime=True)
     aminus.set_defaults(func=cmd_hp0_aminus)
 

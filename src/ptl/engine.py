@@ -12,10 +12,17 @@ Degree 0 needs no special casing: the empty bracket span is {0} unless 1
 is literally a bracket, as happens for Darboux structures whose group
 fixes a Darboux pair.
 
-Rows are compressed to orbit representatives whenever H acts monomially
-(the coefficient of an invariant polynomial at a representative determines
-the whole orbit); for the non-monomial reflection action the raw monomial
-coordinates are kept.
+Cells with H = G acting monomially (B_n, D_n and S_n on Darboux pairs, and
+the A_+/A_- check) fold their columns.  G acts by Poisson automorphisms and
+v is G-invariant, so an orbit sum u = (1/|Stab u0|) sum_g g.u0 of its
+representative u0 = max(u) has {u, v} = (1/|Stab u0|) sum_g g.{u0, v}.  Adding
+each monomial of {u0, v} onto the row of its orbit representative r gives
+the coefficient of {u, v} at r times |Stab u0| / |Stab r|: a scale per row
+and per column, so the rank is unchanged.  A monomial that the sign
+subgroup moves by -1 cancels in the orbit sum and has no row; u0 itself is
+all-even or all-odd, hence fixed.  The other cells (the reflection action,
+relative and ambient targets) bracket whole polynomials, with rows for the
+coordinates of H's invariants.
 
 The A-/A+ sector identity of the demihyperoctahedral ring (A_- equals
 {A+, A-}) and its leading-term expansion
@@ -112,8 +119,7 @@ def _h_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
         return invariant_basis_raw(spec, degree)
     if problem.subgroup == "last-point-stabilizer":
         return invariant_basis_raw(GroupSpec("symmetric-full", spec.n - 1), degree)
-    m = problem.structure().pairs
-    return tuple({e: 1} for e in monomials_of_degree(2 * m, degree))
+    return tuple({e: 1} for e in monomials_of_degree(2 * spec.pairs, degree))
 
 
 def _g_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
@@ -143,36 +149,17 @@ def _power_sum_generators(problem: BracketSpanProblem, degree: int) -> list[dict
             expo[0], expo[m] = a, b
             out.append({e: 1 for e in _sn_orbit(tuple(expo), m)})
     if spec.family == "demihyperoctahedral" and degree == spec.n:
-        expo = [0] * (2 * m)
-        for i in range(m):
-            expo[m + i] = 1
-        out.append({tuple(expo): 1})
+        out.append({(0,) * m + (1,) * m: 1})  # y1 y2 ... yn
     return out
 
 
 # -- one degree cell ----------------------------------------------------------
 
-def _cell_rows(problem: BracketSpanProblem, hbasis: tuple[dict, ...], degree: int) -> dict:
-    """Row index map of the degree-d coordinate space."""
-    m = problem.structure().pairs
-    monomial_h = problem.spec.family != "symmetric-reflection" or \
-        problem.subgroup == "last-point-stabilizer"
-    if monomial_h and problem.subgroup != "ambient":
-        return {max(vec): i for i, vec in enumerate(hbasis)}
-    return {e: i for i, e in enumerate(monomials_of_degree(2 * m, degree))}
-
-
 def _column_pairs(problem: BracketSpanProblem, degree: int, generator_mode: bool):
     """Degree splits (a, b), low a first; for H = G only a <= b is needed."""
-    total = degree + 2
-    symmetric = problem.subgroup == "full"
-    for a in range(1, total):
-        b = total - a
-        if b < 1:
-            continue
-        if symmetric and not generator_mode and a > b:
-            continue
-        yield a, b
+    half = problem.subgroup == "full" and not generator_mode
+    return [(a, degree + 2 - a) for a in range(1, degree + 2)
+            if not half or 2 * a <= degree + 2]
 
 
 def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
@@ -184,7 +171,12 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
     dim = len(hbasis)
     if dim == 0:
         return 0
-    row_index = _cell_rows(problem, hbasis, degree)
+    spec = problem.spec
+    fold = problem.subgroup == "full" and spec.family != "symmetric-reflection"
+    if fold or problem.subgroup == "last-point-stabilizer":
+        row_index = {max(vec): i for i, vec in enumerate(hbasis)}
+    else:
+        row_index = {e: i for i, e in enumerate(monomials_of_degree(2 * spec.pairs, degree))}
     gb = _power_sum_generators if generator_mode else _g_basis_raw
     blocks = ((gb(problem, a), _h_basis_raw(problem, b))
               for a, b in _column_pairs(problem, degree, generator_mode))
@@ -194,23 +186,32 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
         if n_cols > max_columns:
             raise GuardrailExceeded(
                 f"degree {degree} needs {n_cols} columns (> {max_columns})", None)
-    columns = _bracket_columns(blocks, problem.structure(), row_index)
+    columns = _bracket_columns(blocks, problem.structure(), row_index, fold)
     return dim - _certified_rank(columns, len(row_index), dim, prime=prime, certify=certify)
 
 
-def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict):
-    """Stream the nonzero brackets {u, v}, u in us, v in vs for each block,
-    as sparse columns over the row indices (other monomials are dropped)."""
+def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold: bool):
+    """Stream the nonzero brackets {u, v}, u in us, v in vs for each block, as
+    sparse columns over the row indices; with `fold`, {max(u), v} added onto
+    the rows of the `orbit_rep`s (module docstring).  Monomials without a row
+    are dropped; each distinct monomial is mapped once per cell."""
+    m, row_of = structure.pairs, {}
     for us, vs in blocks:
         for u in us:
+            if fold:
+                u = {max(u): 1}
             for v in vs:
-                mapped = {}
+                col: dict = {}
                 for key, val in raw_bracket(u, v, structure).items():
-                    idx = row_index.get(key)
-                    if idx is not None:
-                        mapped[idx] = val
-                if mapped:
-                    yield mapped
+                    try:
+                        r = row_of[key]
+                    except KeyError:
+                        r = row_of[key] = row_index.get(orbit_rep(key, m) if fold else key)
+                    if r is not None:
+                        col[r] = col.get(r, 0) + val
+                col = {r: c for r, c in col.items() if c}
+                if col:
+                    yield col
 
 
 def _certified_rank(columns, length: int, dim: int, *, prime: int, certify: str) -> int:
@@ -306,7 +307,7 @@ def check_aminus_identity(n: int, max_degree: int, *,
         blocks = ((invariant_basis_raw(spec, a, sector="+"),
                    invariant_basis_raw(spec, d + 2 - a, sector="-"))
                   for a in range(2, d + 2, 2))
-        rank = _certified_rank(_bracket_columns(blocks, structure, row_index), dim, dim,
+        rank = _certified_rank(_bracket_columns(blocks, structure, row_index, True), dim, dim,
                                prime=prime, certify="fast")
         report[d] = "pass" if rank == dim else "fail"
     return report
@@ -427,16 +428,12 @@ def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
     c = sum(1 for i in range(1, n) if pairs[i] == (0, 1))
     expected = Fraction(1 + c, n) * (a1 + 1)
 
-    components: dict[tuple, Fraction] = {}
-    for expo, coeff in bracket.terms.items():
-        rep = orbit_rep(expo, n)
-        if rep == expo:
-            orbit_size = len(_sn_orbit(expo, n))
-            components[rep] = coeff * orbit_size
-    observed = components.get(orbit_rep(target_expo, n), Fraction(0))
+    components = {e: coeff * len(_sn_orbit(e, n)) for e, coeff in bracket.terms.items()
+                  if orbit_rep(e, n) == e}
+    target_rep = orbit_rep(target_expo, n)
+    observed = components.get(target_rep, Fraction(0))
     higher = all(symmetrized_order_key(rep, n) > target_key
-                 for rep in components
-                 if rep != orbit_rep(target_expo, n))
+                 for rep in components if rep != target_rep)
     return {
         "expected_leading": expected,
         "observed_leading": observed,

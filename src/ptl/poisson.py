@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from ptl.context import VariableContext, darboux_context
 from ptl.poly import SparsePolynomial
@@ -114,18 +115,21 @@ def sl2_generators(P: PoissonStructure):
 def raw_bracket_darboux(fd: dict, gd: dict, m: int) -> dict:
     out = {}
     for e1, c1 in fd.items():
+        # only indices where e1 has a variable can contribute
+        active = [(i, e1[i], e1[m + i]) for i in range(m) if e1[i] or e1[m + i]]
         for e2, c2 in gd.items():
             base = None
-            for i in range(m):
-                w = e1[i] * e2[m + i] - e1[m + i] * e2[i]
+            for i, a, b in active:
+                w = a * e2[m + i] - b * e2[i]
                 if not w:
                     continue
                 if base is None:
-                    base = [a + b for a, b in zip(e1, e2)]
-                e = list(base)
-                e[i] -= 1
-                e[m + i] -= 1
-                key = tuple(e)
+                    base = list(map(add, e1, e2))
+                base[i] -= 1
+                base[m + i] -= 1
+                key = tuple(base)
+                base[i] += 1
+                base[m + i] += 1
                 s = out.get(key, 0) + c1 * c2 * w
                 if s:
                     out[key] = s

@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from ptl.context import VariableContext, darboux_context
 from ptl.linalg import SparseRationalEchelon
@@ -247,50 +248,76 @@ def monomials_of_degree(nvars: int, degree: int):
 
 def orbit_rep(expo: tuple, m: int) -> tuple:
     """Canonical S_m-orbit representative: per-index (x, y) pairs sorted."""
-    pairs = sorted(((expo[i], expo[m + i]) for i in range(m)), reverse=True)
-    return tuple(p[0] for p in pairs) + tuple(p[1] for p in pairs)
+    xs, ys = zip(*sorted(zip(expo[:m], expo[m:]), reverse=True))
+    return xs + ys
 
 
-def _index_parity_ok(expo: tuple, m: int, family: str) -> str | None:
-    """Sector of a monomial under the sign subgroup, or None if killed.
-
-    Returns "+" (all index degrees even), "-" (all odd) or "" when the
-    family imposes no parity condition.
-    """
-    if family == "symmetric-full":
-        return ""
-    parities = {(expo[i] + expo[m + i]) % 2 for i in range(m)}
-    if family == "hyperoctahedral":
-        return "+" if parities <= {0} else None
-    # demihyperoctahedral: even sign changes fix all-even and all-odd monomials
-    if parities == {0} or not parities:
-        return "+"
-    if parities == {1}:
-        return "-"
-    return None
+@lru_cache(maxsize=None)
+def _arrangements(m: int, blocks: tuple[int, ...]) -> tuple[itemgetter, ...]:
+    """One getter per distinct arrangement of a representative whose pairs
+    form runs of equal pairs of the given lengths: position k takes the next
+    unused index of the run it is assigned, in x and in y alike."""
+    labels = [run for run, size in enumerate(blocks) for _ in range(size)]
+    starts = list(itertools.accumulate(blocks, initial=0))
+    getters = []
+    while True:
+        nxt, src = list(starts), []
+        for run in labels:
+            src.append(nxt[run])
+            nxt[run] += 1
+        getters.append(itemgetter(*src, *(m + i for i in src)))
+        # next distinct arrangement in lexicographic order (Narayana)
+        i = len(labels) - 2
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(getters)
+        j = len(labels) - 1
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = reversed(labels[i + 1:])
 
 
 def _sn_orbit(expo: tuple, m: int) -> list[tuple]:
-    """Distinct images of a monomial under simultaneous index permutations."""
-    pairs = [(expo[i], expo[m + i]) for i in range(m)]
-    out = set()
-    for pp in set(itertools.permutations(pairs)):
-        out.add(tuple(p[0] for p in pp) + tuple(p[1] for p in pp))
-    return sorted(out)
+    """Distinct images of a monomial under simultaneous index permutations,
+    sorted: the distinct arrangements of its multiset of (x, y) pairs."""
+    rep = orbit_rep(expo, m)
+    blocks = tuple(len(list(run)) for _, run in itertools.groupby(zip(rep[:m], rep[m:])))
+    return sorted([get(rep) for get in _arrangements(m, blocks)])
 
 
-def _pair_sequences(m: int, degree: int, bound: tuple[int, int]):
+def _pair_sequences(m: int, degree: int, bound: tuple[int, int],
+                    parity: int | None = None):
     """Non-increasing sequences of m (a, b) pairs, each at most `bound`, with
-    the a + b summing to `degree`: the S_m-orbits of degree-d monomials."""
+    the a + b summing to `degree`: the S_m-orbits of degree-d monomials.
+    With `parity` every a + b has that parity, which prunes while generating."""
+    if parity is not None and (degree - m * parity) % 2:
+        return
     if m == 1:
         yield from (((a, degree - a),) for a in range(min(degree, bound[0]), -1, -1)
                     if (a, degree - a) <= bound)
         return
     for a in range(min(degree, bound[0]), -1, -1):
         top = degree - a if a < bound[0] else min(degree - a, bound[1])
-        for b in range(top, -1, -1):
-            for rest in _pair_sequences(m - 1, degree - a - b, (a, b)):
+        step = -1
+        if parity is not None:
+            top -= (a + top - parity) % 2
+            step = -2
+        for b in range(top, -1, step):
+            for rest in _pair_sequences(m - 1, degree - a - b, (a, b), parity):
                 yield ((a, b),) + rest
+
+
+def _sector_parities(family: str, sector: str | None) -> tuple:
+    """Per-index degree parities of the orbits spanning a sector: the sign
+    subgroup of B_n fixes the all-even monomials only; that of D_n (even
+    sign changes) also the all-odd ones, "+" and "-" selecting one of them."""
+    if family == "symmetric-full":
+        return (None,)
+    if family == "hyperoctahedral":
+        return (0,) if sector != "-" else ()
+    return {None: (0, 1), "+": (0,), "-": (1,)}[sector]
 
 
 @lru_cache(maxsize=None)
@@ -311,14 +338,12 @@ def invariant_basis_raw(spec: GroupSpec, degree: int, sector: str | None = None)
         return _reflection_invariants(spec.n, degree)
     m = spec.pairs
     reps = []
-    for seq in _pair_sequences(m, degree, (degree, degree)):
-        expo = tuple(a for a, _ in seq) + tuple(b for _, b in seq)
-        sec = _index_parity_ok(expo, m, spec.family)
-        if sec is None or (sector is not None and sec != sector and sec != ""):
-            continue
-        reps.append(expo)
+    for parity in _sector_parities(spec.family, sector):
+        for seq in _pair_sequences(m, degree, (degree, degree), parity):
+            xs, ys = zip(*seq)
+            reps.append(xs + ys)
     reps.sort(reverse=True)
-    return tuple({e: 1 for e in _sn_orbit(expo, m)} for expo in reps)
+    return tuple(dict.fromkeys(_sn_orbit(expo, m), 1) for expo in reps)
 
 
 def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:

@@ -8,6 +8,7 @@ from ptl.cli import _display_fields, main
 from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, IncrementalModEchelon
+from ptl.partitions import bn_hilbert
 from ptl.poly import parse_polynomial
 from ptl.weyl import GroupSpec
 from ptl.solver import KernelCertificationError
@@ -252,6 +253,26 @@ def test_unsafe_prime_exits_2(prime):
             IncrementalModEchelon(4, prime)
 
 
+_B2 = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--no-cache")
+
+
+@pytest.mark.parametrize("argv", [
+    ("typed", "solve", "--n", "5", "--n-max", "6", "--no-cache"),
+    ("typed", "solve", "--n", "2", "--workers", "0", "--no-cache"),
+    _B2 + ("--max-degree", "4", "--workers", "0"),
+    _B2 + ("--max-degree", "4", "--max-columns", "-1"),
+    _B2 + ("--max-degree", "-1"),
+    ("hp0", "aminus", "--n", "2", "--max-degree", "-1"),
+], ids=["n-and-n-max", "solve-workers-0", "brute-workers-0", "max-columns-negative",
+        "brute-max-degree-negative", "aminus-max-degree-negative"])
+def test_invalid_option_values_exit_2(argv, capsys):
+    # an option value out of range is a flag error: exit 2, nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_certification_failure_exit_5(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise KernelCertificationError("family span exceeds the modular bound")
@@ -354,3 +375,20 @@ def test_workers_reverify_cache(tmp_path, capsys):
     _forge_record(tmp_path, 3, lambda payload: payload.update(vectors=["s2"]))
     code, _ = run_cli(capsys, *args, "--workers", "2")
     assert code == 4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("group", ["hyperoctahedral", "demihyperoctahedral"])
+def test_hp0_brute_degree_16_reference(group, capsys):
+    # the n = 4 tables through degree 16, byte for byte as stored, and the
+    # B_4 one against the partition statistic (one class every 4 degrees)
+    code, out = run_cli(capsys, "hp0", "brute", "--group", group, "--n", "4",
+                        "--max-degree", "16", "--no-cache")
+    assert code == 0
+    stored = Path(__file__).parent / "data" / f"hp0_brute_{group}_n4_d16.txt"
+    assert out == stored.read_text()
+    if group == "hyperoctahedral":
+        dims = {int(d): int(v) for d, v in (line.split() for line in out.splitlines()[2:])}
+        assert {d // 4: v for d, v in dims.items() if v} == \
+            {e: c for e, c in bn_hilbert(4).items() if 4 * e <= 16}
+        assert all(d % 4 == 0 for d, v in dims.items() if v)

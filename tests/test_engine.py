@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptl import engine, linalg, solver
+from ptl import engine, linalg, poisson, solver
 from ptl.engine import (
     BracketSpanProblem,
     GuardrailExceeded,
@@ -11,11 +11,12 @@ from ptl.engine import (
     hp0_graded_dims,
     leading_term_identity_report,
 )
+from ptl.linalg import SparseRationalEchelon
 from ptl.partitions import bn_hilbert
-from ptl.poisson import darboux_structure
+from ptl.poisson import darboux_structure, raw_bracket
 from ptl.poly import SparsePolynomial
 from ptl.solver import kernel_basis
-from ptl.weyl import GroupSpec
+from ptl.weyl import GroupSpec, invariant_basis_raw
 
 
 def _prob(family, n, subgroup="full"):
@@ -251,3 +252,63 @@ def test_leading_term_identity(rng):
             pairs.sort(key=lambda ab: (ab[0] + ab[1], ab[0]), reverse=True)
             rep = leading_term_identity_report(pairs)
             assert rep["ok"], (pairs, rep)
+
+
+def _unfolded_rank(structure, blocks, dim):
+    # reference column builder: bracket whole orbit sums, keep every output
+    # monomial as its own row, and rank the columns over Q (every column is
+    # an invariant, so the rank stops at the invariant dimension dim)
+    ech = SparseRationalEchelon()
+    for us, vs in blocks:
+        for u in us:
+            for v in vs:
+                if ech.rank == dim:
+                    return dim
+                ech.add({k: Fraction(c) for k, c in raw_bracket(u, v, structure).items()})
+    return ech.rank
+
+
+def _unfolded_dimension(problem, degree, generator_mode=False):
+    gb = engine._power_sum_generators if generator_mode else engine._g_basis_raw
+    blocks = [(gb(problem, a), invariant_basis_raw(problem.spec, degree + 2 - a))
+              for a in range(1, degree + 2)]
+    dim = len(invariant_basis_raw(problem.spec, degree))
+    return dim - _unfolded_rank(problem.structure(), blocks, dim)
+
+
+@pytest.mark.parametrize("family", ["hyperoctahedral", "demihyperoctahedral", "symmetric-full"])
+def test_folded_cells_match_unfolded_reference(family):
+    for n in (1, 2, 3):
+        prob = _prob(family, n)
+        for generator_mode in (False, True):
+            table = hp0_graded_dims(prob, 10, generator_mode=generator_mode)
+            expected = {d: _unfolded_dimension(prob, d, generator_mode) for d in range(11)}
+            assert dict(table.items()) == {d: v for d, v in expected.items() if v}, \
+                (family, n, generator_mode)
+
+
+def test_folded_aminus_matches_unfolded_reference():
+    spec = GroupSpec("demihyperoctahedral", 4)
+    structure = darboux_structure(4)
+    expected = {}
+    for d in range(0, 9, 2):
+        blocks = [(invariant_basis_raw(spec, a, "+"), invariant_basis_raw(spec, d + 2 - a, "-"))
+                  for a in range(2, d + 2, 2)]
+        dim = len(invariant_basis_raw(spec, d, "-"))
+        expected[d] = "pass" if _unfolded_rank(structure, blocks, dim) == dim else "fail"
+    assert check_aminus_identity(4, 8) == expected
+
+
+def test_full_cells_bracket_one_term_representatives(monkeypatch):
+    # the folded path runs: every bracket of a full B_4 cell starts from a
+    # single monomial, never from a whole orbit sum
+    firsts = []
+    darboux = poisson.raw_bracket_darboux
+
+    def spy(fd, gd, m):
+        firsts.append(len(fd))
+        return darboux(fd, gd, m)
+
+    monkeypatch.setattr(poisson, "raw_bracket_darboux", spy)
+    assert dict(hp0_graded_dims(_prob("hyperoctahedral", 4), 8).items()) == {0: 1, 4: 1, 8: 2}
+    assert firsts and set(firsts) == {1}

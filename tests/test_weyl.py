@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from ptl.weyl import (
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
-    _index_parity_ok,
     _sn_orbit,
 )
 
@@ -176,17 +176,31 @@ def test_reflection_basis_sizes():
         assert [len(invariant_basis_raw(spec, d)) for d in range(len(expected))] == expected
 
 
+def _permutation_orbit(expo, m):
+    # reference orbit: every index permutation of the (x, y) pairs, deduplicated
+    pairs = [(expo[i], expo[m + i]) for i in range(m)]
+    return sorted({tuple(p[0] for p in pp) + tuple(p[1] for p in pp)
+                   for pp in itertools.permutations(pairs)})
+
+
 def _scanned_basis(spec, degree, sector):
-    # reference construction: scan every monomial, keep orbit representatives
+    # reference construction: scan every monomial, keep the orbit
+    # representatives (pairs sorted descending) that the sign subgroup fixes
     m = spec.pairs
     out = []
     for expo in monomials_of_degree(2 * m, degree):
-        if orbit_rep(expo, m) != expo:
+        pairs = [(expo[i], expo[m + i]) for i in range(m)]
+        if pairs != sorted(pairs, reverse=True):
             continue
-        sec = _index_parity_ok(expo, m, spec.family)
-        if sec is None or (sector is not None and sec != sector and sec != ""):
-            continue
-        out.append({e: 1 for e in _sn_orbit(expo, m)})
+        parities = {(a + b) % 2 for a, b in pairs}
+        if spec.family == "hyperoctahedral":
+            keep = parities == {0} and sector != "-"
+        elif spec.family == "demihyperoctahedral":
+            keep = len(parities) == 1 and sector in (None, "+-"[min(parities)])
+        else:
+            keep = True
+        if keep:
+            out.append({e: 1 for e in _permutation_orbit(expo, m)})
     out.sort(key=lambda d: max(d), reverse=True)
     return out
 
@@ -201,6 +215,15 @@ def test_direct_orbit_enumeration_matches_scan():
                     reference = _scanned_basis(spec, degree, sector)
                     assert [list(b.items()) for b in basis] == \
                         [list(b.items()) for b in reference], (family, n, degree, sector)
+
+
+def test_sn_orbit_matches_permutations():
+    # any monomial, representative or not, against the permutation scan
+    for m in range(1, 5):
+        for degree in range(5):
+            for expo in monomials_of_degree(2 * m, degree):
+                assert _sn_orbit(expo, m) == _permutation_orbit(expo, m)
+                assert orbit_rep(expo, m) == max(_permutation_orbit(expo, m))
 
 
 def test_stabilizer_basis_counts():
