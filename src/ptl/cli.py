@@ -5,21 +5,23 @@ counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 
 Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
---prime that is not a prime below 2^31, --workers below 1, a negative
---max-degree or --max-columns, and --n given with --n-max), 3 resource
-guardrail exceeded (partial result is still printed), 4 cache corruption, 5
-a kernel that could not be certified over Q or an internal check
-(AssertionError) that failed, with one line on stderr.  --workers N runs on
-a process pool whose workers read, re-verify and write the cache exactly as
-a serial run does.  Only typed-solver payloads are cached; `cache verify`
-re-verifies each of them as a load does.  `hp0 brute` accepts --cache-dir
-but recomputes its table on every run.
+--prime that is not a prime below 2^31, --workers below 1, --n-max below 2,
+a series --order below 1, a negative --max-degree or --max-columns, and --n
+given with --n-max), 3 resource guardrail exceeded (partial result is still
+printed), 4 cache corruption, 5 a kernel that could not be certified over Q
+or an internal check (AssertionError) that failed, with one line on stderr.
+--workers N runs on a process pool whose workers read, re-verify and write
+the cache exactly as a serial run does.  Only typed-solver payloads are
+cached, each basis vector as integers over its component's columns
+(`_encoded`); `cache verify` re-verifies each of them as a load does.
+`hp0 brute` accepts --cache-dir but recomputes its table on every run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
-from ptl.cache import CacheCorruption, ResultCache, code_version, ENV_CACHE_DIR
+from ptl.cache import CacheCorruption, ResultCache, canonical_json, code_version, ENV_CACHE_DIR
 from ptl.engine import BracketSpanProblem, GuardrailExceeded, check_aminus_identity, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, is_prime
 from ptl.partitions import (
@@ -37,8 +39,6 @@ from ptl.partitions import (
     p_prime_count,
     prime_bound,
 )
-from ptl.poly import parse_polynomial
-from ptl.context import svar_context
 from ptl.series import TruncatedEvenSeries
 from ptl.solver import (
     KernelCertificationError,
@@ -92,26 +92,43 @@ def _display_fields(dual_weights: dict) -> dict:
             "display_series_latex": display.series(latex=True)}
 
 
+def _record(n: int, dual_weights: dict, vectors: list) -> dict:
+    """A typed-solver payload, whose display series follow from `dual_weights`."""
+    return {"family": "D", "n": n, "dual_weights": dual_weights,
+            **_display_fields(dual_weights), "vectors": vectors}
+
+
+def _encoded(w: int, vec: dict) -> list:
+    """A record's vector: [dual weight, common denominator, [column,
+    numerator, column, numerator, ...]], columns ascending."""
+    den = math.lcm(*(x.denominator for x in vec.values()))
+    flat = [y for c, x in sorted(vec.items()) for y in (c, x.numerator * den // x.denominator)]
+    return [w, den, flat]
+
+
 def _verify_solve(n: int, weight, prime: int, payload) -> bool:
-    """Re-verification hook of a typed-solver record: its vector counts and
-    display series, then the solver's component certificate run again."""
-    ctx = svar_context(n)
-    try:
-        vectors = [parse_polynomial(text, ctx) for text in payload["vectors"]]
-    except Exception:
+    """Re-verification hook of a typed-solver record: its vectors decoded
+    from exactly the form `_encoded` writes (ints only, a positive
+    denominator coprime to the nonzero numerators, columns ascending from
+    0), the rest of the payload, as JSON, exactly the `_record` of n and
+    their counts, then the solver's component certificate run again."""
+    vectors = payload.get("vectors") if isinstance(payload, dict) else None
+    if type(vectors) is not list:
         return False
-    counts: dict[str, int] = {}
-    for v in vectors:
-        weights = {ctx.weight_of(e) for e in v.terms}
-        if len(weights) != 1:
+    columns: dict[int, list[dict]] = {}
+    for item in vectors:
+        if type(item) is not list or len(item) != 3 or type(item[2]) is not list:
             return False
-        w = str(weights.pop())
-        counts[w] = counts.get(w, 0) + 1
-    if counts != payload.get("dual_weights"):
+        (w, den, flat), cols, nums = item, item[2][::2], item[2][1::2]
+        if not (flat and len(cols) == len(nums) and all(type(x) is int for x in [w, den, *flat])
+                and den > 0 and cols[0] >= 0 and all(a < b for a, b in zip(cols, cols[1:]))
+                and all(nums) and math.gcd(den, *nums) == 1):
+            return False
+        columns.setdefault(w, []).append({c: Fraction(x, den) for c, x in zip(cols, nums)})
+    counts = {str(w): len(vecs) for w, vecs in columns.items()}
+    if canonical_json(payload) != canonical_json(_record(n, counts, vectors)):
         return False
-    if any(payload.get(k) != text for k, text in _display_fields(counts).items()):
-        return False
-    return recertifies(n, weight, vectors, prime)
+    return recertifies(n, weight, columns, prime)
 
 
 def _record_verifier(key: dict):
@@ -132,14 +149,8 @@ def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
     if cached is not None:
         return cached
     sb = kernel_basis(n, weight, prime=prime)
-    dual_weights = {str(w): dim for w, dim in sb.weight_dims.items()}
-    payload = {
-        "family": "D",
-        "n": n,
-        "dual_weights": dual_weights,
-        **_display_fields(dual_weights),
-        "vectors": [v.text() for v in sb.vectors],
-    }
+    payload = _record(n, {str(w): dim for w, dim in sb.weight_dims.items()},
+                      [_encoded(w, vec) for w, vecs in sb.columns.items() for vec in vecs])
     cache.put(key, payload)
     return payload
 
@@ -472,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = tsub.add_parser("solve")
     which = solve.add_mutually_exclusive_group(required=True)
     which.add_argument("--n", type=int, default=None)
-    which.add_argument("--n-max", type=int, default=None)
+    which.add_argument("--n-max", type=_at_least(2), default=None)
     solve.add_argument("--weight", type=int, default=None)
     solve.add_argument("--workers", type=_at_least(1), default=1)
     _add_common(solve, cacheable=True, prime=True)
@@ -552,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     series = sub.add_parser("series", help="series verification aids")
     sesub = series.add_subparsers(dest="subcommand", required=True)
     bu = sesub.add_parser("burgers")
-    bu.add_argument("--order", type=int, default=6)
+    bu.add_argument("--order", type=_at_least(1), default=6)
     bu.add_argument("--closed-form", action="store_true", help="(default mode)")
     bu.add_argument("--h0", default=None,
                     help="comma-separated coefficients of x^0, x^2, x^4, ...")
@@ -564,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     cosub = compare.add_subparsers(dest="subcommand", required=True)
     ch = cosub.add_parser("hp0-hh0")
     ch.add_argument("--family", default="D")
-    ch.add_argument("--n-max", type=int, required=True)
+    ch.add_argument("--n-max", type=_at_least(2), required=True)
     _add_common(ch, cacheable=True, prime=True)
     ch.set_defaults(func=cmd_compare_hp0_hh0)
 

@@ -17,19 +17,22 @@ Since Q is applied to a ratio with zero constant term, every coefficient is
 an honest rational Laurent expression; no symbolic radicals appear here.
 In closed form, the d/ds_{k+t} coefficient is 2(k+t)-1 times a sum over
 the partitions of t that depends on k only through the index shift 2k
-(`_xi_slice`).
+(`_xi_slice`), and 4^t times it has integer coefficients, so every
+constraint row is assembled in integers (`component_system`).
 
 The constraints preserve the bigrading, so the kernel is computed one
 (degree, dual weight) component at a time by one certificate
 (`_component_kernel`): the mod-p rank bounds the dimension by
-d = ncols - rank_p; candidate vectors that every constraint row (scaled
-to integers) annihilates exactly and that are independent mod p are the
+d = ncols - rank_p; candidate vectors that every integer constraint row
+annihilates exactly and that are independent mod p are the
 basis when there are d of them, and otherwise `linalg.certified_nullspace`
 lifts the modular nullspace over a stream of word-sized primes and checks
 every reconstructed vector against every row.  The candidates are the
 known solution families (multiples of s1^2 and the s2^k s_{k+1} g
 corrections) when solving, and a cached record's vectors when
-re-verifying it (`recertifies`).
+re-verifying it (`recertifies`).  Vectors are exact column-coefficient
+dicts over a component's columns; `SolutionBasis.vectors` alone turns
+them into polynomials.
 """
 
 from __future__ import annotations
@@ -53,30 +56,34 @@ from ptl.linalg import (
 )
 from ptl.partitions import partitions
 from ptl.poly import SparsePolynomial
-from ptl.series import binom_half
 from ptl.tables import GradedDimensionTable
 
 @lru_cache(maxsize=None)
 def _xi_terms(t: int) -> tuple:
-    """One term per partition lambda of t: (C(1/2, l) * l! / prod m_u!, l,
-    ((u, m_u), ...)), with l the number of parts and m_u the multiplicity
-    of part u, parts ascending."""
+    """One term per partition lambda of t: (4^t * C(1/2, l) * l! / prod m_u!,
+    l, ((u, m_u), ...)), with l the number of parts and m_u the multiplicity
+    of part u, parts ascending.  The coefficient is an int: C(1/2, l) =
+    (-1)^(l+1) * 2 * Catalan(l-1) / 4^l for l >= 1, and l <= t."""
     out = []
     for lam in partitions(t):
-        mult = Counter(lam)
-        coeff = binom_half(len(lam)) * math.factorial(len(lam))
+        ell, mult = len(lam), Counter(lam)
+        coeff = math.factorial(ell)
         for m in mult.values():
-            coeff /= math.factorial(m)
-        out.append((coeff, len(lam), tuple(sorted(mult.items()))))
+            coeff //= math.factorial(m)
+        if ell:
+            catalan = math.comb(2 * ell - 2, ell - 1) // ell
+            coeff *= (-1) ** (ell + 1) * 2 * catalan * 4 ** (t - ell)
+        out.append((coeff, ell, tuple(sorted(mult.items()))))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _xi_slice(k: int, t: int) -> dict:
-    """Slice t of xi_k: its d/ds_{k+t} coefficient divided by 2(k+t)-1, as
-    {((s-index, exponent), ...) sorted by index: Fraction}.
+    """Slice t of xi_k times 4^t: its d/ds_{k+t} coefficient divided by
+    2(k+t)-1 and multiplied by 4^t, as {((s-index, exponent), ...) sorted by
+    index: int}.
 
-    That is [X^t] Q(P / s_{2k}) with P = sum_{u >= 1} s_{2k+u} X^u, which
+    That is 4^t [X^t] Q(P / s_{2k}) with P = sum_{u >= 1} s_{2k+u} X^u, which
     the multinomial expansion of each P^l turns into a sum over the
     partitions lambda of t (`_xi_terms`) of
     C(1/2, l) * (l! / prod m_u!) * s_{2k}^(-l) * prod_i s_{2k+lambda_i}.
@@ -110,7 +117,7 @@ def xi_field(k: int, nmax: int) -> XiField:
             expo = [0] * ctx.arity
             for idx, e in mono:
                 expo[idx - 1] = e
-            terms[tuple(expo)] = c * (2 * j - 1)
+            terms[tuple(expo)] = Fraction(c * (2 * j - 1), 4 ** (j - k))
         coeffs[j] = SparsePolynomial(ctx, terms)
     return XiField(k, nmax, coeffs)
 
@@ -124,35 +131,34 @@ def _partition_to_expo(lam: tuple, N: int) -> tuple:
     return tuple(expo)
 
 
-def _column_rows_for_k(k: int, n: int, e: tuple, N: int):
-    """Yield (row label monomial, Fraction value) for xi_k applied to the
-    column monomial e, after the substitution s_1 = ... = s_{2k-1} = 0.
+def _column_rows_for_k(k: int, n: int, e: tuple, support: list):
+    """Yield (row label monomial, int value) for 4^(n-k) * xi_k applied to the
+    column monomial e, after the substitution s_1 = ... = s_{2k-1} = 0;
+    `support` lists the s-indices where e is nonzero, ascending.
 
-    The label keeps s_{2k}'s (possibly negative) exponent; clearing the
-    denominator uniformly across a component relabels rows bijectively, so
-    the raw Laurent label is used directly.
+    Slice t = j - k of xi_k enters through d/ds_j; `_xi_slice` scales it by
+    4^t, so a further 4^(n-j) puts every slice of xi_k on the one scale
+    4^(n-k) (j <= n).  The label keeps s_{2k}'s (possibly negative)
+    exponent; clearing the denominator uniformly across a component
+    relabels rows bijectively, so the raw Laurent label is used directly.
     """
-    low = e[:2 * k - 1]
-    nz = [i for i, v in enumerate(low) if v]
-    if len(nz) > 1:
+    low = [j for j in support if j < 2 * k]
+    if len(low) > 1:
         return
-    if len(nz) == 1:
-        j0 = nz[0] + 1
-        if j0 < k or e[j0 - 1] != 1:
-            return
-        js = [j0]
+    if low:
+        js = low if k <= low[0] <= n and e[low[0] - 1] == 1 else ()
     else:
-        js = [j + 1 for j in range(2 * k - 1, min(len(e), n)) if e[j]]
+        js = [j for j in support if j <= n]
         # d/ds_j for k <= j < 2k hits zero exponents here; j > n never occurs
     for j in js:
-        factor = e[j - 1]
+        scale = e[j - 1] * (2 * j - 1) << 2 * (n - j)
         base = list(e)
         base[j - 1] -= 1
         for mono, c in _xi_slice(k, j - k).items():
-            label = list(base)
+            label = base.copy()
             for idx, ex in mono:
                 label[idx - 1] += ex
-            yield tuple(label), factor * c * (2 * j - 1)
+            yield tuple(label), scale * c
 
 
 @dataclass
@@ -162,7 +168,7 @@ class ConstraintSystem:
     n: int
     weight: int
     columns: list[tuple]             # dense exponent tuples, graded-lex descending
-    rows: list[dict]                 # sparse {column index: Fraction}
+    rows: list[dict]                 # sparse {column index: int}, see component_system
     labels: list[tuple]              # (k, ambient Laurent monomial) per row
 
 
@@ -180,32 +186,41 @@ def _components(n: int) -> MappingProxyType:
 
 
 def component_system(n: int, weight: int, k_max: int | None = None) -> ConstraintSystem:
+    """The constraint rows of one component, in integers.
+
+    The rows of xi_k are built at the scale 4^(n-k) (`_column_rows_for_k`),
+    where every closed-form coefficient is an int, and each row is then
+    divided by its power-of-two content, but by no more than that scale: so
+    each row is exactly `linalg.integer_vector` of the rational row, whose
+    denominators are powers of two.
+    """
     columns = list(_components(n).get(weight, ()))
-    N = 2 * n
-    k_top = k_max if k_max is not None else n
+    supports = [[i + 1 for i, x in enumerate(e) if x] for e in columns]
+    # xi_k has no row on a column with two s-indices below 2k, or one below k
+    reach = [s[1] // 2 if len(s) > 1 else s[0] for s in supports]
     row_index: dict = {}
     rows: list[dict] = []
     labels: list[tuple] = []
-    for k in range(1, k_top + 1):
+    for k in range(1, (k_max if k_max is not None else n) + 1):
         for ci, e in enumerate(columns):
-            for label, val in _column_rows_for_k(k, n, e, N):
+            if k > reach[ci]:
+                continue
+            for label, val in _column_rows_for_k(k, n, e, supports[ci]):
                 key = (k, label)
                 ri = row_index.get(key)
                 if ri is None:
-                    ri = len(rows)
-                    row_index[key] = ri
+                    ri = row_index[key] = len(rows)
                     rows.append({})
                     labels.append(key)
                 row = rows[ri]
-                s = row.get(ci, Fraction(0)) + val
-                if s:
-                    row[ci] = s
-                else:
-                    row.pop(ci, None)
+                row[ci] = row.get(ci, 0) + val
     rows_out, labels_out = [], []
     for row, label in zip(rows, labels):
+        row = {c: x for c, x in row.items() if x}
         if row:
-            rows_out.append(row)
+            g = math.gcd(*row.values())
+            shift = min((g & -g).bit_length() - 1, 2 * (n - label[0]))
+            rows_out.append({c: x >> shift for c, x in row.items()})
             labels_out.append(label)
     return ConstraintSystem(n, weight, columns, rows_out, labels_out)
 
@@ -220,14 +235,19 @@ def family_generators(n: int) -> list[SparsePolynomial]:
     s_2^k s_{k+1} g - s_1 * xi_1(s_2^k s_{k+1} g), which the restriction on g
     makes a polynomial rather than a Laurent polynomial.
     """
+    ctx = svar_context(n)
+    return [SparsePolynomial(ctx, terms) for terms in _family_terms(n)]
+
+
+def _family_terms(n: int) -> list[dict]:
+    """`family_generators(n)` as {exponent tuple over s1..sn: Fraction} dicts."""
     if n < 2:
         raise ValueError("families start at n = 2")
-    ctx = svar_context(n)
     out = []
     for lam in partitions(n - 2):
         expo = list(_partition_to_expo(lam, n))
         expo[0] += 2
-        out.append(SparsePolynomial.monomial(ctx, tuple(expo)))
+        out.append({tuple(expo): Fraction(1)})
     for k in itertools.count(1):
         base_deg = 3 * k + 1
         if base_deg > n:
@@ -236,61 +256,35 @@ def family_generators(n: int) -> list[SparsePolynomial]:
             h = dict(g)
             h[2] = h.get(2, 0) + k
             h[k + 1] = h.get(k + 1, 0) + 1
-            out.append(_family_two_element(n, h, ctx))
+            out.append(_family_two_element(n, h))
     return out
 
 
-def _monomials_in_range(total: int, lo: int, hi: int):
+def _monomials_in_range(total: int, lo: int, hi: int) -> list[Counter]:
     """Monomials in s_lo..s_hi of degree `total`, as {index: exponent}."""
-    if total == 0:
-        yield {}
-        return
-    if total < 0 or lo > hi:
-        return
-    for lam in partitions(total):
-        if all(lo <= part <= hi for part in lam):
-            mono: dict = {}
-            for part in lam:
-                mono[part] = mono.get(part, 0) + 1
-            yield mono
+    return [Counter(lam) for lam in partitions(total, hi) if all(part >= lo for part in lam)]
 
 
-def _family_two_element(n: int, h: dict, ctx) -> SparsePolynomial:
-    """s_2^k s_{k+1} g  -  s_1 * xi_1(same), assembled exactly."""
-    terms: dict = {}
-    base = [0] * n
-    for idx, e in h.items():
-        base[idx - 1] = e
-    terms[tuple(base)] = Fraction(1)
-    for j, factor in h.items():
-        dbase = list(base)
-        dbase[j - 1] -= 1
-        dbase[0] += 1  # the s_1 prefactor
-        for mono, c in _xi_slice(1, j - 1).items():
-            expo = list(dbase)
-            for idx, ex in mono:
-                expo[idx - 1] += ex
-            key = tuple(expo)
-            val = terms.get(key, Fraction(0)) - factor * c * (2 * j - 1)
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
-    for expo in terms:
-        if any(x < 0 for x in expo):
-            raise AssertionError("family element failed to clear its denominator")
-    return SparsePolynomial(ctx, terms)
+def _family_two_element(n: int, h: dict) -> dict:
+    """s_2^k s_{k+1} g  -  s_1 * xi_1(same), assembled exactly as terms
+    (xi_1 involves no substitution, as h has no s_1)."""
+    e = tuple(h.get(i + 1, 0) for i in range(2 * n))
+    terms = {e[:n]: Fraction(1)}
+    for label, val in _column_rows_for_k(1, n, e, sorted(h)):
+        expo = (label[0] + 1,) + label[1:n]  # the s_1 prefactor
+        terms[expo] = terms.get(expo, 0) - Fraction(val, 4 ** (n - 1))
+    terms = {expo: c for expo, c in terms.items() if c}
+    if any(x < 0 for expo in terms for x in expo):
+        raise AssertionError("family element failed to clear its denominator")
+    return terms
 
 
-def family_span_dims(n: int, *, by_weight: bool = True) -> GradedDimensionTable:
+def family_span_dims(n: int) -> GradedDimensionTable:
     """Exact dimensions of span(family_generators(n)) per dual weight."""
-    ctx = svar_context(n)
-    buckets: dict[int, SparseRationalEchelon] = {}
-    for f in family_generators(n):
-        w = ctx.weight_of(next(iter(f.terms)))
-        ech = buckets.setdefault(w, SparseRationalEchelon())
-        ech.add(dict(f.terms))
-    entries = {w: e.rank for w, e in buckets.items() if e.rank}
+    entries = {}
+    for w, vecs in _family_columns(n).items():
+        ech = SparseRationalEchelon()
+        entries[w] = sum(ech.add(vec) for vec in vecs)
     return GradedDimensionTable(entries, {"family": "D", "n": n,
                                           "grading": "dual-weight", "kind": "family-span"})
 
@@ -301,9 +295,16 @@ def family_span_dims(n: int, *, by_weight: bool = True) -> GradedDimensionTable:
 class SolutionBasis:
     n: int
     weight: int | None
-    vectors: list[SparsePolynomial]
+    columns: dict[int, list[dict]]      # dual weight -> basis over the component's columns
     weight_dims: GradedDimensionTable   # keyed by dual weight (nonpositive)
     display: GradedDimensionTable       # keyed by display exponent -w/4
+
+    @property
+    def vectors(self) -> list[SparsePolynomial]:
+        """The basis as polynomials in s1..sn, component by component."""
+        ctx, comps = svar_context(self.n), _components(self.n)
+        return [SparsePolynomial(ctx, {comps[w][c][:self.n]: x for c, x in vec.items()})
+                for w, vecs in self.columns.items() for vec in vecs]
 
 
 class KernelCertificationError(RuntimeError):
@@ -322,12 +323,11 @@ def _component_kernel(system: ConstraintSystem, candidates: list[dict],
     the basis is `certified_nullspace`'s, which depends only on the rows
     and the prime.
     """
-    ncols = len(system.columns)
-    if ncols == 0:
-        return []
-    rows = [integer_vector(row) for row in system.rows]
+    ncols, rows = len(system.columns), system.rows
     ech = IncrementalModEchelon(ncols, prime)
     for row in rows:
+        if ech.rank == ncols:  # d = 0 already: the rows left cannot change it
+            break
         ech.add(row)
     d = ncols - ech.rank
     if d == 0:
@@ -344,22 +344,14 @@ def _component_kernel(system: ConstraintSystem, candidates: list[dict],
     return certified_nullspace(ech, rows)
 
 
-def _column_vectors(n: int, polys) -> dict[int, list[dict]]:
-    """Polynomials in s1..sn as column-coefficient dicts over the degree-n
-    components, grouped by dual weight in input order; ValueError for one
-    that is not a nonzero element of a single component."""
-    ctx = svar_context(n)
-    index = {w: {e[:n]: i for i, e in enumerate(cols)} for w, cols in _components(n).items()}
+def _family_columns(n: int) -> dict[int, list[dict]]:
+    """The family generators as column-coefficient dicts over the degree-n
+    components, grouped by dual weight in generator order."""
+    index = {e[:n]: (w, i) for w, cols in _components(n).items() for i, e in enumerate(cols)}
     out: dict[int, list[dict]] = {}
-    for f in polys:
-        weights = {ctx.weight_of(e) for e in f.terms}
-        if len(weights) != 1:
-            raise ValueError("not a nonzero weight-homogeneous polynomial")
-        w = weights.pop()
-        cols = index.get(w, {})
-        if not f.terms.keys() <= cols.keys():
-            raise ValueError(f"not homogeneous of degree {n}")
-        out.setdefault(w, []).append({cols[e]: c for e, c in f.terms.items()})
+    for terms in _family_terms(n):
+        w = index[next(iter(terms))][0]
+        out.setdefault(w, []).append({index[e][1]: c for e, c in terms.items()})
     return out
 
 
@@ -373,27 +365,23 @@ def kernel_basis(n: int, weight: int | None = None, *,
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    ctx = svar_context(n)
-    fams = _column_vectors(n, family_generators(n)) if n >= 2 else {}
-    weight_entries: dict[int, int] = {}
-    vectors: list[SparsePolynomial] = []
-    for w, cols in _components(n).items():
+    fams = _family_columns(n) if n >= 2 else {}
+    columns: dict[int, list[dict]] = {}
+    for w in _components(n):
         if weight is not None and w != weight:
             continue
-        system = component_system(n, w, k_max)
-        basis = _component_kernel(system, fams.get(w, []), prime)
+        basis = _component_kernel(component_system(n, w, k_max), fams.get(w, []), prime)
         if basis:
-            weight_entries[w] = len(basis)
-            for vec in basis:
-                terms = {cols[c][:n]: coeff for c, coeff in vec.items()}
-                vectors.append(SparsePolynomial(ctx, terms))
+            columns[w] = basis
     meta = {"family": "D", "n": n, "grading": "dual-weight"}
-    weight_dims = GradedDimensionTable(weight_entries, meta)
-    return SolutionBasis(n, weight, vectors, weight_dims, display_table(weight_dims))
+    weight_dims = GradedDimensionTable({w: len(b) for w, b in columns.items()}, meta)
+    return SolutionBasis(n, weight, columns, weight_dims, display_table(weight_dims))
 
 
-def recertifies(n: int, weight: int | None, polys, prime: int = DEFAULT_PRIME) -> bool:
-    """Whether `polys` are, component by component, the basis that
+def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],
+                prime: int = DEFAULT_PRIME) -> bool:
+    """Whether `columns` (dual weight -> exact column-coefficient dicts, as in
+    `SolutionBasis.columns`) are, component by component, the basis that
     `_component_kernel` certifies with them as candidates: over every
     component of degree n, or over `weight`'s only.
 
@@ -402,16 +390,16 @@ def recertifies(n: int, weight: int | None, polys, prime: int = DEFAULT_PRIME) -
     kernel, and `kernel_basis` returned `certified_nullspace`'s basis, which
     re-running reproduces.
     """
-    try:
-        by_weight = _column_vectors(n, polys)
-    except ValueError:
+    comps = _components(n)
+    weights = list(comps) if weight is None else [weight]
+    if not columns.keys() <= set(weights):
         return False
-    weights = list(_components(n)) if weight is None else [weight]
-    if not by_weight.keys() <= set(weights):
+    if any(not 0 <= c < len(comps.get(w, ())) for w, vecs in columns.items()
+           for vec in vecs for c in vec):
         return False
     try:
-        return all(_component_kernel(component_system(n, w), by_weight.get(w, []), prime)
-                   == by_weight.get(w, []) for w in weights)
+        return all(_component_kernel(component_system(n, w), columns.get(w, []), prime)
+                   == columns.get(w, []) for w in weights)
     except AssertionError:  # a vector outside the kernel
         return False
 
@@ -425,11 +413,13 @@ def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:
     """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, as a raw
     {Laurent monomial: Fraction} dict over 2n dense positions."""
     N = max(F.context.arity, 2 * n, 2 * k)
+    scale = 4 ** max(n - k, 0)
     out: dict = {}
     for expo, c in F.terms.items():
         e = tuple(expo) + (0,) * (N - len(expo))
-        for label, val in _column_rows_for_k(k, n, e, N):
-            s = out.get(label, Fraction(0)) + c * val
+        support = [i + 1 for i, x in enumerate(e) if x]
+        for label, val in _column_rows_for_k(k, n, e, support):
+            s = out.get(label, Fraction(0)) + c * Fraction(val, scale)
             if s:
                 out[label] = s
             else:
@@ -471,24 +461,19 @@ def xi_pointwise_check(F: SparsePolynomial, k: int, point: dict) -> dict[int, Fr
     nmax = max((max((i + 1 for i, e in enumerate(expo) if e), default=1)
                 for expo in F.terms), default=1)
     nmax = max(nmax, k)
+
+    def at_point(p: SparsePolynomial) -> Fraction:
+        total = Fraction(0)
+        for expo, c in p.terms.items():
+            for i, e in enumerate(expo):
+                if e:
+                    c *= values.get(i + 1, Fraction(0)) ** e
+            total += c
+        return total
+
+    xi = xi_field(k, nmax)
     out: dict[int, Fraction] = {}
     for j in range(k, nmax + 1):
         dF = F.derivative(f"s{j}") if j <= F.context.arity else None
-        if dF is None or not dF.terms:
-            out[j] = Fraction(0)
-            continue
-        dval = Fraction(0)
-        for expo, c in dF.terms.items():
-            term = c
-            for i, e in enumerate(expo):
-                if e:
-                    term *= values.get(i + 1, Fraction(0)) ** e
-            dval += term
-        cval = Fraction(0)
-        for mono, c in _xi_slice(k, j - k).items():
-            term = c * (2 * j - 1)
-            for idx, e in mono:
-                term *= values.get(idx, Fraction(0)) ** e
-            cval += term
-        out[j] = cval * dval
+        out[j] = at_point(xi.coefficient(j)) * at_point(dF) if dF is not None else Fraction(0)
     return out

@@ -5,11 +5,9 @@ import pytest
 
 from ptl.cache import ResultCache, code_version
 from ptl.cli import _display_fields, main
-from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, IncrementalModEchelon
 from ptl.partitions import bn_hilbert
-from ptl.poly import parse_polynomial
 from ptl.weyl import GroupSpec
 from ptl.solver import KernelCertificationError
 
@@ -77,6 +75,23 @@ def test_cache_roundtrip_and_byte_identical(tmp_path, capsys):
     assert warm == cold
 
 
+def test_typed_solve_never_renders_or_parses_polynomials(tmp_path, capsys, monkeypatch):
+    # records hold integer vectors: solving, loading and `cache verify`
+    # neither print polynomial text nor parse it
+    def fail(*args, **kwargs):
+        raise AssertionError("polynomial text on the typed solve path")
+
+    monkeypatch.setattr("ptl.poly.SparsePolynomial.text", fail)
+    monkeypatch.setattr("ptl.poly.parse_polynomial", fail)
+    args = ("typed", "solve", "--n-max", "9", "--cache-dir", str(tmp_path))
+    code, cold = run_cli(capsys, *args)
+    assert code == 0
+    code, warm = run_cli(capsys, *args)
+    assert code == 0 and warm == cold
+    code, out = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 0 and out == "8 cache entries verified\n"
+
+
 def test_hp0_cache_byte_identical(tmp_path, capsys):
     args = ("hp0", "brute", "--group", "demihyperoctahedral", "--n", "2",
             "--max-degree", "6", "--format", "json", "--cache-dir", str(tmp_path))
@@ -118,7 +133,10 @@ def test_cache_verify_detects_tampering(tmp_path, capsys):
     code, out = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 0 and "1 cache entries" in out
     record = next(tmp_path.glob("*.json"))
-    record.write_text(record.read_text().replace("s1^2", "s1^3"))
+    data = json.loads(record.read_text())
+    assert data["payload"]["vectors"] == [[0, 1, [0, 1]]]  # s1^2
+    data["payload"]["vectors"][0][2][1] = 2
+    record.write_text(json.dumps(data))
     code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 4
 
@@ -144,7 +162,7 @@ def test_cache_reverifies_kernel_payload(tmp_path, capsys):
     record = json.loads(record_path.read_text())
     key = record["key"]
     payload = dict(record["payload"])
-    payload["vectors"] = ["s2"]  # not in the kernel
+    _replace_last_vector(payload, [-4, 1, [0, 1]])  # s2, not in the kernel
     cache.put(key, payload)     # checksum now matches the forged payload
     code, _ = run_cli(capsys, *args)
     assert code == 4
@@ -263,8 +281,13 @@ _B2 = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--no-cache")
     _B2 + ("--max-degree", "4", "--max-columns", "-1"),
     _B2 + ("--max-degree", "-1"),
     ("hp0", "aminus", "--n", "2", "--max-degree", "-1"),
+    ("typed", "solve", "--n-max", "1", "--no-cache"),
+    ("compare", "hp0-hh0", "--n-max", "1", "--no-cache"),
+    ("series", "burgers", "--order", "0"),
+    ("series", "burgers", "--order", "-1"),
 ], ids=["n-and-n-max", "solve-workers-0", "brute-workers-0", "max-columns-negative",
-        "brute-max-degree-negative", "aminus-max-degree-negative"])
+        "brute-max-degree-negative", "aminus-max-degree-negative", "solve-n-max-1",
+        "compare-n-max-1", "burgers-order-0", "burgers-order-negative"])
 def test_invalid_option_values_exit_2(argv, capsys):
     # an option value out of range is a flag error: exit 2, nothing on stdout
     with pytest.raises(SystemExit) as exc:
@@ -319,28 +342,67 @@ def _retitle_display(payload):
     payload["display_series"] = "1 + t"
 
 
+def _replace_last_vector(payload, *new):
+    # swap the record's last [dual weight, denominator, [column, numerator,
+    # ...]] vector for `new`, with dual_weights and both series recounted
+    # from their first entries, so that only the vectors are wrong
+    vectors = payload["vectors"][:-1] + list(new)
+    dual = {}
+    for vec in vectors:
+        dual[str(vec[0])] = dual.get(str(vec[0]), 0) + 1
+    payload.update(vectors=vectors, dual_weights=dual, **_display_fields(dual))
+
+
 def _duplicate_last_vector(payload):
     # a dependent record whose counts and series are all consistent
-    ctx = svar_context(payload["n"])
-    last = payload["vectors"][-1]
-    w = str(ctx.weight_of(next(iter(parse_polynomial(last, ctx).terms))))
-    dual = dict(payload["dual_weights"], **{w: payload["dual_weights"][w] + 1})
-    payload.update(vectors=payload["vectors"] + [last], dual_weights=dual,
-                   **_display_fields(dual))
+    _replace_last_vector(payload, payload["vectors"][-1], payload["vectors"][-1])
 
 
 def _drop_last_vector(payload):
     # a record one vector short whose counts and series are all consistent
-    ctx = svar_context(payload["n"])
-    last = payload["vectors"][-1]
-    w = str(ctx.weight_of(next(iter(parse_polynomial(last, ctx).terms))))
-    dual = dict(payload["dual_weights"], **{w: payload["dual_weights"][w] - 1})
-    dual = {k: v for k, v in dual.items() if v}
-    payload.update(vectors=payload["vectors"][:-1], dual_weights=dual, **_display_fields(dual))
+    _replace_last_vector(payload)
 
 
-@pytest.mark.parametrize("edit", [_inflate_dual_weights, _retitle_display,
-                                  _duplicate_last_vector, _drop_last_vector])
+# forged last vectors of the n = 4 record, whose last vector is s1^4, the
+# one column of dual weight 0: [0, 1, [0, 1]]
+_FORGED_VECTORS = {
+    "column-out-of-range": [0, 1, [1, 1]],
+    "column-negative": [0, 1, [-1, 1]],
+    "denominator-zero": [0, 0, [0, 1]],
+    "denominator-negative": [0, -1, [0, -1]],
+    "denominator-not-coprime": [0, 2, [0, 2]],
+    "numerator-zero": [0, 1, [0, 0]],
+    "numerator-float": [0, 1, [0, 1.0]],
+    "numerator-string": [0, 1, [0, "1"]],
+    "numerator-true": [0, 1, [0, True]],
+    "column-true": [0, 1, [True, 1]],
+    "empty-vector": [0, 1, []],
+    "weight-not-a-component": [4, 1, [0, 1]],
+    "triple-too-short": [0, 1],
+    "triple-too-long": [0, 1, [0, 1], 0],
+    "pairs-odd": [0, 1, [0]],
+    "pairs-not-a-list": [0, 1, 0],
+}
+
+
+def _forge_last_vector(name):
+    def edit(payload):
+        assert payload["vectors"][-1] == [0, 1, [0, 1]]
+        _replace_last_vector(payload, _FORGED_VECTORS[name])
+    return edit
+
+
+_FORGERIES = {edit.__name__: edit for edit in (
+    _inflate_dual_weights, _retitle_display, _duplicate_last_vector, _drop_last_vector)}
+_FORGERIES.update({name: _forge_last_vector(name) for name in _FORGED_VECTORS})
+_FORGERIES["vectors-not-a-list"] = lambda payload: payload.update(vectors={})
+_FORGERIES["n-of-another-record"] = lambda payload: payload.update(n=5)
+_FORGERIES["count-not-an-int"] = lambda payload: payload.update(
+    dual_weights={w: float(d) for w, d in payload["dual_weights"].items()})
+_FORGERIES["key-added"] = lambda payload: payload.update(note="")
+
+
+@pytest.mark.parametrize("edit", list(_FORGERIES.values()), ids=list(_FORGERIES))
 def test_cache_reverifies_counts_and_series(tmp_path, capsys, edit):
     args = ("typed", "solve", "--n", "4", "--format", "json", "--cache-dir", str(tmp_path))
     code, _ = run_cli(capsys, *args)
@@ -352,7 +414,7 @@ def test_cache_reverifies_counts_and_series(tmp_path, capsys, edit):
     assert code == 4
 
 
-@pytest.mark.parametrize("prime", [3, 5])
+@pytest.mark.parametrize("prime", [2, 3, 5])
 def test_unlucky_prime_cache_reverifies(tmp_path, capsys, prime):
     # at these primes ncols - rank_p overstates some kernels; the honest
     # records must still re-verify, on load and under `cache verify`
@@ -372,7 +434,7 @@ def test_workers_reverify_cache(tmp_path, capsys):
     assert code == 0
     code, warm = run_cli(capsys, *args, "--workers", "2")
     assert code == 0 and warm == cold
-    _forge_record(tmp_path, 3, lambda payload: payload.update(vectors=["s2"]))
+    _forge_record(tmp_path, 3, lambda payload: _replace_last_vector(payload, [-8, 1, [0, 1]]))
     code, _ = run_cli(capsys, *args, "--workers", "2")
     assert code == 4
 

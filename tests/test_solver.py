@@ -1,14 +1,18 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
-from ptl.linalg import DEFAULT_PRIME
+from ptl.linalg import DEFAULT_PRIME, integer_vector
 from ptl.partitions import even_part_count, partitions
 from ptl.poly import SparsePolynomial, parse_polynomial
 from ptl.series import TruncatedEvenSeries, binom_half, compose_no_constant
 from ptl.solver import (
+    _components,
+    _xi_terms,
     component_system,
     constraint_residual,
     family_generators,
@@ -73,6 +77,68 @@ def test_xi_field_matches_series_expansion():
         q = compose_no_constant([binom_half(m) for m in range(order + 1)], inner)
         for t in range(order + 1):
             assert xi.coefficient(k + t) == (2 * (k + t) - 1) * q.coefficient(t), (k, t)
+
+
+def _binom_half_coefficient(lam):
+    """C(1/2, l) * l! / prod m_u! for the partition lam, from `binom_half`."""
+    c = binom_half(len(lam)) * math.factorial(len(lam))
+    for m in Counter(lam).values():
+        c /= math.factorial(m)
+    return c
+
+
+def _reference_system(n, weight, k_max=None):
+    """The rational assembly, kept as the reference for the integer one:
+    rows {column: Fraction} of xi_k on the component's columns after
+    s_1 = ... = s_{2k-1} = 0, with slice coefficients from `binom_half`;
+    returns (labels, rows) in the order `component_system` uses."""
+    row_index, rows, labels = {}, [], []
+    for k in range(1, (k_max if k_max is not None else n) + 1):
+        for ci, e in enumerate(_components(n).get(weight, ())):
+            low = [i + 1 for i in range(2 * k - 1) if e[i]]
+            if len(low) > 1 or (low and (low[0] < k or e[low[0] - 1] != 1)):
+                continue
+            for j in low or [j + 1 for j in range(2 * k - 1, n) if e[j]]:
+                for lam in partitions(j - k):
+                    label = list(e)
+                    label[j - 1] -= 1
+                    if lam:
+                        label[2 * k - 1] -= len(lam)
+                    for u in lam:
+                        label[2 * k + u - 1] += 1
+                    key = (k, tuple(label))
+                    if key not in row_index:
+                        row_index[key] = len(rows)
+                        rows.append({})
+                        labels.append(key)
+                    row = rows[row_index[key]]
+                    row[ci] = row.get(ci, Fraction(0)) + \
+                        e[j - 1] * (2 * j - 1) * _binom_half_coefficient(lam)
+    kept = [(label, {c: x for c, x in row.items() if x}) for label, row in zip(labels, rows)]
+    return [label for label, row in kept if row], [row for _, row in kept if row]
+
+
+def test_integer_rows_are_the_scaled_rational_rows():
+    # every row is integer_vector of the rational row, so the mod-p rank at
+    # every prime (2 included) and every lift are those of the rational rows
+    for n in range(1, 15):
+        for w in _components(n):
+            for k_max in (None, (n + 1) // 2):
+                system = component_system(n, w, k_max)
+                labels, rows = _reference_system(n, w, k_max)
+                assert system.labels == labels, (n, w, k_max)
+                assert system.rows == [integer_vector(row) for row in rows], (n, w, k_max)
+                assert all(type(x) is int for row in system.rows for x in row.values())
+
+
+def test_xi_terms_are_binom_half_times_four_to_the_t():
+    for t in range(31):
+        terms = _xi_terms(t)
+        assert len(terms) == len(list(partitions(t)))
+        for (c, ell, parts), lam in zip(terms, partitions(t)):
+            assert type(c) is int and ell == len(lam)
+            assert parts == tuple(sorted(Counter(lam).items()))
+            assert c == _binom_half_coefficient(lam) * 4 ** t, (t, lam)
 
 
 def test_kernel_small_n():
@@ -215,17 +281,21 @@ def test_recertifies_exactly_the_certified_basis():
     # kernels, and the certified basis must still recertify
     for p in (DEFAULT_PRIME, 3, 5):
         for n in (4, 6, 8):
-            vectors = kernel_basis(n, prime=p).vectors
-            assert recertifies(n, None, vectors, p)
-            assert not recertifies(n, None, vectors[:-1], p)
-            assert not recertifies(n, None, vectors + vectors[-1:], p)
-    extra = kernel_basis(8, weight=-20).vectors
+            columns = kernel_basis(n, prime=p).columns
+            w = list(columns)[-1]
+            assert recertifies(n, None, columns, p)
+            assert not recertifies(n, None, {**columns, w: columns[w][:-1]}, p)
+            assert not recertifies(n, None, {**columns, w: columns[w] + columns[w][-1:]}, p)
+    extra = kernel_basis(8, weight=-20).columns
     assert recertifies(8, -20, extra)
     assert not recertifies(8, None, extra)
     assert not recertifies(8, -16, extra)
-    ctx = svar_context(2)
-    assert not recertifies(2, None, [parse_polynomial("s2", ctx)])
-    assert not recertifies(2, None, [parse_polynomial("s1^2 + s2", ctx)])
+    # n = 2: column 0 is s1^2 at dual weight 0 and s2 at -4
+    assert recertifies(2, None, {0: [{0: 1}]})
+    assert not recertifies(2, None, {-4: [{0: 1}]})
+    assert not recertifies(2, None, {0: [{0: 1}], -4: [{0: 1}]})
+    assert not recertifies(2, None, {0: [{1: 1}]})
+    assert not recertifies(2, None, {-8: [{0: 1}]})
 
 
 def test_hh0_comparison():
