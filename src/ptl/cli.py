@@ -363,12 +363,10 @@ def cmd_strata(args) -> int:
 def cmd_series_burgers(args) -> int:
     from ptl.burgers import burgers_residual, burgers_residual_of, closed_form_witness
     if args.h0:
-        coeffs = [Fraction(c) for c in args.h0.split(",")]
-        residual = burgers_residual(TruncatedEvenSeries(coeffs), args.order,
-                                    x0=Fraction(args.x0))
+        residual = burgers_residual(TruncatedEvenSeries(args.h0), args.order, x0=args.x0)
         mode = "h0"
     else:
-        u = closed_form_witness(args.order, x0=Fraction(args.x0))
+        u = closed_form_witness(args.order, x0=args.x0)
         residual = burgers_residual_of(u).truncate(args.order)
         mode = "closed-form"
     zero = residual.is_zero()
@@ -442,12 +440,20 @@ class SystemExit2(SystemExit):
 
 
 def _word_prime(text: str) -> int:
-    """--prime: a prime below 2^31, so that the mod-p echelon's int64
-    products cannot overflow."""
+    """--prime: a prime below 2^31 (`linalg.PRIME_LIMIT`), the range the
+    certificate's prime stream is drawn from."""
     p = int(text)
     if not 2 <= p < PRIME_LIMIT or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")
     return p
+
+
+def _rational(text: str) -> Fraction:
+    """A rational option value such as -3/2 (a zero denominator is rejected)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
 def _at_least(minimum: int):
@@ -565,9 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
     bu = sesub.add_parser("burgers")
     bu.add_argument("--order", type=_at_least(1), default=6)
     bu.add_argument("--closed-form", action="store_true", help="(default mode)")
-    bu.add_argument("--h0", default=None,
+    bu.add_argument("--h0", type=lambda text: [_rational(c) for c in text.split(",")],
                     help="comma-separated coefficients of x^0, x^2, x^4, ...")
-    bu.add_argument("--x0", default="1")
+    bu.add_argument("--x0", type=_rational, default="1")
     _add_common(bu)
     bu.set_defaults(func=cmd_series_burgers)
 

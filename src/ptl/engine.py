@@ -3,7 +3,7 @@
 For each polynomial degree d the span {O^G_a, O^H_b : a + b = d + 2, a >= 1}
 is generated column by column from invariant orbit-sum bases, and the entry
 reported is dim O^H_d minus the certified rank of that span.  Columns are
-streamed through a mod-p echelon (kept in RREF) first; a full modular rank
+streamed through a sparse mod-p echelon first; a full modular rank
 certifies itself, and a deficit is certified over Q before being reported:
 the quotient functionals (the nullspace of the columns, one per non-lead
 row) are lifted off the same echelon by `linalg.certified_nullspace`, the

@@ -13,25 +13,25 @@ re-certified before any dimension is reported:
   every vector is checked in exact integer arithmetic against every input
   vector.
 
-The incremental echelon below is kept fully reduced (RREF), so reducing an
-incoming sparse vector costs one small matrix-vector product against the
-stored pivot rows, and the mod-p nullspace can be read off directly.
+The incremental echelon below is pure Python and sparse: its rows are
+dicts keyed by their leads and are not reduced against each other, an
+incoming vector is eliminated lead by lead with its reduction mod p delayed,
+and the mod-p nullspace is back-substituted in descending lead order.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-import numpy as np
-
-# Default word-sized prime: small enough that dot products of any realistic
-# length accumulate in int64 without overflow, large enough for reliable
-# rank filtering.  All reported dimensions are certified over Q regardless.
+# Default prime: large enough for reliable rank filtering, small enough that
+# residue products stay short Python ints.  All reported dimensions are
+# certified over Q regardless.
 DEFAULT_PRIME = 1048573
 
-# Moduli of the mod-p echelon stay below 2^31: then (p - 1)^2 < 2^62, so
-# every product and difference fits in int64 (larger p would silently wrap).
+# Moduli of the mod-p echelon stay below 2^31, the range `_prime_stream`
+# draws from and well inside the one where `is_prime` is exact.
 PRIME_LIMIT = 2 ** 31
 
 
@@ -61,11 +61,13 @@ def is_prime(n: int) -> bool:
 
 
 class IncrementalModEchelon:
-    """Streaming RREF over F_p for sparse vectors of a fixed length.
+    """Streaming sparse echelon over F_p for vectors of a fixed length.
 
-    Vectors arrive as {coordinate: int} dicts; each is reduced in a single
-    pass against the stored reduced echelon.  Tracks the pivot (lead)
-    coordinate of each stored row.
+    Vectors arrive as {coordinate: int} dicts.  Each stored row is a dict
+    keyed by its lead (its smallest coordinate) in `rows`; the lead's entry,
+    1, is implicit, and the other entries are reduced mod p.  Rows are not
+    reduced against each other: the set of leads is already fixed by the
+    row space, and the nullspace back-substitutes in descending lead order.
     """
 
     def __init__(self, length: int, p: int = DEFAULT_PRIME):
@@ -73,84 +75,70 @@ class IncrementalModEchelon:
             raise ValueError(f"modulus {p} is outside [2, 2^31)")
         self.length = length
         self.p = p
-        self.rank = 0
-        self._cap = 16
-        self.matrix = np.zeros((self._cap, max(length, 1)), dtype=np.int64)
-        self.leads: list[int] = []
-        self.lead_of_coord: dict[int, int] = {}
-        # largest number of products safely accumulated in int64
-        self.chunk = max(1, (2 ** 63 - 1) // max((p - 1) ** 2, 1))
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def _matvec(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if len(coeffs) <= self.chunk:
-            return coeffs @ rows % self.p
-        acc = np.zeros(rows.shape[1], dtype=np.int64)
-        for i in range(0, len(coeffs), self.chunk):
-            acc = (acc + coeffs[i:i + self.chunk] @ rows[i:i + self.chunk]) % self.p
-        return acc
-
-    def reduce(self, vec: dict) -> np.ndarray:
-        """Fully reduce a vector against the echelon (mod p), as a dense array."""
-        p = self.p
-        dense = np.zeros(self.length, dtype=np.int64)
-        hits = []
-        for coord, val in vec.items():
-            v = val % p
-            dense[coord] = v
-            idx = self.lead_of_coord.get(coord)
-            if idx is not None and v:
-                hits.append(idx)
-        if hits:
-            hits.sort()
-            rows = self.matrix[hits]
-            coeffs = dense[[self.leads[i] for i in hits]]
-            dense = (dense - self._matvec(coeffs, rows)) % p
-        return dense
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
     def add(self, vec: dict) -> bool:
-        """Insert a vector; returns True when it increased the rank."""
-        dense = self.reduce(vec)
-        nz = np.nonzero(dense)[0]
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        inv = pow(int(dense[lead]), -1, self.p)
-        dense = dense * inv % self.p
-        if self.rank:
-            col = self.matrix[:self.rank, lead].copy()
-            touched = np.nonzero(col)[0]
-            if touched.size:
-                self.matrix[touched] = (
-                    self.matrix[touched] - np.outer(col[touched], dense)) % self.p
-        if self.rank == self._cap:
-            self._cap *= 2
-            grown = np.zeros((self._cap, max(self.length, 1)), dtype=np.int64)
-            grown[:self.rank] = self.matrix[:self.rank]
-            self.matrix = grown
-        self.matrix[self.rank] = dense
-        self.leads.append(lead)
-        self.lead_of_coord[lead] = self.rank
-        self.rank += 1
-        return True
+        """Insert a vector; returns True when it increased the rank.
 
-    def nullspace_modp(self) -> dict[int, dict[int, int]]:
-        """Basis of {x : v . x = 0 for every stored v} mod p, keyed by free
-        (non-lead) coordinate f: x_f = 1, 0 at the other free coordinates."""
-        basis = {}
-        for f in range(self.length):
-            if f in self.lead_of_coord:
+        The smallest coordinate left is eliminated until it is not a lead.
+        Reduction mod p is delayed: entries accumulate as Python ints and
+        only the coordinate being eliminated, and the row being stored,
+        are reduced.
+        """
+        p, rows, vec = self.p, self.rows, dict(vec)
+        heap = list(vec)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            a = vec.pop(lead) % p
+            if not a:
                 continue
-            vec = {f: 1}
-            col = self.matrix[:self.rank, f]
-            for i in np.nonzero(col)[0]:
-                vec[self.leads[int(i)]] = int(-col[int(i)]) % self.p
-            basis[f] = vec
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(a, -1, p)
+                rows[lead] = {c: x for c, v in vec.items() if (x := v * inv % p)}
+                return True
+            a = p - a
+            for c, v in row.items():
+                old = vec.get(c)
+                if old is None:
+                    vec[c] = a * v
+                    heappush(heap, c)
+                else:
+                    vec[c] = old + a * v
+        return False
+
+    def nullspace_modp(self, free=None) -> dict[int, dict[int, int]]:
+        """Basis of {x : v . x = 0 for every stored v} mod p, keyed by free
+        (non-lead) coordinate f: x_f = 1, 0 at the other free coordinates.
+        `free` restricts the basis to those free coordinates."""
+        p, rows = self.p, self.rows
+        if free is None:
+            free = (f for f in range(self.length) if f not in rows)
+        basis = {f: {f: 1} for f in sorted(free)}
+        # x[lead]: the lead coordinate's entry in each basis vector
+        x: dict[int, dict[int, int]] = {}
+        for lead in sorted(rows, reverse=True):
+            acc: dict[int, int] = {}
+            for c, v in rows[lead].items():
+                if c in x:
+                    for f, y in x[c].items():
+                        acc[f] = acc.get(f, 0) - v * y
+                elif c in basis:
+                    acc[c] = acc.get(c, 0) - v
+            x[lead] = {f: r for f, s in acc.items() if (r := s % p)}
+            for f, r in x[lead].items():
+                basis[f][lead] = r
         return basis
 
     def shape(self) -> tuple:
         """Smaller is luckier: higher rank first, then lexicographically
         earlier leads (a prime can only lose rank or delay leads)."""
-        return -self.rank, sorted(self.leads)
+        return -self.rank, sorted(self.rows)
 
 
 def integer_vector(vec: dict) -> dict:
@@ -270,7 +258,8 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
     vectors (x_f = 1 at their own non-lead coordinate f) are lifted by CRT
     over `_prime_stream`; after each prime every pending vector is
     rationally reconstructed and checked in exact integer arithmetic
-    against every input vector, and kept once it passes.  A stream prime
+    against every input vector, and kept once it passes (later primes
+    back-substitute only the pending free coordinates).  A stream prime
     of lower rank or later leads (`IncrementalModEchelon.shape`) is
     skipped; a luckier one restarts the lift from its own nullspace.
 
@@ -297,7 +286,7 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
         if nxt.shape() < shape:
             shape, pending, modulus, found = nxt.shape(), nxt.nullspace_modp(), nxt.p, {}
         else:
-            pending = _crt(pending, modulus, nxt.nullspace_modp(), nxt.p)
+            pending = _crt(pending, modulus, nxt.nullspace_modp(pending), nxt.p)
             modulus *= nxt.p
 
 

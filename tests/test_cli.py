@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ptl
 from ptl.cache import ResultCache, code_version
 from ptl.cli import _display_fields, main
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
@@ -285,15 +289,20 @@ _B2 = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--no-cache")
     ("compare", "hp0-hh0", "--n-max", "1", "--no-cache"),
     ("series", "burgers", "--order", "0"),
     ("series", "burgers", "--order", "-1"),
+    ("series", "burgers", "--x0", "1/0"),
+    ("series", "burgers", "--h0", "1,1/0"),
 ], ids=["n-and-n-max", "solve-workers-0", "brute-workers-0", "max-columns-negative",
         "brute-max-degree-negative", "aminus-max-degree-negative", "solve-n-max-1",
-        "compare-n-max-1", "burgers-order-0", "burgers-order-negative"])
+        "compare-n-max-1", "burgers-order-0", "burgers-order-negative",
+        "burgers-x0-zero-denominator", "burgers-h0-zero-denominator"])
 def test_invalid_option_values_exit_2(argv, capsys):
     # an option value out of range is a flag error: exit 2, nothing on stdout
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
 
 
 def test_certification_failure_exit_5(monkeypatch, capsys):
@@ -454,3 +463,15 @@ def test_hp0_brute_degree_16_reference(group, capsys):
         assert {d // 4: v for d, v in dims.items() if v} == \
             {e: c for e, c in bn_hilbert(4).items() if 4 * e <= 16}
         assert all(d % 4 == 0 for d, v in dims.items() if v)
+
+
+def test_stdlib_only():
+    # ptl has no runtime dependency, and the CLI imports no numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
+    probe = "import sys, ptl.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"].get("dependencies", []) == []

@@ -34,6 +34,73 @@ def test_prime_stream_descends_and_skips():
     assert next(linalg._prime_stream(2147483647)) == 2147483629
 
 
+def _random_vectors(rng, length, count):
+    """Sparse integer dicts with entries up to 2^64 in size, explicit zeros,
+    keys in random order, and some integer combinations of earlier ones."""
+    vectors = []
+    for _ in range(count):
+        if vectors and rng.random() < 0.3:
+            acc = {}
+            for vec in rng.sample(vectors, rng.randint(1, min(3, len(vectors)))):
+                k = rng.randint(-5, 5)
+                for c, v in vec.items():
+                    acc[c] = acc.get(c, 0) + k * v
+        else:
+            acc = {c: rng.choice((0, rng.randint(-3, 3), rng.randint(-2 ** 64, 2 ** 64)))
+                   for c in rng.sample(range(length), rng.randint(0, length))}
+        keys = list(acc)
+        rng.shuffle(keys)
+        vectors.append({c: acc[c] for c in keys})
+    return vectors
+
+
+def _dense_reference(vectors, length, p):
+    """Whether each vector raised the rank, and the sorted pivot columns, by
+    dense Gauss-Jordan elimination mod p (pivot: first nonzero column)."""
+    pivots = {}  # pivot column -> reduced dense row, 1 there, 0 at other pivots
+    grew = []
+    for vec in vectors:
+        row = [0] * length
+        for c, v in vec.items():
+            row[c] = v % p
+        for c, piv in pivots.items():
+            row = [(x - row[c] * y) % p for x, y in zip(row, piv)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        grew.append(lead is not None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            row = [x * inv % p for x in row]
+            for c, piv in pivots.items():
+                pivots[c] = [(x - piv[lead] * y) % p for x, y in zip(piv, row)]
+            pivots[lead] = row
+    return grew, sorted(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573, 2 ** 31 - 1])
+def test_sparse_echelon_matches_dense_reference(rng, p):
+    for _ in range(60):
+        length = rng.randint(1, 12)
+        vectors = _random_vectors(rng, length, rng.randint(0, 2 * length))
+        copies = [dict(vec) for vec in vectors]
+        ech = IncrementalModEchelon(length, p)
+        grew = [ech.add(vec) for vec in vectors]
+        assert vectors == copies
+        ref_grew, ref_leads = _dense_reference(vectors, length, p)
+        assert grew == ref_grew  # False exactly on the dependent vectors
+        assert ech.rank == len(ref_leads)
+        assert ech.shape() == (-len(ref_leads), ref_leads)
+        free = [f for f in range(length) if f not in ref_leads]
+        basis = ech.nullspace_modp()
+        assert list(basis) == free
+        for f, x in basis.items():
+            assert all(x.get(g, 0) == (g == f) for g in free)
+            assert all(0 < v < p for v in x.values())
+            for vec in vectors:
+                assert sum(v * x.get(c, 0) for c, v in vec.items()) % p == 0
+        subset = rng.sample(free, rng.randint(0, len(free)))
+        assert ech.nullspace_modp(subset) == {f: basis[f] for f in sorted(subset)}
+
+
 def _echelon(vectors, length, p):
     ech = IncrementalModEchelon(length, p)
     for vec in vectors:
@@ -93,8 +160,9 @@ def test_unlucky_primes():
 
 def test_annihilated_checks_each_vector_exactly():
     rows = [{0: 1, 1: 2}, {2: 3}]
-    # the second vector passes the first row in Python ints beyond int64
-    # and fails the second row; the empty vector is trivially annihilated
+    # the second vector passes the first row only in exact arithmetic on
+    # entries beyond 2^64, and fails the second row; the empty vector is
+    # trivially annihilated
     assert annihilated(rows, [{0: 2, 1: -1}, {0: 2 ** 70, 1: -2 ** 69, 2: 1}, {}]) == [
         True, False, True]
     assert annihilated([], [{0: 5}]) == [True]
