@@ -117,11 +117,6 @@ class BiSeries:
         r.terms = {k: c for k, c in self.terms.items() if k[0] + k[1] < order}
         return r
 
-    def valuation(self) -> int:
-        if not self.terms:
-            return self.order
-        return min(i + j for i, j in self.terms)
-
     def __repr__(self):
         return f"<biseries {sorted(self.terms.items())}>"
 

@@ -6,10 +6,12 @@ counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
 --prime that is not a prime below 2^31, --workers below 1, --n-max below 2,
-a series --order below 1, a negative --max-degree or --max-columns, and --n
-given with --n-max), 3 resource guardrail exceeded (partial result is still
-printed), 4 cache corruption, 5 a kernel that could not be certified over Q
-or an internal check (AssertionError) that failed, with one line on stderr.
+a series --order below 1, a negative --max-degree or --max-columns, --n
+given with --n-max, and a --cache-dir or $PTL_CACHE_DIR that cannot be
+made a directory), 3 resource guardrail exceeded (the degrees computed
+before it are still printed, with a truncation marker), 4 cache
+corruption, 5 a kernel that could not be certified over Q or an internal
+check (AssertionError) that failed, with one line on stderr.
 --workers N runs on a process pool whose workers read, re-verify and write
 the cache exactly as a serial run does.  Only typed-solver payloads are
 cached, each basis vector as integers over its component's columns
@@ -80,7 +82,10 @@ def _cache_from_args(args) -> ResultCache:
     if getattr(args, "no_cache", False):
         return ResultCache(None)
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
-    return ResultCache(cache_dir)
+    try:
+        return ResultCache(cache_dir)
+    except OSError as exc:
+        raise SystemExit2(f"unusable cache directory {cache_dir}: {exc.strerror}") from None
 
 
 # -- typed solve ---------------------------------------------------------------
@@ -217,9 +222,7 @@ def cmd_hp0_brute(args) -> int:
     exit_code = 0
     try:
         table = hp0_graded_dims(problem, args.max_degree, prime=args.prime,
-                                certify=args.certify, max_columns=args.max_columns,
-                                generator_mode=args.generator_mode,
-                                workers=args.workers)
+                                max_columns=args.max_columns, workers=args.workers)
     except GuardrailExceeded as exc:
         table = exc.table
         sys.stderr.write(f"guardrail: {exc}; partial table follows\n")
@@ -235,10 +238,11 @@ def _write_hp0_table(payload: dict, fmt: str):
         sys.stdout.write(_emit_json(doc))
         return
     dims = payload["dims"]
+    # a truncated table holds only the degrees below the one that hit the guardrail
+    end = payload.get("truncated_at_degree", payload["max_degree"] + 1)
+    pairs = [(d, dims.get(str(d), 0)) for d in range(end)]
     if fmt == "csv":
-        rows = [("degree", "dim")] + [(d, dims.get(str(d), 0))
-                                      for d in range(payload["max_degree"] + 1)]
-        sys.stdout.write(_csv_lines(rows))
+        sys.stdout.write(_csv_lines([("degree", "dim")] + pairs))
         return
     if fmt == "latex":
         table = GradedDimensionTable({int(k): v for k, v in dims.items()})
@@ -247,9 +251,10 @@ def _write_hp0_table(payload: dict, fmt: str):
             table = table.reindexed(lambda d: d // 4)
         sys.stdout.write(f"${payload['group']}_{{{payload['n']}}}$ & "
                          f"${table.series(latex=True)}$ \\\\\n")
+        if payload.get("truncated"):
+            sys.stdout.write(f"% truncated at degree {end}\n")
         return
-    pairs = [(d, dims.get(str(d), 0)) for d in range(payload["max_degree"] + 1)]
-    note = " (truncated)" if payload.get("truncated") else ""
+    note = f" (truncated at degree {end})" if payload.get("truncated") else ""
     sys.stdout.write(f"# HP0 dims for {payload['group']}(n={payload['n']})"
                      f" through degree {payload['max_degree']}{note}\n")
     sys.stdout.write(_table_lines(pairs, ("degree", "dim")))
@@ -509,10 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     brute.add_argument("--max-degree", type=_at_least(0), required=True)
     brute.add_argument("--subgroup", default="full",
                        choices=("full", "last-point-stabilizer", "ambient"))
-    brute.add_argument("--certify", choices=("fast", "always"), default="fast")
     brute.add_argument("--max-columns", type=_at_least(0), default=None)
     brute.add_argument("--workers", type=_at_least(1), default=1)
-    brute.add_argument("--generator-mode", action="store_true")
     _add_common(brute, cacheable=True, prime=True)
     brute.set_defaults(func=cmd_hp0_brute)
     aminus = hsub.add_parser("aminus")
@@ -570,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     sesub = series.add_subparsers(dest="subcommand", required=True)
     bu = sesub.add_parser("burgers")
     bu.add_argument("--order", type=_at_least(1), default=6)
-    bu.add_argument("--closed-form", action="store_true", help="(default mode)")
     bu.add_argument("--h0", type=lambda text: [_rational(c) for c in text.split(",")],
                     help="comma-separated coefficients of x^0, x^2, x^4, ...")
     bu.add_argument("--x0", type=_rational, default="1")

@@ -46,11 +46,6 @@ class VariableContext:
         except KeyError:
             raise KeyError(f"unknown variable {name!r} in {self.kind} context") from None
 
-    def localize(self, name: str) -> "VariableContext":
-        """Same ring with `name` declared as the localization variable."""
-        return VariableContext(self.kind, self.names, self.degrees, self.weights,
-                               localized=self.var_index(name))
-
     def degree_of(self, exponents) -> int:
         return sum(e * d for e, d in zip(exponents, self.degrees))
 

@@ -2,12 +2,18 @@
 
 For each polynomial degree d the span {O^G_a, O^H_b : a + b = d + 2, a >= 1}
 is generated column by column from invariant orbit-sum bases, and the entry
-reported is dim O^H_d minus the certified rank of that span.  Columns are
-streamed through a sparse mod-p echelon first; a full modular rank
-certifies itself, and a deficit is certified over Q before being reported:
-the quotient functionals (the nullspace of the columns, one per non-lead
-row) are lifted off the same echelon by `linalg.certified_nullspace`, the
-core shared with the solver, and checked exactly against every column.
+reported is dim O^H_d minus the certified rank of that span.  Each cell
+has one column set and one certificate.  The columns are streamed through
+a sparse mod-p echelon; a full modular rank certifies itself, and a
+deficit is certified over Q before being reported: the quotient
+functionals (the nullspace of the columns, one per non-lead row) are
+lifted off the same echelon by `linalg.certified_nullspace`, the core
+shared with the solver, and checked exactly against every column.
+The first slot runs over the whole basis of O^G_a, never over a set of
+algebra generators: the power sums generate O^G for S_n and B_n, but for
+D_n no Poisson-generation statement is known, and A_+ times the n + 1
+polarizations of x1...xn does not even span the all-odd sector (for D_4
+in degree 6, 3 x 5 products against dimension 16).
 Degree 0 needs no special casing: the empty bracket span is {0} unless 1
 is literally a bracket, as happens for Darboux structures whose group
 fixes a Darboux pair.
@@ -61,7 +67,6 @@ from ptl.weyl import (
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
-    restrict_to_zero_sum,
 )
 
 SUBGROUP_KINDS = ("full", "last-point-stabilizer", "ambient")
@@ -122,50 +127,17 @@ def _h_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
     return tuple({e: 1} for e in monomials_of_degree(2 * spec.pairs, degree))
 
 
-def _g_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
-    return invariant_basis_raw(problem.spec, degree)
-
-
-def _power_sum_generators(problem: BracketSpanProblem, degree: int) -> list[dict]:
-    """Orbit sums of x1^a y1^b (an algebra generating set of O^G by degree).
-
-    Used by the optional generator-reduction mode: since O^G is Poisson
-    generated by any algebra generating set (plus y1...yn in type D), the
-    span {O^G, O^H} may restrict its first slot to these elements.
-    """
-    spec = problem.spec
-    m = spec.pairs
-    if spec.family == "symmetric-reflection":
-        # restrictions of the power sums of C^{2n}
-        n = spec.n
-        orbits = [{e: 1 for e in _sn_orbit((a,) + (0,) * m + (degree - a,) + (0,) * m, n)}
-                  for a in range(degree, -1, -1)]
-        return [p for p in restrict_to_zero_sum(n, degree, orbits) if p]
-    out = []
-    if degree % 2 == 0 or spec.family == "symmetric-full":
-        for a in range(degree, -1, -1):
-            b = degree - a
-            expo = [0] * (2 * m)
-            expo[0], expo[m] = a, b
-            out.append({e: 1 for e in _sn_orbit(tuple(expo), m)})
-    if spec.family == "demihyperoctahedral" and degree == spec.n:
-        out.append({(0,) * m + (1,) * m: 1})  # y1 y2 ... yn
-    return out
-
-
 # -- one degree cell ----------------------------------------------------------
 
-def _column_pairs(problem: BracketSpanProblem, degree: int, generator_mode: bool):
+def _column_pairs(problem: BracketSpanProblem, degree: int):
     """Degree splits (a, b), low a first; for H = G only a <= b is needed."""
-    half = problem.subgroup == "full" and not generator_mode
+    half = problem.subgroup == "full"
     return [(a, degree + 2 - a) for a in range(1, degree + 2)
             if not half or 2 * a <= degree + 2]
 
 
 def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
-                    prime: int = DEFAULT_PRIME, certify: str = "fast",
-                    max_columns: int | None = None,
-                    generator_mode: bool = False) -> int:
+                    prime: int = DEFAULT_PRIME, max_columns: int | None = None) -> int:
     """Certified dim O^H_d - rank {O^G, O^H}_d for one degree."""
     hbasis = _h_basis_raw(problem, degree)
     dim = len(hbasis)
@@ -177,9 +149,8 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
         row_index = {max(vec): i for i, vec in enumerate(hbasis)}
     else:
         row_index = {e: i for i, e in enumerate(monomials_of_degree(2 * spec.pairs, degree))}
-    gb = _power_sum_generators if generator_mode else _g_basis_raw
-    blocks = ((gb(problem, a), _h_basis_raw(problem, b))
-              for a, b in _column_pairs(problem, degree, generator_mode))
+    blocks = ((invariant_basis_raw(spec, a), _h_basis_raw(problem, b))
+              for a, b in _column_pairs(problem, degree))
     if max_columns is not None:
         blocks = list(blocks)
         n_cols = sum(len(us) * len(vs) for us, vs in blocks)
@@ -187,7 +158,7 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
             raise GuardrailExceeded(
                 f"degree {degree} needs {n_cols} columns (> {max_columns})", None)
     columns = _bracket_columns(blocks, problem.structure(), row_index, fold)
-    return dim - _certified_rank(columns, len(row_index), dim, prime=prime, certify=certify)
+    return dim - _certified_rank(columns, len(row_index), dim, prime=prime)
 
 
 def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold: bool):
@@ -214,19 +185,13 @@ def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold:
                     yield col
 
 
-def _certified_rank(columns, length: int, dim: int, *, prime: int, certify: str) -> int:
+def _certified_rank(columns, length: int, dim: int, *, prime: int) -> int:
     """Rank over Q of streamed integer columns whose rank is at most dim.
 
     The mod-p echelon stops at full rank, which certifies itself; on a
     deficit the rank is length minus the dimension of the exact nullspace
     that `certified_nullspace` lifts off the same echelon.
-    certify="always" is the rational reference path.
     """
-    if certify == "always":
-        ech = SparseRationalEchelon()
-        for col in columns:
-            ech.add({k: Fraction(v) for k, v in col.items()})
-        return ech.rank
     ech = IncrementalModEchelon(length, prime)
     stored: list[dict] = []
     for col in columns:
@@ -240,9 +205,7 @@ def _certified_rank(columns, length: int, dim: int, *, prime: int, certify: str)
 # -- public operations ---------------------------------------------------------
 
 def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
-                    prime: int = DEFAULT_PRIME, certify: str = "fast",
-                    max_columns: int | None = None,
-                    generator_mode: bool = False,
+                    prime: int = DEFAULT_PRIME, max_columns: int | None = None,
                     workers: int = 1) -> GradedDimensionTable:
     """Graded dimension table of HP0(O^G, O^H) through the given degree.
 
@@ -255,8 +218,7 @@ def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
     if problem.subgroup != "full":
         meta["subgroup"] = problem.subgroup
     degrees = range(max_degree + 1)
-    task = functools.partial(_cell_task, problem, prime=prime, certify=certify,
-                             max_columns=max_columns, generator_mode=generator_mode)
+    task = functools.partial(_cell_task, problem, prime=prime, max_columns=max_columns)
     entries: dict[int, int] = {}
     pool = None
     if workers > 1:
@@ -308,7 +270,7 @@ def check_aminus_identity(n: int, max_degree: int, *,
                    invariant_basis_raw(spec, d + 2 - a, sector="-"))
                   for a in range(2, d + 2, 2))
         rank = _certified_rank(_bracket_columns(blocks, structure, row_index, True), dim, dim,
-                               prime=prime, certify="fast")
+                               prime=prime)
         report[d] = "pass" if rank == dim else "fail"
     return report
 
@@ -337,9 +299,9 @@ def bracket_membership(f: SparsePolynomial, problem: BracketSpanProblem) -> Memb
     ech = SparseRationalEchelon(track=True)
     tags: dict = {}
     ctx = structure.context
-    for a, b in _column_pairs(problem, degree, False):
+    for a, b in _column_pairs(problem, degree):
         us = [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
-              for d in _g_basis_raw(problem, a)]
+              for d in invariant_basis_raw(problem.spec, a)]
         vs = [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
               for d in _h_basis_raw(problem, b)]
         for iu, u in enumerate(us):

@@ -1,9 +1,9 @@
 """Exact sparse rank and nullspace machinery.
 
-The fast path is Gaussian elimination over a word-sized prime field; the
-slow path is exact rational arithmetic.  Modular rank can only undercount
-(reduction mod p preserves dependencies), so a modular result is always
-re-certified before any dimension is reported:
+The solver and the engine rank their systems by Gaussian elimination over
+a word-sized prime field.  Modular rank can only undercount (reduction mod p preserves
+dependencies), so a modular result is always re-certified before any
+dimension is reported:
 
 * full modular rank certifies itself (independence mod p implies
   independence over Q);
@@ -11,7 +11,14 @@ re-certified before any dimension is reported:
   core shared by the solver and the engine: the mod-p nullspace is lifted
   by CRT over a stream of word-sized primes, rationally reconstructed, and
   every vector is checked in exact integer arithmetic against every input
-  vector.
+  vector.  The lift provably succeeds before its modulus passes twice the
+  square of the input's Hadamard bound.
+
+Exact rational elimination (`SparseRationalEchelon`) serves small jobs
+that need the row combinations or a greedy independent subset: membership
+certificates, family spans and the reflection invariant bases.
+`rational_nullspace` is the reference that tests hold `certified_nullspace`
+to.
 
 The incremental echelon below is pure Python and sparse: its rows are
 dicts keyed by their leads and are not reduced against each other, an
@@ -232,7 +239,8 @@ class SparseRationalEchelon:
 
 def rational_nullspace(vectors: list[dict], length: int) -> list[dict]:
     """Exact nullspace basis by rational elimination, one vector per non-lead
-    coordinate f with x_f = 1 (the last resort of `certified_nullspace`)."""
+    coordinate f with x_f = 1: the reference that tests hold
+    `certified_nullspace` to."""
     ech = SparseRationalEchelon()
     for vec in vectors:
         ech.add({c: Fraction(v) for c, v in vec.items()})
@@ -266,10 +274,16 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
     Certificate: the length - rank_p returned vectors are independent by
     their shape, so rank_Q <= rank_p; and rank_Q >= rank_p for integer
     vectors.  So they are a basis of the rational nullspace, normalized as
-    in `rational_nullspace`.  Every entry of that basis is a ratio of
-    minors bounded by the Hadamard bound H of the input, so a lift of the
-    right shape succeeds before its modulus passes 2 H^2; past that bound
-    the result is settled by `rational_nullspace`.
+    in `rational_nullspace`.
+
+    Termination: let H be the Hadamard bound of the input.  A prime gives
+    a shape other than the rational one only if it divides one fixed
+    nonzero maximal minor, so the product of the primes of a wrong shape
+    is at most H, and once the modulus passes 2 H^2 the current shape is
+    the rational one.  Every entry of the rational basis is then a ratio
+    of minors of absolute value at most H, which Wang's reconstruction
+    recovers at that modulus.  So a lift still pending past the bound, or
+    when the prime stream runs out, is a bug: AssertionError.
     """
     bits = sum((sum(v * v for v in vec.values()).bit_length() + 1) // 2 for vec in vectors)
     primes = _prime_stream(ech.p)
@@ -279,10 +293,11 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
         pending = {f: res for f, res in pending.items() if f not in found}
         if not pending:
             return [found[f] for f in sorted(found)]
-        past_bound = modulus.bit_length() > 2 * bits + 1
-        nxt = None if past_bound else _lucky_echelon(primes, ech.length, vectors, shape)
+        if modulus.bit_length() > 2 * bits + 1:
+            raise AssertionError("nullspace lift passed the Hadamard bound uncertified")
+        nxt = _lucky_echelon(primes, ech.length, vectors, shape)
         if nxt is None:
-            return rational_nullspace(vectors, ech.length)
+            raise AssertionError("prime stream ran out before the nullspace lift")
         if nxt.shape() < shape:
             shape, pending, modulus, found = nxt.shape(), nxt.nullspace_modp(), nxt.p, {}
         else:

@@ -33,13 +33,6 @@ class PoissonStructure:
         """Number of surviving (x_i, y_i) variable pairs."""
         return self.n if self.kind == "darboux" else self.n - 1
 
-    def bracket_xy(self, i: int, j: int) -> Fraction:
-        """{x_i, y_j} for 1-based i, j among the surviving pairs."""
-        delta = Fraction(1) if i == j else Fraction(0)
-        if self.kind == "darboux":
-            return delta
-        return delta - Fraction(1, self.n)
-
 
 def darboux_structure(n: int) -> PoissonStructure:
     return PoissonStructure("darboux", n, darboux_context(n))

@@ -233,18 +233,6 @@ class SparsePolynomial:
             buckets.setdefault(self.context.weight_of(expo), {})[expo] = c
         return {w: SparsePolynomial._raw(self.context, t) for w, t in sorted(buckets.items())}
 
-    # -- substitution ----------------------------------------------------
-
-    def subs_zero(self, names) -> "SparsePolynomial":
-        """Set the given variables to zero (drop every term they divide)."""
-        idx = [self.context.var_index(n) for n in names]
-        out = {}
-        for expo, c in self.terms.items():
-            if any(expo[i] != 0 for i in idx):
-                continue
-            out[expo] = c
-        return SparsePolynomial._raw(self.context, out)
-
     # -- canonical text form ----------------------------------------------
 
     def sorted_terms(self):

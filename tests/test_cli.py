@@ -68,6 +68,44 @@ def test_guardrail_exit_3(capsys):
     assert doc["truncated"] is True
 
 
+def test_truncated_table_prints_only_computed_degrees(capsys):
+    # B_2 stops at degree 4; degrees 4..8 were never computed (dim 4 is 1)
+    argv = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "8",
+            "--max-columns", "10", "--no-cache", "--format")
+    code, out = run_cli(capsys, *argv, "json")
+    assert code == 3 and json.loads(out)["truncated_at_degree"] == 4
+    code, out = run_cli(capsys, *argv, "table")
+    assert code == 3
+    assert out.splitlines()[0].endswith("through degree 8 (truncated at degree 4)")
+    assert out.splitlines()[2:] == [f"     {d}  {v}" for d, v in enumerate((1, 0, 0, 0))]
+    code, out = run_cli(capsys, *argv, "csv")
+    assert code == 3 and out == "degree,dim\n0,1\n1,0\n2,0\n3,0\n"
+    code, out = run_cli(capsys, *argv, "latex")
+    assert code == 3 and out == "$hyperoctahedral_{2}$ & $1$ \\\\\n% truncated at degree 4\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("typed", "solve", "--n", "3"),
+    ("cache", "info"),
+    ("cache", "verify"),
+    ("cache", "clear"),
+    ("compare", "hp0-hh0", "--n-max", "3"),
+    ("strata", "type-d", "--n", "3"),
+], ids=["typed-solve", "cache-info", "cache-verify", "cache-clear", "compare", "strata-type-d"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_cache_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, command, via_env):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    if via_env:
+        monkeypatch.setenv("PTL_CACHE_DIR", str(path))
+        code = main(list(command))
+    else:
+        code = main(list(command) + ["--cache-dir", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: unusable cache directory") and err.count("\n") == 1
+
+
 def test_cache_roundtrip_and_byte_identical(tmp_path, capsys):
     args = ("typed", "solve", "--n", "4", "--format", "json",
             "--cache-dir", str(tmp_path))
@@ -108,7 +146,7 @@ def test_hp0_ignores_forged_cache_record(tmp_path, capsys):
     # a re-checksummed hp0 record claiming dim 7 at degree 4 is never served
     key = {"module": "hp0-engine", "group": "hyperoctahedral", "n": 2,
            "subgroup": "full", "max_degree": 6, "prime": DEFAULT_PRIME,
-           "certify": "fast", "generator_mode": False, "code": code_version()}
+           "code": code_version()}
     payload = hp0_graded_dims(BracketSpanProblem(GroupSpec("hyperoctahedral", 2)),
                               6).to_json_dict()
     payload["dims"]["4"] = 7
@@ -291,10 +329,14 @@ _B2 = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--no-cache")
     ("series", "burgers", "--order", "-1"),
     ("series", "burgers", "--x0", "1/0"),
     ("series", "burgers", "--h0", "1,1/0"),
+    _B2 + ("--max-degree", "4", "--certify", "always"),
+    _B2 + ("--max-degree", "4", "--generator-mode"),
+    ("series", "burgers", "--closed-form"),
 ], ids=["n-and-n-max", "solve-workers-0", "brute-workers-0", "max-columns-negative",
         "brute-max-degree-negative", "aminus-max-degree-negative", "solve-n-max-1",
         "compare-n-max-1", "burgers-order-0", "burgers-order-negative",
-        "burgers-x0-zero-denominator", "burgers-h0-zero-denominator"])
+        "burgers-x0-zero-denominator", "burgers-h0-zero-denominator",
+        "retired-certify", "retired-generator-mode", "retired-closed-form"])
 def test_invalid_option_values_exit_2(argv, capsys):
     # an option value out of range is a flag error: exit 2, nothing on stdout
     with pytest.raises(SystemExit) as exc:
@@ -328,6 +370,16 @@ def test_assertion_error_exit_5(monkeypatch, capsys):
     assert code == 5
     assert captured.out == ""
     assert captured.err == "internal check failed: conjugation left the locus\n"
+
+
+def test_uncertifiable_lift_exits_5(monkeypatch, capsys):
+    # with no reconstruction ever succeeding, the lift of this deficit
+    # component passes its Hadamard bound: an internal check, not an answer
+    monkeypatch.setattr("ptl.linalg.rational_reconstruct", lambda a, m: None)
+    code = main(["typed", "solve", "--n", "8", "--weight", "-20", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("internal check failed:")
 
 
 def _forge_record(cache_dir, n, edit):

