@@ -26,17 +26,22 @@ from ptl.tables import GradedDimensionTable
 
 
 def partitions(n: int, max_part: int | None = None):
-    """Yield partitions of n as weakly decreasing tuples."""
-    if n < 0:
-        return
-    if max_part is None:
-        max_part = n
+    """Yield the partitions of n with parts at most `max_part` (default n),
+    weakly decreasing, in reverse lexicographic order: each next one lowers
+    the last part above 1 by one and refills the rest greedily."""
     if n == 0:
         yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    a, rest, m = [], n, n if max_part is None else min(n, max_part)
+    while rest > 0 and m > 0:
+        q, r = divmod(rest, m)
+        a += [m] * q + [r] * bool(r)
+        yield tuple(a)
+        ones = a.count(1)
+        del a[len(a) - ones:]
+        if not a:
+            return
+        m = a.pop() - 1
+        rest = m + 1 + ones
 
 
 @lru_cache(maxsize=None)

@@ -18,12 +18,13 @@ an honest rational Laurent expression; no symbolic radicals appear here.
 In closed form, the d/ds_{k+t} coefficient is 2(k+t)-1 times a sum over
 the partitions of t that depends on k only through the index shift 2k
 (`_xi_slice`), and 4^t times it has integer coefficients, so every
-constraint row is assembled in integers (`component_system`).
+constraint row is assembled in integers, one xi_k at a time (`_xi_blocks`).
 
 The constraints preserve the bigrading, so the kernel is computed one
 (degree, dual weight) component at a time by one certificate
-(`_component_kernel`): the mod-p rank bounds the dimension by
-d = ncols - rank_p; candidate vectors that every integer constraint row
+(`_component_kernel`), which builds no more rows once their mod-p rank is
+full: the kernel is then zero.  Otherwise d = ncols - rank_p bounds the
+dimension; candidate vectors that every integer constraint row
 annihilates exactly and that are independent mod p are the
 basis when there are d of them, and otherwise `linalg.certified_nullspace`
 lifts the modular nullspace over a stream of word-sized primes and checks
@@ -185,44 +186,51 @@ def _components(n: int) -> MappingProxyType:
                              for w, cols in sorted(comps.items())})
 
 
-def component_system(n: int, weight: int, k_max: int | None = None) -> ConstraintSystem:
-    """The constraint rows of one component, in integers.
+def _xi_blocks(n: int, weight: int, ks):
+    """Yield, for each k of `ks`, the rows of xi_k on one component and their
+    labels (k, ambient Laurent monomial), in generation order.
 
-    The rows of xi_k are built at the scale 4^(n-k) (`_column_rows_for_k`),
-    where every closed-form coefficient is an int, and each row is then
-    divided by its power-of-two content, but by no more than that scale: so
-    each row is exactly `linalg.integer_vector` of the rational row, whose
-    denominators are powers of two.
+    The rows are built at the scale 4^(n-k) (`_column_rows_for_k`), where
+    every closed-form coefficient is an int, and each row is then divided by
+    its power-of-two content, but by no more than that scale: so each row is
+    exactly `linalg.integer_vector` of the rational row, whose denominators
+    are powers of two.
     """
-    columns = list(_components(n).get(weight, ()))
+    columns = _components(n).get(weight, ())
     supports = [[i + 1 for i, x in enumerate(e) if x] for e in columns]
     # xi_k has no row on a column with two s-indices below 2k, or one below k
     reach = [s[1] // 2 if len(s) > 1 else s[0] for s in supports]
-    row_index: dict = {}
-    rows: list[dict] = []
-    labels: list[tuple] = []
-    for k in range(1, (k_max if k_max is not None else n) + 1):
+    for k in ks:
+        row_index: dict = {}
+        rows: list[dict] = []
         for ci, e in enumerate(columns):
             if k > reach[ci]:
                 continue
             for label, val in _column_rows_for_k(k, n, e, supports[ci]):
-                key = (k, label)
-                ri = row_index.get(key)
+                ri = row_index.get(label)
                 if ri is None:
-                    ri = row_index[key] = len(rows)
+                    ri = row_index[label] = len(rows)
                     rows.append({})
-                    labels.append(key)
                 row = rows[ri]
                 row[ci] = row.get(ci, 0) + val
-    rows_out, labels_out = [], []
-    for row, label in zip(rows, labels):
-        row = {c: x for c, x in row.items() if x}
-        if row:
-            g = math.gcd(*row.values())
-            shift = min((g & -g).bit_length() - 1, 2 * (n - label[0]))
-            rows_out.append({c: x >> shift for c, x in row.items()})
-            labels_out.append(label)
-    return ConstraintSystem(n, weight, columns, rows_out, labels_out)
+        rows_out, labels_out = [], []
+        for row, label in zip(rows, row_index):
+            row = {c: x for c, x in row.items() if x}
+            if row:
+                g = math.gcd(*row.values())
+                shift = min((g & -g).bit_length() - 1, 2 * (n - k))
+                rows_out.append({c: x >> shift for c, x in row.items()})
+                labels_out.append((k, label))
+        yield rows_out, labels_out
+
+
+def component_system(n: int, weight: int, k_max: int | None = None) -> ConstraintSystem:
+    """The constraint rows of one component: its `_xi_blocks`, k = 1..k_max."""
+    system = ConstraintSystem(n, weight, list(_components(n).get(weight, ())), [], [])
+    for rows, labels in _xi_blocks(n, weight, range(1, (n if k_max is None else k_max) + 1)):
+        system.rows += rows
+        system.labels += labels
+    return system
 
 
 # -- known solution families ---------------------------------------------------
@@ -311,30 +319,33 @@ class KernelCertificationError(RuntimeError):
     pass
 
 
-def _component_kernel(system: ConstraintSystem, candidates: list[dict],
-                      prime: int) -> list[dict]:
+def _component_kernel(n: int, weight: int, candidates: list[dict], prime: int,
+                      k_max: int | None = None) -> list[dict]:
     """Certified exact kernel basis of one component, as column-coefficient dicts.
 
-    d = ncols - rank_p bounds the kernel's dimension from above.  Every
-    constraint row must annihilate every candidate (the known families, or
-    the vectors of a cached record) exactly, else AssertionError; the
-    candidates independent mod p of those kept before them (hence
-    independent over Q) are the basis when there are d of them.  Otherwise
-    the basis is `certified_nullspace`'s, which depends only on the rows
-    and the prime.
+    The `_xi_blocks` of k = k_max (default n) down to 1 enter a sparse
+    mod-p echelon as they are built, each in reverse generation order (a
+    quarter of the fill-in of generation order at n = 33, w = -104).  Full
+    mod-p rank certifies a zero kernel, and the blocks left are never built.
 
-    Rows enter the sparse echelon largest k first, a quarter of the fill-in
-    work of generation order at n = 33, w = -104; the result is the same.
+    Otherwise d = ncols - rank_p bounds the kernel's dimension from above.
+    Every row must annihilate every candidate (the known families, or the
+    vectors of a cached record) exactly, else AssertionError; the candidates
+    independent mod p of those kept before them (hence independent over Q)
+    are the basis when there are d of them.  Otherwise the basis is
+    `certified_nullspace`'s, which depends only on the rows and the prime.
     """
-    ncols, rows = len(system.columns), system.rows[::-1]
+    ncols = len(_components(n).get(weight, ()))
     ech = IncrementalModEchelon(ncols, prime)
-    for row in rows:
-        if ech.rank == ncols:  # d = 0 already: the rows left cannot change it
-            break
-        ech.add(row)
-    d = ncols - ech.rank
-    if d == 0:
-        return []
+    rows: list[dict] = []
+    for block, _labels in _xi_blocks(n, weight, range(n if k_max is None else k_max, 0, -1)):
+        block.reverse()
+        for row in block:
+            ech.add(row)
+            if ech.rank == ncols:  # d = 0: the rows left cannot change it
+                return []
+        rows += block
+    d = ncols - ech.rank  # 0 only for a weight with no columns
     images = [integer_vector(vec) for vec in candidates]
     if not all(annihilated(rows, images)):
         raise AssertionError("family vector escaped the kernel")
@@ -373,7 +384,7 @@ def kernel_basis(n: int, weight: int | None = None, *,
     for w in _components(n):
         if weight is not None and w != weight:
             continue
-        basis = _component_kernel(component_system(n, w, k_max), fams.get(w, []), prime)
+        basis = _component_kernel(n, w, fams.get(w, []), prime, k_max)
         if basis:
             columns[w] = basis
     meta = {"family": "D", "n": n, "grading": "dual-weight"}
@@ -401,7 +412,7 @@ def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],
            for vec in vecs for c in vec):
         return False
     try:
-        return all(_component_kernel(component_system(n, w), columns.get(w, []), prime)
+        return all(_component_kernel(n, w, columns.get(w, []), prime)
                    == columns.get(w, []) for w in weights)
     except AssertionError:  # a vector outside the kernel
         return False

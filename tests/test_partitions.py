@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,26 @@ def test_even_part_count_values():
 @given(st.integers(min_value=0, max_value=25))
 def test_exact_parts_table_consistency(n):
     assert sum(partition_count_exact_parts(n, k) for k in range(n + 1)) == partition_count(n)
+
+
+@lru_cache(maxsize=None)
+def _reference_partitions(n, max_part):
+    """The recursive definition: a first part from min(n, max_part) down to
+    1, then the partitions of the rest with parts at most the first."""
+    if n < 0:
+        return ()
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(min(n, max_part), 0, -1)
+                 for rest in _reference_partitions(n - first, first))
+
+
+def test_partitions_match_the_recursive_definition():
+    for n in range(-2, 31):
+        assert list(partitions(n)) == list(_reference_partitions(n, max(n, 0))), n
+        for max_part in range(-1, n + 3):
+            assert list(partitions(n, max_part)) == list(_reference_partitions(n, max_part)), \
+                (n, max_part)
 
 
 def test_partition_enumeration_matches_count():

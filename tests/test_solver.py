@@ -6,12 +6,15 @@ import pytest
 
 from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
-from ptl.linalg import DEFAULT_PRIME, integer_vector
+import ptl.solver
+from ptl.linalg import DEFAULT_PRIME, SparseRationalEchelon, annihilated, integer_vector
 from ptl.partitions import even_part_count, partitions
 from ptl.poly import SparsePolynomial, parse_polynomial
 from ptl.series import TruncatedEvenSeries, binom_half, compose_no_constant
 from ptl.solver import (
+    _component_kernel,
     _components,
+    _family_columns,
     _xi_terms,
     component_system,
     constraint_residual,
@@ -274,6 +277,40 @@ def test_solver_certification_survives_bad_primes():
     for p in (3, 5):
         for n in (4, 6, 8):
             assert kernel_basis(n, prime=p).weight_dims == kernel_basis(n).weight_dims
+
+
+def test_assembly_stops_at_full_modular_rank(monkeypatch):
+    # blocks are built largest k first and no more once the mod-p rank is
+    # full: the one-column component s_n needs only xi_n's single row
+    built = {}
+    blocks = ptl.solver._xi_blocks
+
+    def counted(n, weight, ks):
+        for rows, labels in blocks(n, weight, ks):
+            built[n, weight] = built.get((n, weight), 0) + len(rows)
+            yield rows, labels
+
+    monkeypatch.setattr(ptl.solver, "_xi_blocks", counted)
+    for n in range(2, 23):
+        kernel_basis(n)
+        assert built[n, -4 * (n - 1)] == 1, n
+    assert sum(built.values()) <= 7000
+
+
+def test_early_stop_never_cuts_off_a_kernel():
+    # the kernel's dimension is ncols - rank_Q at every prime, the unlucky
+    # ones included, whether the families certify it or the lift does
+    for n in range(1, 13):
+        fams = _family_columns(n) if n >= 2 else {}
+        for w, columns in _components(n).items():
+            rows = component_system(n, w).rows
+            ech = SparseRationalEchelon()
+            rank = sum(ech.add({c: Fraction(x) for c, x in row.items()}) for row in rows)
+            for p in (2, 3, DEFAULT_PRIME):
+                for candidates in (fams.get(w, []), []):
+                    basis = _component_kernel(n, w, candidates, p)
+                    assert len(basis) == len(columns) - rank, (n, w, p)
+                    assert all(annihilated(rows, [integer_vector(v) for v in basis]))
 
 
 def test_recertifies_exactly_the_certified_basis():
