@@ -9,26 +9,34 @@ deficit is certified over Q before being reported: the quotient
 functionals (the nullspace of the columns, one per non-lead row) are
 lifted off the same echelon by `linalg.certified_nullspace`, the core
 shared with the solver, and checked exactly against every column.
-The first slot runs over the whole basis of O^G_a, never over a set of
-algebra generators: the power sums generate O^G for S_n and B_n, but for
-D_n no Poisson-generation statement is known, and A_+ times the n + 1
-polarizations of x1...xn does not even span the all-odd sector (for D_4
-in degree 6, 3 x 5 products against dimension 16).
+The first slot need not hold the whole basis of O^G_a.  By the Leibniz rule
+{ab, h} = {a, bh} + {b, ah}, and as O^H is an O^G-module, {O^G, O^H} is
+spanned by the {g, O^H_b}, g running over algebra generators of O^G and b
+over every degree.  For S_n and B_n on Darboux pairs the polarized power
+sums sum_i x_i^k y_i^l of degree at most n, resp. 2n, generate O^G (H. Weyl,
+The Classical Groups; k + l even for B_n, whose invariants are the
+multisymmetric functions of (x^2, xy, y^2)), so their full cells put these
+in the first slot.  D_n cells keep the whole basis, with a <= b: the power
+sums generate only the B_n-invariants (rank 2,583 of 2,584 on D_5 in degree
+16), and A_+ times the n + 1 polarizations of x1...xn does not even span the
+all-odd sector (for D_4 in degree 6, 3 x 5 products against dimension 16).
 Degree 0 needs no special casing: the empty bracket span is {0} unless 1
 is literally a bracket, as happens for Darboux structures whose group
 fixes a Darboux pair.
 
 Cells with H = G acting monomially (B_n, D_n and S_n on Darboux pairs, and
-the A_+/A_- check) fold their columns.  G acts by Poisson automorphisms and
-v is G-invariant, so an orbit sum u = (1/|Stab u0|) sum_g g.u0 of its
-representative u0 = max(u) has {u, v} = (1/|Stab u0|) sum_g g.{u0, v}.  Adding
-each monomial of {u0, v} onto the row of its orbit representative r gives
-the coefficient of {u, v} at r times |Stab u0| / |Stab r|: a scale per row
-and per column, so the rank is unchanged.  A monomial that the sign
-subgroup moves by -1 cancels in the orbit sum and has no row; u0 itself is
-all-even or all-odd, hence fixed.  The other cells (the reflection action,
-relative and ambient targets) bracket whole polynomials, with rows for the
-coordinates of H's invariants.
+the A_+/A_- check) fold their columns.  G acts by Poisson automorphisms, so
+for G-invariant u and v and the representative v0 = max(v) of the orbit sum
+v = (1/|Stab v0|) sum_g g.v0, {u, v} = (1/|Stab v0|) sum_g g.{u, v0}; by
+antisymmetry the same holds with the roles of u and v exchanged.  So each
+bracket takes the representative of whichever orbit sum has more terms,
+and the other one whole.  Adding each monomial of {u, v0} onto the row of
+its orbit representative r gives the coefficient of {u, v} at r times
+|Stab v0| / |Stab r|: a scale per row and per column, so the rank is
+unchanged.  A monomial that the sign subgroup moves by -1 cancels in the
+orbit sum and has no row; v0 itself is all-even or all-odd, hence fixed.
+The other cells (the reflection action, relative and ambient targets)
+bracket whole polynomials, with rows for the coordinates of H's invariants.
 
 The A-/A+ sector identity of the demihyperoctahedral ring (A_- equals
 {A+, A-}) and its leading-term expansion
@@ -129,11 +137,28 @@ def _h_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
 
 # -- one degree cell ----------------------------------------------------------
 
-def _column_pairs(problem: BracketSpanProblem, degree: int):
-    """Degree splits (a, b), low a first; for H = G only a <= b is needed."""
-    half = problem.subgroup == "full"
-    return [(a, degree + 2 - a) for a in range(1, degree + 2)
-            if not half or 2 * a <= degree + 2]
+def _power_sums(spec: GroupSpec, degree: int) -> tuple[dict, ...]:
+    """The orbit sums sum_i x_i^k y_i^l, whose representative has one nonzero pair."""
+    m = spec.pairs
+    return tuple(u for u in invariant_basis_raw(spec, degree)
+                 if not any(max(u)[1:m] + max(u)[m + 1:]))
+
+
+def _column_pairs(problem: BracketSpanProblem, degree: int) -> list[tuple]:
+    """(first slot, second slot) bases per degree split a + b = degree + 2,
+    low a first, whose brackets span {O^G, O^H}_degree.
+
+    Full S_n and B_n cells pair the power sums of degree a <= n, resp. 2n,
+    with the whole of O^G_b for every split; the other cells pair the whole
+    of O^G_a with O^H_b, and for H = G only a <= b (module docstring).
+    """
+    spec, full = problem.spec, problem.subgroup == "full"
+    top = full and {"symmetric-full": spec.n, "hyperoctahedral": 2 * spec.n}.get(spec.family)
+    if top:
+        return [(_power_sums(spec, a), _h_basis_raw(problem, degree + 2 - a))
+                for a in range(1, min(top, degree + 1) + 1)]
+    return [(invariant_basis_raw(spec, a), _h_basis_raw(problem, degree + 2 - a))
+            for a in range(1, degree + 2) if not full or 2 * a <= degree + 2]
 
 
 def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
@@ -149,10 +174,8 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
         row_index = {max(vec): i for i, vec in enumerate(hbasis)}
     else:
         row_index = {e: i for i, e in enumerate(monomials_of_degree(2 * spec.pairs, degree))}
-    blocks = ((invariant_basis_raw(spec, a), _h_basis_raw(problem, b))
-              for a, b in _column_pairs(problem, degree))
+    blocks = _column_pairs(problem, degree)
     if max_columns is not None:
-        blocks = list(blocks)
         n_cols = sum(len(us) * len(vs) for us, vs in blocks)
         if n_cols > max_columns:
             raise GuardrailExceeded(
@@ -163,26 +186,32 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
 
 def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold: bool):
     """Stream the nonzero brackets {u, v}, u in us, v in vs for each block, as
-    sparse columns over the row indices; with `fold`, {max(u), v} added onto
-    the rows of the `orbit_rep`s (module docstring).  Monomials without a row
-    are dropped; each distinct monomial is mapped once per cell."""
+    sparse columns over the row indices.  With `fold` the orbit sum with more
+    terms is replaced by its representative max(), which goes first, the
+    other is bracketed whole, and each output monomial is added onto the row
+    of its `orbit_rep` (module docstring); a column may so be -{u, v}, which
+    leaves the rank alone.  Monomials without a row are dropped; each
+    distinct monomial is mapped once per cell."""
     m, row_of = structure.pairs, {}
     for us, vs in blocks:
-        for u in us:
-            if fold:
-                u = {max(u): 1}
-            for v in vs:
-                col: dict = {}
-                for key, val in raw_bracket(u, v, structure).items():
-                    try:
-                        r = row_of[key]
-                    except KeyError:
-                        r = row_of[key] = row_index.get(orbit_rep(key, m) if fold else key)
-                    if r is not None:
-                        col[r] = col.get(r, 0) + val
-                col = {r: c for r, c in col.items() if c}
-                if col:
-                    yield col
+        if fold:  # each orbit sum next to its representative
+            us, vs = ([(w, {max(w): 1}) for w in ws] for ws in (us, vs))
+            pairs = ((u0, v) if len(u) >= len(v) else (v0, u)
+                     for u, u0 in us for v, v0 in vs)
+        else:
+            pairs = itertools.product(us, vs)
+        for f, g in pairs:
+            col: dict = {}
+            for key, val in raw_bracket(f, g, structure).items():
+                try:
+                    r = row_of[key]
+                except KeyError:
+                    r = row_of[key] = row_index.get(orbit_rep(key, m) if fold else key)
+                if r is not None:
+                    col[r] = col.get(r, 0) + val
+            col = {r: c for r, c in col.items() if c}
+            if col:
+                yield col
 
 
 def _certified_rank(columns, length: int, dim: int, *, prime: int) -> int:
@@ -299,17 +328,15 @@ def bracket_membership(f: SparsePolynomial, problem: BracketSpanProblem) -> Memb
     ech = SparseRationalEchelon(track=True)
     tags: dict = {}
     ctx = structure.context
-    for a, b in _column_pairs(problem, degree):
-        us = [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
-              for d in invariant_basis_raw(problem.spec, a)]
-        vs = [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
-              for d in _h_basis_raw(problem, b)]
+    for block, raw in enumerate(_column_pairs(problem, degree)):
+        us, vs = ([SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()}) for d in ws]
+                  for ws in raw)
         for iu, u in enumerate(us):
             for iv, v in enumerate(vs):
                 col = poisson_bracket(u, v, structure)
                 if not col.terms:
                     continue
-                tag = (a, b, iu, iv)
+                tag = (block, iu, iv)
                 tags[tag] = (u, v)
                 ech.add(coords(col), tag)
     red, combo = ech.reduce_only(coords(f))

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -5,12 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import ptl
 from ptl.cache import ResultCache, code_version
 from ptl.cli import _display_fields, main
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
-from ptl.linalg import DEFAULT_PRIME, IncrementalModEchelon
+from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, IncrementalModEchelon, is_prime
 from ptl.partitions import bn_hilbert
 from ptl.weyl import GroupSpec
 from ptl.solver import KernelCertificationError
@@ -498,6 +503,36 @@ def test_workers_reverify_cache(tmp_path, capsys):
     _forge_record(tmp_path, 3, lambda payload: _replace_last_vector(payload, [-8, 1, [0, 1]]))
     code, _ = run_cli(capsys, *args, "--workers", "2")
     assert code == 4
+
+
+_FOLDED_COMMANDS = [("hp0", "brute", "--group", group, "--n", "3", "--max-degree", "10")
+                    for group in ("hyperoctahedral", "demihyperoctahedral", "symmetric-full")]
+_FOLDED_COMMANDS.append(("hp0", "aminus", "--n", "4", "--max-degree", "8"))
+_PRIMES = st.sampled_from([2, 3, 5, 65537, 1048573, PRIME_LIMIT - 1]) | st.integers(
+    2, PRIME_LIMIT - 1).map(lambda x: next(p for p in range(x, 1, -1) if is_prime(p)))
+
+
+def _captured_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+_default_prime_run = functools.cache(_captured_main)
+
+
+@seed(20110607)
+@settings(max_examples=100, deadline=None, database=None)
+@given(command=st.sampled_from(_FOLDED_COMMANDS), prime=_PRIMES, workers=st.sampled_from([1, 2]))
+def test_folded_cells_any_prime_and_workers(command, prime, workers):
+    # the folded B_3/D_3/S_3 cells and the A_-/A_+ check print the default
+    # prime's output at every prime below 2^31 and with a process pool
+    argv = command + ("--prime", str(prime))
+    if command[1] == "brute":
+        argv += ("--workers", str(workers))
+    code, out = _captured_main(argv)
+    assert code == 0
+    assert (code, out) == _default_prime_run(command)
 
 
 @pytest.mark.slow

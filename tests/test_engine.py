@@ -285,15 +285,49 @@ def test_folded_aminus_matches_unfolded_reference():
 
 
 def test_full_cells_bracket_one_term_representatives(monkeypatch):
-    # the folded path runs: every bracket of a full B_4 cell starts from a
-    # single monomial, never from a whole orbit sum
-    firsts = []
+    # the folded path runs: every bracket of a full B_4 or D_4 cell takes one
+    # argument as a single monomial (the representative of the larger orbit
+    # sum), never two whole orbit sums
+    smaller = []
     darboux = poisson.raw_bracket_darboux
 
     def spy(fd, gd, m):
-        firsts.append(len(fd))
+        smaller.append(min(len(fd), len(gd)))
         return darboux(fd, gd, m)
 
     monkeypatch.setattr(poisson, "raw_bracket_darboux", spy)
     assert dict(hp0_graded_dims(_prob("hyperoctahedral", 4), 8).items()) == {0: 1, 4: 1, 8: 2}
-    assert firsts and set(firsts) == {1}
+    assert dict(hp0_graded_dims(_prob("demihyperoctahedral", 4), 8).items()) == {0: 1, 4: 1, 8: 1}
+    assert smaller and set(smaller) == {1}
+
+
+def test_hyperoctahedral_cells_bracket_power_sums(monkeypatch):
+    # the B_4 degree-12 cell has a rank deficit, so it streams every column:
+    # 6,447 with the whole basis of O^G_a in the first slot, fewer with the
+    # power sums of degree <= 8
+    streamed = []
+    rank = engine._certified_rank
+
+    def spy(columns, *args, **kwargs):
+        return rank((streamed.append(c) or c for c in columns), *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_certified_rank", spy)
+    assert engine._cell_dimension(_prob("hyperoctahedral", 4), 12) == 1
+    assert 0 < len(streamed) < 6447
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n, max_degree", [
+    ("demihyperoctahedral", 5, 16),
+    ("hyperoctahedral", 5, 18),
+    ("demihyperoctahedral", 6, 16),
+])
+def test_whole_table_cross_check(family, n, max_degree):
+    # the engine's whole table against the typed solver (D_n) or the
+    # partition statistic (B_n), one class every 4 degrees; D_6 through
+    # degree 16 includes its top entry, degree 12 of dimension 2
+    table = hp0_graded_dims(_prob(family, n), max_degree)
+    assert all(d % 4 == 0 for d in table.entries)
+    reference = kernel_basis(n).display if family == "demihyperoctahedral" else bn_hilbert(n)
+    expected = {e: c for e, c in reference.items() if 4 * e <= max_degree}
+    assert dict(table.reindexed(lambda d: d // 4).items()) == expected
