@@ -8,13 +8,12 @@ and against closed-form partition combinatorics.
 """
 
 from ptl.context import VariableContext, darboux_context, svar_context
-from ptl.poly import SparsePolynomial, laurent_clear_denominators
-from ptl.series import TruncatedEvenSeries, q_series, even_series_sqrt
-from ptl.poisson import PoissonStructure, poisson_bracket, sl2_generators
+from ptl.poly import SparsePolynomial
+from ptl.poisson import PoissonStructure, poisson_bracket
 from ptl.weyl import GroupSpec, SignedPermutation, act, invariant_basis, hh0_dimension
 from ptl.tables import GradedDimensionTable
 from ptl.engine import BracketSpanProblem, hp0_graded_dims, bracket_membership, check_aminus_identity
-from ptl.solver import XiField, xi_field, kernel_basis, family_generators, xi_pointwise_check
+from ptl.solver import kernel_basis, family_generators
 from ptl.partitions import (
     multipartition_count,
     p_count,
@@ -31,13 +30,8 @@ __all__ = [
     "darboux_context",
     "svar_context",
     "SparsePolynomial",
-    "laurent_clear_denominators",
-    "TruncatedEvenSeries",
-    "q_series",
-    "even_series_sqrt",
     "PoissonStructure",
     "poisson_bracket",
-    "sl2_generators",
     "GroupSpec",
     "SignedPermutation",
     "act",
@@ -48,11 +42,8 @@ __all__ = [
     "hp0_graded_dims",
     "bracket_membership",
     "check_aminus_identity",
-    "XiField",
-    "xi_field",
     "kernel_basis",
     "family_generators",
-    "xi_pointwise_check",
     "multipartition_count",
     "p_count",
     "p_prime_count",

@@ -14,9 +14,29 @@ order.  It is a verification aid only; nothing downstream consumes it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from ptl.series import TruncatedEvenSeries, binom_half, rational_sqrt
+
+def binom_half(m: int) -> Fraction:
+    """Binomial coefficient C(1/2, m), exactly: the Taylor coefficients of
+    sqrt(1+z) = 1 + z/2 - z^2/8 + ...."""
+    num = Fraction(1)
+    for i in range(m):
+        num *= Fraction(1, 2) - i
+    return num / math.factorial(m)
+
+
+def rational_sqrt(c: Fraction) -> Fraction:
+    """Positive square root of a perfect-square rational, else ValueError."""
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("negative leading coefficient has no rational square root")
+    rn = math.isqrt(c.numerator)
+    rd = math.isqrt(c.denominator)
+    if rn * rn != c.numerator or rd * rd != c.denominator:
+        raise ValueError(f"{c} is not a perfect rational square")
+    return Fraction(rn, rd)
 
 
 class BiSeries:
@@ -215,15 +235,16 @@ def _univariate_compose(outer: list[Fraction], inner: list[Fraction], at: int) -
     return acc[at]
 
 
-def burgers_residual(h0: TruncatedEvenSeries, order: int, x0=Fraction(1)) -> BiSeries:
-    """Residual of the flow started from h(0) = h0 in C^* x^2 + x^4 C[[x^2]].
+def burgers_residual(h0: list, order: int, x0=Fraction(1)) -> BiSeries:
+    """Residual of the flow started from h(0) = h0 in C^* x^2 + x^4 C[[x^2]],
+    given as its list of coefficients of x^0, x^2, x^4, ....
 
     Builds u = 2 sqrt(h) as a series in (x - x0, t) by solving the implicit
     relation u = f(t - u x), where f matches the initial slice u(x, 0) =
     2 sqrt(h0); returns u_x + u u_t truncated at the requested total order.
     Requires h0(x0) to be a nonzero perfect rational square.
     """
-    coeffs = h0.as_fractions()
+    coeffs = [Fraction(c) for c in h0]
     if len(coeffs) < 2 or coeffs[1] == 0:
         raise ValueError("leading x^2 coefficient must be nonzero")
     x0 = Fraction(x0)

@@ -7,11 +7,13 @@ Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
 --prime that is not a prime below 2^31, --workers below 1, --n-max below 2,
 a series --order below 1, a negative --max-degree or --max-columns, --n
-given with --n-max, and a --cache-dir or $PTL_CACHE_DIR that cannot be
-made a directory), 3 resource guardrail exceeded (the degrees computed
-before it are still printed, with a truncation marker), 4 cache
-corruption, 5 a kernel that could not be certified over Q or an internal
-check (AssertionError) that failed, with one line on stderr.
+given with --n-max, a --d other than non-negative d_0..d_n for strata
+type-d or d_0..d_i for a typeD prime bound, and a --cache-dir or
+$PTL_CACHE_DIR that cannot be made a directory), 3 resource guardrail
+exceeded (the degrees computed before it are still printed, with a
+truncation marker), 4 cache corruption, 5 a kernel that could not be
+certified over Q or an internal check (AssertionError) that failed, with
+one line on stderr.
 --workers N runs on a process pool whose workers read, re-verify and write
 the cache exactly as a serial run does.  Only typed-solver payloads are
 cached, each basis vector as integers over its component's columns
@@ -41,7 +43,6 @@ from ptl.partitions import (
     p_prime_count,
     prime_bound,
 )
-from ptl.series import TruncatedEvenSeries
 from ptl.solver import (
     KernelCertificationError,
     display_table,
@@ -305,9 +306,8 @@ def cmd_counts(args) -> int:
         return _emit_count(args, "hh0", hh0_dimension(args.family, args.n),
                            {"family": args.family, "n": args.n})
     if args.statistic == "prime-bound":
-        d = tuple(int(x) for x in args.d.split(",")) if args.d else None
         return _emit_count(args, "prime-bound",
-                           prime_bound(args.family, args.n, args.i, d),
+                           prime_bound(args.family, args.n, args.i, args.d),
                            {"family": args.family, "n": args.n, "i": args.i})
     if args.statistic == "bn-hilbert":
         table = bn_hilbert(args.n)
@@ -353,7 +353,7 @@ def cmd_strata(args) -> int:
         return _emit_strata(args, "kleinian", leaves_kleinian(args.n, args.m))
     if args.variety == "type-d":
         if args.d:
-            d = tuple(int(x) for x in args.d.split(","))
+            d = args.d
         else:
             cache = _cache_from_args(args)
             d = tuple([1] + [
@@ -368,7 +368,7 @@ def cmd_strata(args) -> int:
 def cmd_series_burgers(args) -> int:
     from ptl.burgers import burgers_residual, burgers_residual_of, closed_form_witness
     if args.h0:
-        residual = burgers_residual(TruncatedEvenSeries(args.h0), args.order, x0=args.x0)
+        residual = burgers_residual(args.h0, args.order, x0=args.x0)
         mode = "h0"
     else:
         u = closed_form_witness(args.order, x0=args.x0)
@@ -471,6 +471,27 @@ def _at_least(minimum: int):
     return integer
 
 
+def _dims(text: str) -> tuple[int, ...]:
+    """--d: comma-separated non-negative ints, such as 1,0,1."""
+    if not all(x.isdecimal() for x in text.split(",")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of non-negative integers")
+    return tuple(map(int, text.split(",")))
+
+
+def _d_mismatch(args) -> str | None:
+    """Why --d does not fit the other options, if it does not: `strata
+    type-d` takes d_0..d_n and `counts prime-bound --family typeD` d_0..d_i,
+    the values each reads; a typeA bound takes none."""
+    if getattr(args, "d", None) is None:
+        return None
+    if args.command == "counts" and args.family != "typeD":
+        return f"--d applies to --family typeD only, not {args.family}"
+    last = "n" if args.command == "strata" else "i"
+    if len(args.d) != getattr(args, last) + 1:
+        return f"--d takes d_0..d_{last}, {getattr(args, last) + 1} values, not {len(args.d)}"
+    return None
+
+
 def _add_common(p, *, cacheable: bool = False, prime: bool = False):
     p.add_argument("--format", choices=("table", "csv", "json", "latex"),
                    default="table")
@@ -542,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--family", required=True, choices=("typeA-sym", "typeA-quot", "typeD"))
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--i", type=int, required=True)
-    pb.add_argument("--d", default=None, help="comma-separated d_0..d_i for typeD")
+    pb.add_argument("--d", type=_dims, default=None, help="comma-separated d_0..d_i for typeD")
     _add_common(pb)
     pb.set_defaults(func=cmd_counts, statistic="prime-bound")
     hh = csub.add_parser("hh0")
@@ -565,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     kl.set_defaults(func=cmd_strata, variety="kleinian")
     td = ssub.add_parser("type-d")
     td.add_argument("--n", type=int, required=True)
-    td.add_argument("--d", default=None, help="comma-separated d_0..d_n (default: solver)")
+    td.add_argument("--d", type=_dims, default=None,
+                    help="comma-separated d_0..d_n (default: solver)")
     _add_common(td, cacheable=True)
     td.set_defaults(func=cmd_strata, variety="type-d")
 
@@ -597,6 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    mismatch = _d_mismatch(args)
+    if mismatch:
+        parser.error(mismatch)
     try:
         return args.func(args)
     except CacheCorruption as exc:

@@ -1,14 +1,13 @@
 """Variable contexts: named variables with a fixed bigrading.
 
 A context pins down the ambient polynomial ring once, so that every
-polynomial carries its grading data and arity checks are cheap.  Three kinds
+polynomial carries its grading data and arity checks are cheap.  Two kinds
 are used:
 
 * ``darboux(n)`` -- variables x1..xn, y1..yn, each of degree 1.  Also used
   (with a smaller pair count) for the coordinates that survive eliminating
   the last coordinate of the reflection representation.
 * s-variables s1..sN -- si has degree i and weight 4*(1-i).
-* ``series`` -- auxiliary bivariate contexts for truncated expansions.
 
 Exponent vectors are dense tuples of ints matching the context arity.
 Negative exponents are legal only in the single declared localized variable.
@@ -79,9 +78,3 @@ def svar_context(nmax: int, localized_at: int | None = None) -> VariableContext:
     if loc is not None and not (0 <= loc < nmax):
         raise ValueError("localized variable out of range")
     return VariableContext("svars", names, degrees, weights, localized=loc)
-
-
-def series_context(names: tuple[str, ...]) -> VariableContext:
-    """Ungraded helper context for truncated series coefficients."""
-    k = len(names)
-    return VariableContext("series", names, (1,) * k, (0,) * k)

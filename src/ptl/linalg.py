@@ -16,9 +16,9 @@ dimension is reported:
 
 Exact rational elimination (`SparseRationalEchelon`) serves small jobs
 that need the row combinations or a greedy independent subset: membership
-certificates, family spans and the reflection invariant bases.
-`rational_nullspace` is the reference that tests hold `certified_nullspace`
-to.
+certificates, family spans and the reflection invariant bases.  The
+tests hold `certified_nullspace` to a rational-elimination nullspace of
+their own.
 
 The incremental echelon below is pure Python and sparse: its rows are
 dicts keyed by their leads and are not reduced against each other, an
@@ -237,28 +237,6 @@ class SparseRationalEchelon:
         return len(self.rows)
 
 
-def rational_nullspace(vectors: list[dict], length: int) -> list[dict]:
-    """Exact nullspace basis by rational elimination, one vector per non-lead
-    coordinate f with x_f = 1: the reference that tests hold
-    `certified_nullspace` to."""
-    ech = SparseRationalEchelon()
-    for vec in vectors:
-        ech.add({c: Fraction(v) for c, v in vec.items()})
-    order = sorted(range(ech.rank), key=lambda i: ech.leads[i], reverse=True)
-    basis = []
-    for f in range(length):
-        if f in ech.lead_index:
-            continue
-        vec = {f: Fraction(1)}
-        for i in order:
-            row, lead = ech.rows[i], ech.leads[i]
-            total = sum(coeff * vec[c] for c, coeff in row.items() if c != lead and c in vec)
-            if total:
-                vec[lead] = -total / row[lead]
-        basis.append(vec)
-    return basis
-
-
 def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list[dict]:
     """Exact basis of {x : v . x = 0 for every v in vectors}.
 
@@ -273,8 +251,9 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
 
     Certificate: the length - rank_p returned vectors are independent by
     their shape, so rank_Q <= rank_p; and rank_Q >= rank_p for integer
-    vectors.  So they are a basis of the rational nullspace, normalized as
-    in `rational_nullspace`.
+    vectors.  So they are a basis of the rational nullspace, one vector per
+    non-lead coordinate f with x_f = 1 and x_g = 0 at the other non-lead
+    coordinates g.
 
     Termination: let H be the Hadamard bound of the input.  A prime gives
     a shape other than the rational one only if it divides one fixed

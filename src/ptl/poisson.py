@@ -73,32 +73,6 @@ def poisson_bracket(f: SparsePolynomial, g: SparsePolynomial,
     return out
 
 
-def sl2_generators(P: PoissonStructure):
-    """The invariant quadratics (E, F, H) = (sum x_i^2, sum y_i^2, sum x_i y_i).
-
-    For the reflection structure these are the images of the rank-n sums
-    under eliminating x_n = -(x_1 + ... + x_{n-1}) and likewise for y.
-    """
-    ctx = P.context
-    m = P.pairs
-    xs = [SparsePolynomial.variable(ctx, ctx.names[i]) for i in range(m)]
-    ys = [SparsePolynomial.variable(ctx, ctx.names[m + i]) for i in range(m)]
-    E = SparsePolynomial.zero(ctx)
-    F = SparsePolynomial.zero(ctx)
-    H = SparsePolynomial.zero(ctx)
-    for i in range(m):
-        E = E + xs[i] * xs[i]
-        F = F + ys[i] * ys[i]
-        H = H + xs[i] * ys[i]
-    if P.kind == "reflection":
-        sx = sum(xs[1:], xs[0])
-        sy = sum(ys[1:], ys[0])
-        E = E + sx * sx
-        F = F + sy * sy
-        H = H + sx * sy
-    return E, F, H
-
-
 # -- raw fast paths (integer coefficients, dict-of-tuples representation) --
 #
 # The bracket-span engine works on plain {exponent-tuple: int} dicts.  For

@@ -1,24 +1,21 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Terms live in a hash map keyed by dense exponent tuples; a canonical
-graded-lex ordering is imposed only when serializing, so hot loops never pay
+graded-lex ordering is imposed only when printing, so hot loops never pay
 for ordered storage.  Laurent behaviour (negative exponents) is permitted in
 exactly one declared variable per context, the localization variable.
 
-The canonical text form is the interchange format used by every other
-module: terms sorted graded-lex descending, rational coefficients printed
-explicitly, e.g. ``3/2*s2^-1*s3``.  ``parse_polynomial`` inverts
-``SparsePolynomial.text`` exactly.
+`SparsePolynomial.text` is a display form only (`typed families` prints it):
+terms sorted graded-lex descending, rational coefficients printed
+explicitly, e.g. ``3/2*s2^-1*s3``.  Nothing parses it back; the cache
+stores integer column vectors instead.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from ptl.context import VariableContext
-
-ExactScalar = Fraction
 
 
 def _as_scalar(c) -> Fraction:
@@ -153,18 +150,6 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = SparsePolynomial.constant(self.context, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SparsePolynomial.constant(self.context, other)
@@ -208,31 +193,6 @@ class SparsePolynomial:
         degs = {self.context.degree_of(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_component(self, *, degree: int | None = None,
-                              weight: int | None = None) -> "SparsePolynomial":
-        """Graded piece under the context's grading; exact extraction.
-
-        Exactly one of `degree`, `weight` may be given, or both to select a
-        single bigraded component.
-        """
-        if degree is None and weight is None:
-            raise ValueError("specify degree and/or weight")
-        ctx = self.context
-        out = {}
-        for expo, c in self.terms.items():
-            if degree is not None and ctx.degree_of(expo) != degree:
-                continue
-            if weight is not None and ctx.weight_of(expo) != weight:
-                continue
-            out[expo] = c
-        return SparsePolynomial._raw(ctx, out)
-
-    def weight_components(self) -> dict[int, "SparsePolynomial"]:
-        buckets: dict[int, dict] = {}
-        for expo, c in self.terms.items():
-            buckets.setdefault(self.context.weight_of(expo), {})[expo] = c
-        return {w: SparsePolynomial._raw(self.context, t) for w, t in sorted(buckets.items())}
-
     # -- canonical text form ----------------------------------------------
 
     def sorted_terms(self):
@@ -267,59 +227,3 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"<poly {self.text()}>"
-
-
-_TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)(?:\*|$))?(.*)$")
-_FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
-
-
-def parse_polynomial(text: str, context: VariableContext) -> SparsePolynomial:
-    """Exact inverse of SparsePolynomial.text()."""
-    s = text.strip()
-    if s == "0":
-        return SparsePolynomial.zero(context)
-    # normalize to '+'-separated signed terms
-    s = s.replace(" - ", " + -").replace(" + ", "\x00")
-    chunks = s.split("\x00")
-    terms = {}
-    for chunk in chunks:
-        chunk = chunk.strip()
-        sign = 1
-        while chunk.startswith("-"):
-            sign = -sign
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coeff_s, rest = m.groups()
-        coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
-        expo = [0] * context.arity
-        if rest:
-            for factor in rest.split("*"):
-                fm = _FACTOR_RE.match(factor.strip())
-                if not fm:
-                    raise ValueError(f"cannot parse factor {factor!r}")
-                name, e = fm.groups()
-                expo[context.var_index(name)] += int(e) if e else 1
-        key = tuple(expo)
-        c = terms.get(key, Fraction(0)) + sign * coeff
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
-    return SparsePolynomial(context, terms)
-
-
-def laurent_clear_denominators(p: SparsePolynomial, name: str) -> tuple[SparsePolynomial, int]:
-    """Return (q, m) with q = p * name^m polynomial and m minimal.
-
-    `p` may carry negative exponents only in `name`; m is max(0, -min exp).
-    """
-    i = p.context.var_index(name)
-    if not p.terms:
-        return p, 0
-    m = max(0, -min(expo[i] for expo in p.terms))
-    if m == 0:
-        return p, 0
-    out = {expo[:i] + (expo[i] + m,) + expo[i + 1:]: c for expo, c in p.terms.items()}
-    return SparsePolynomial._raw(p.context, out), m

@@ -94,35 +94,6 @@ def _xi_slice(k: int, t: int) -> dict:
             for c, ell, parts in _xi_terms(t)}
 
 
-@dataclass(frozen=True)
-class XiField:
-    """xi_k with coefficients materialized for k <= j <= nmax."""
-
-    k: int
-    nmax: int
-    coefficients: dict  # j -> SparsePolynomial (context localized at s_{2k})
-
-    def coefficient(self, j: int) -> SparsePolynomial:
-        return self.coefficients[j]
-
-
-def xi_field(k: int, nmax: int) -> XiField:
-    """Materialize xi_k's d/ds_j coefficients for j = k..nmax."""
-    if not (1 <= k <= nmax):
-        raise ValueError("need 1 <= k <= nmax")
-    ctx = svar_context(nmax + k, localized_at=2 * k)
-    coeffs = {}
-    for j in range(k, nmax + 1):
-        terms = {}
-        for mono, c in _xi_slice(k, j - k).items():
-            expo = [0] * ctx.arity
-            for idx, e in mono:
-                expo[idx - 1] = e
-            terms[tuple(expo)] = Fraction(c * (2 * j - 1), 4 ** (j - k))
-        coeffs[j] = SparsePolynomial(ctx, terms)
-    return XiField(k, nmax, coeffs)
-
-
 # -- constraint assembly ------------------------------------------------------
 
 def _partition_to_expo(lam: tuple, N: int) -> tuple:
@@ -160,17 +131,6 @@ def _column_rows_for_k(k: int, n: int, e: tuple, support: list):
             for idx, ex in mono:
                 label[idx - 1] += ex
             yield tuple(label), scale * c
-
-
-@dataclass
-class ConstraintSystem:
-    """Assembled bigraded component: rows over the component's monomial basis."""
-
-    n: int
-    weight: int
-    columns: list[tuple]             # dense exponent tuples, graded-lex descending
-    rows: list[dict]                 # sparse {column index: int}, see component_system
-    labels: list[tuple]              # (k, ambient Laurent monomial) per row
 
 
 @lru_cache(maxsize=None)
@@ -222,15 +182,6 @@ def _xi_blocks(n: int, weight: int, ks):
                 rows_out.append({c: x >> shift for c, x in row.items()})
                 labels_out.append((k, label))
         yield rows_out, labels_out
-
-
-def component_system(n: int, weight: int, k_max: int | None = None) -> ConstraintSystem:
-    """The constraint rows of one component: its `_xi_blocks`, k = 1..k_max."""
-    system = ConstraintSystem(n, weight, list(_components(n).get(weight, ())), [], [])
-    for rows, labels in _xi_blocks(n, weight, range(1, (n if k_max is None else k_max) + 1)):
-        system.rows += rows
-        system.labels += labels
-    return system
 
 
 # -- known solution families ---------------------------------------------------
@@ -449,45 +400,3 @@ def is_kernel_member(F: SparsePolynomial, n: int, k_max: int | None = None) -> b
         if constraint_residual(F, k, n):
             return False
     return True
-
-
-def xi_pointwise_check(F: SparsePolynomial, k: int, point: dict) -> dict[int, Fraction]:
-    """Evaluate each d/ds_j component of xi_k(F) at a stratum point.
-
-    The point must satisfy s_1 = ... = s_{2k-1} = 0 and s_{2k} != 0;
-    unspecified coordinates default to 0.  The value of xi_k(F) at the
-    point is the sum of the returned components; the constraint holds
-    there iff that sum vanishes (individual components may cancel).
-    """
-    if not F.is_homogeneous():
-        raise ValueError("F must be degree-homogeneous")
-    values: dict[int, Fraction] = {}
-    for name, v in point.items():
-        if not name.startswith("s"):
-            raise ValueError(f"not an s-variable: {name}")
-        values[int(name[1:])] = Fraction(v)
-    for i in range(1, 2 * k):
-        if values.get(i, Fraction(0)) != 0:
-            raise ValueError(f"point off the stratum: s{i} != 0")
-        values[i] = Fraction(0)
-    if values.get(2 * k, Fraction(0)) == 0:
-        raise ValueError(f"point off the stratum: s{2*k} must be nonzero")
-    nmax = max((max((i + 1 for i, e in enumerate(expo) if e), default=1)
-                for expo in F.terms), default=1)
-    nmax = max(nmax, k)
-
-    def at_point(p: SparsePolynomial) -> Fraction:
-        total = Fraction(0)
-        for expo, c in p.terms.items():
-            for i, e in enumerate(expo):
-                if e:
-                    c *= values.get(i + 1, Fraction(0)) ** e
-            total += c
-        return total
-
-    xi = xi_field(k, nmax)
-    out: dict[int, Fraction] = {}
-    for j in range(k, nmax + 1):
-        dF = F.derivative(f"s{j}") if j <= F.context.arity else None
-        out[j] = at_point(xi.coefficient(j)) * at_point(dF) if dF is not None else Fraction(0)
-    return out

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, IncrementalModEchelon, is_prime
 from ptl.partitions import bn_hilbert
 from ptl.weyl import GroupSpec
-from ptl.solver import KernelCertificationError
+from ptl.solver import KernelCertificationError, _components
 
 
 def run_cli(capsys, *argv):
@@ -124,12 +125,11 @@ def test_cache_roundtrip_and_byte_identical(tmp_path, capsys):
 
 def test_typed_solve_never_renders_or_parses_polynomials(tmp_path, capsys, monkeypatch):
     # records hold integer vectors: solving, loading and `cache verify`
-    # neither print polynomial text nor parse it
+    # never render polynomial text
     def fail(*args, **kwargs):
         raise AssertionError("polynomial text on the typed solve path")
 
     monkeypatch.setattr("ptl.poly.SparsePolynomial.text", fail)
-    monkeypatch.setattr("ptl.poly.parse_polynomial", fail)
     args = ("typed", "solve", "--n-max", "9", "--cache-dir", str(tmp_path))
     code, cold = run_cli(capsys, *args)
     assert code == 0
@@ -319,6 +319,7 @@ def test_unsafe_prime_exits_2(prime):
 
 
 _B2 = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--no-cache")
+_PRIME_BOUND_D = ("counts", "prime-bound", "--family", "typeD", "--n", "4", "--i", "1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,11 +338,19 @@ _B2 = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--no-cache")
     _B2 + ("--max-degree", "4", "--certify", "always"),
     _B2 + ("--max-degree", "4", "--generator-mode"),
     ("series", "burgers", "--closed-form"),
+    _PRIME_BOUND_D + ("--d", "1,-7"),
+    _PRIME_BOUND_D + ("--d", "1,0,5,5,5"),
+    _PRIME_BOUND_D + ("--d", "1,x"),
+    ("counts", "prime-bound", "--family", "typeA-sym", "--n", "4", "--i", "1", "--d", "1,0"),
+    ("strata", "type-d", "--n", "3", "--d", "1,-5,1,1"),
+    ("strata", "type-d", "--n", "3", "--d", "1,0,1,1,1"),
 ], ids=["n-and-n-max", "solve-workers-0", "brute-workers-0", "max-columns-negative",
         "brute-max-degree-negative", "aminus-max-degree-negative", "solve-n-max-1",
         "compare-n-max-1", "burgers-order-0", "burgers-order-negative",
         "burgers-x0-zero-denominator", "burgers-h0-zero-denominator",
-        "retired-certify", "retired-generator-mode", "retired-closed-form"])
+        "retired-certify", "retired-generator-mode", "retired-closed-form",
+        "prime-bound-d-negative", "prime-bound-d-surplus", "prime-bound-d-not-int",
+        "prime-bound-d-typeA", "strata-d-negative", "strata-d-surplus"])
 def test_invalid_option_values_exit_2(argv, capsys):
     # an option value out of range is a flag error: exit 2, nothing on stdout
     with pytest.raises(SystemExit) as exc:
@@ -535,6 +544,46 @@ def test_folded_cells_any_prime_and_workers(command, prime, workers):
     assert (code, out) == _default_prime_run(command)
 
 
+def _change_one_numerator(cache_dir, index):
+    """Move one stored coordinate by 1 at a column whose monomial m has s1 to
+    the first power, keeping the record well formed and its checksum right.
+    xi_1 sends m to m/s1 at s1 = 0, so the vector leaves the kernel."""
+    spots = []
+    for path in sorted(Path(cache_dir).glob("*.json")):
+        record = json.loads(path.read_text())
+        for w, den, flat in record["payload"]["vectors"]:
+            spots += [(record, den, flat, i + 1) for i in range(0, len(flat), 2)
+                      if _components(record["key"]["n"])[w][flat[i]][0] == 1]
+    record, den, flat, i = spots[index % len(spots)]
+    flat[i] += den if flat[i] + den else -den
+    ResultCache(cache_dir).put(record["key"], record["payload"])
+
+
+@seed(20110607)
+@settings(max_examples=100, deadline=None, database=None)
+@given(n_max=st.integers(2, 12), prime=_PRIMES, workers=st.sampled_from([1, 2]),
+       state=st.sampled_from(["none", "cold", "warm", "changed"]), spot=st.integers(0, 999))
+def test_typed_solve_any_prime_workers_and_cache_state(n_max, prime, workers, state, spot):
+    # the stored table's rows n <= n_max at every prime below 2^31, with or
+    # without a process pool, and without, into or from a cache; a record
+    # with one numerator changed is cache corruption
+    if state == "changed":
+        n_max = max(n_max, 4)  # the n = 2, 3 records are s1^n alone
+    lines = (Path(__file__).parent / "data" / "typed_solve_n34.tex").read_text().splitlines()
+    table = "\n".join(lines[:n_max + 1] + lines[-1:]) + "\n"
+    argv = ["typed", "solve", "--n-max", str(n_max), "--prime", str(prime),
+            "--workers", str(workers), "--format", "latex"]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        argv += ["--no-cache"] if state == "none" else ["--cache-dir", cache_dir]
+        if state in ("warm", "changed"):
+            assert _captured_main(argv) == (0, table)
+        if state == "changed":
+            _change_one_numerator(cache_dir, spot)
+            assert _captured_main(argv) == (4, "")
+        else:
+            assert _captured_main(argv) == (0, table)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("group", ["hyperoctahedral", "demihyperoctahedral"])
 def test_hp0_brute_degree_16_reference(group, capsys):
@@ -550,6 +599,11 @@ def test_hp0_brute_degree_16_reference(group, capsys):
         assert {d // 4: v for d, v in dims.items() if v} == \
             {e: c for e, c in bn_hilbert(4).items() if 4 * e <= 16}
         assert all(d % 4 == 0 for d, v in dims.items() if v)
+
+
+def test_public_names_resolve():
+    assert len(set(ptl.__all__)) == len(ptl.__all__)
+    assert [name for name in ptl.__all__ if not hasattr(ptl, name)] == []
 
 
 def test_stdlib_only():

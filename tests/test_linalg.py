@@ -8,11 +8,32 @@ from ptl import linalg
 from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
+    SparseRationalEchelon,
     annihilated,
     certified_nullspace,
     is_prime,
-    rational_nullspace,
 )
+
+
+def rational_nullspace(vectors, length):
+    """Exact nullspace basis by rational elimination, one vector per non-lead
+    coordinate f with x_f = 1: the reference for `certified_nullspace`."""
+    ech = SparseRationalEchelon()
+    for vec in vectors:
+        ech.add({c: Fraction(v) for c, v in vec.items()})
+    order = sorted(range(ech.rank), key=lambda i: ech.leads[i], reverse=True)
+    basis = []
+    for f in range(length):
+        if f in ech.lead_index:
+            continue
+        vec = {f: Fraction(1)}
+        for i in order:
+            row, lead = ech.rows[i], ech.leads[i]
+            total = sum(coeff * vec[c] for c, coeff in row.items() if c != lead and c in vec)
+            if total:
+                vec[lead] = -total / row[lead]
+        basis.append(vec)
+    return basis
 
 
 def _trial_division(n):

@@ -7,13 +7,24 @@ from ptl.poisson import (
     poisson_bracket,
     raw_bracket,
     reflection_structure,
-    sl2_generators,
 )
 from ptl.poly import SparsePolynomial
 
 
 def _var(P, name):
     return SparsePolynomial.variable(P.context, name)
+
+
+def _sl2(P):
+    """(E, F, H) = (sum x_i^2, sum y_i^2, sum x_i y_i) over the rank-n
+    coordinates; on the reflection pair, x_n = -(x_1 + ... + x_{n-1})."""
+    m = P.pairs
+    xs = [_var(P, f"x{i}") for i in range(1, m + 1)]
+    ys = [_var(P, f"y{i}") for i in range(1, m + 1)]
+    if P.kind == "reflection":
+        xs, ys = xs + [-sum(xs[1:], xs[0])], ys + [-sum(ys[1:], ys[0])]
+    return (sum(x * x for x in xs), sum(y * y for y in ys),
+            sum(x * y for x, y in zip(xs, ys)))
 
 
 def _random_poly(P, rng, max_terms=3, max_deg=2):
@@ -43,23 +54,19 @@ def test_reflection_structure_constant():
 
 
 def test_sl2_printed_generators():
-    P = darboux_structure(2)
-    E, F, H = sl2_generators(P)
-    x1, x2 = _var(P, "x1"), _var(P, "x2")
-    y1, y2 = _var(P, "y1"), _var(P, "y2")
-    assert E == x1 * x1 + x2 * x2
-    assert F == y1 * y1 + y2 * y2
-    assert H == x1 * y1 + x2 * y2
+    E, F, H = _sl2(darboux_structure(2))
+    assert (E.text(), F.text(), H.text()) == ("x1^2 + x2^2", "y1^2 + y2^2", "x1*y1 + x2*y2")
+    E, _, H = _sl2(reflection_structure(3))
+    assert (E.text(), H.text()) == ("2*x1^2 + 2*x1*x2 + 2*x2^2",
+                                    "2*x1*y1 + x1*y2 + x2*y1 + 2*x2*y2")
 
 
 def test_sl2_brackets():
     for P in (darboux_structure(1), darboux_structure(3), reflection_structure(3)):
-        E, F, H = sl2_generators(P)
+        E, F, H = _sl2(P)
         assert poisson_bracket(E, H, P) == 2 * E
         assert poisson_bracket(F, H, P) == -2 * F
-    P = darboux_structure(1)
-    E, F, H = sl2_generators(P)
-    assert poisson_bracket(E, F, P) == 4 * H
+        assert poisson_bracket(E, F, P) == 4 * H
 
 
 def test_bracket_context_mismatch():
@@ -115,11 +122,10 @@ def test_reflection_sum_images_vanish():
 def test_ad_h_acts_diagonally(rng):
     # {., H} scales each (x-degree, y-degree) bicomponent by xdeg - ydeg
     from ptl.weyl import GroupSpec, invariant_basis
-    from ptl.poisson import sl2_generators
     cases = [(GroupSpec("hyperoctahedral", 2), darboux_structure(2)),
              (GroupSpec("symmetric-reflection", 3), reflection_structure(3))]
     for spec, P in cases:
-        _, _, H = sl2_generators(P)
+        _, _, H = _sl2(P)
         m = P.pairs
         for degree in (2, 3, 4):
             for f in invariant_basis(spec, degree):

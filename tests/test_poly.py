@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptl.context import darboux_context, svar_context
-from ptl.poly import SparsePolynomial, laurent_clear_denominators, parse_polynomial
+from ptl.poly import SparsePolynomial
 
 SCTX = svar_context(4)
 LCTX = svar_context(4, localized_at=2)
@@ -21,24 +23,6 @@ def test_monomial_product():
 def test_power_rule():
     s1 = sv("s1")
     assert (s1 * s1).derivative("s1") == 2 * s1
-
-
-def test_homogeneous_component_by_weight():
-    s1, s2, s3 = sv("s1"), sv("s2"), sv("s3")
-    p = s1 ** 3 + s1 * s2 + s3
-    # weights: s1^3 -> 0, s1*s2 -> -4, s3 -> -8
-    assert p.homogeneous_component(weight=-8) == s3
-    assert p.homogeneous_component(weight=-4) == s1 * s2
-    assert p.homogeneous_component(weight=0) == s1 ** 3
-
-
-def test_homogeneous_decomposition_reassembles():
-    s1, s2, s3, s4 = (sv(f"s{i}") for i in range(1, 5))
-    p = 3 * s1 ** 4 + s2 * s2 - 7 * s3 * s1 + s4 + 5
-    total = SparsePolynomial.zero(SCTX)
-    for _, piece in p.weight_components().items():
-        total = total + piece
-    assert total == p
 
 
 def test_degree_and_grading():
@@ -66,30 +50,19 @@ def test_negative_exponent_needs_localization():
     assert p.text() == "s2^-1"
 
 
-def test_text_round_trip_examples():
-    for text in ("3/2*s2^-1*s3", "5/2*s2^-1*s4 - 5/8*s2^-2*s3^2", "0", "-7/3",
-                 "s1^2*s2 + s4", "2*s2 - s1"):
-        p = parse_polynomial(text, LCTX)
-        assert p.text() == text
-        assert parse_polynomial(p.text(), LCTX) == p
-    # non-canonical input still parses to the same polynomial
-    assert parse_polynomial("-s1 + 2*s2", LCTX) == parse_polynomial("2*s2 - s1", LCTX)
-
-
-def test_laurent_clear_denominators():
-    s3 = SparsePolynomial.variable(LCTX, "s3")
+def test_text_fixed_strings():
+    # the display form `typed families` prints: graded-lex descending,
+    # explicit rational coefficients, the leading sign attached
+    s1, s2, s3, s4 = (sv(f"s{i}", LCTX) for i in range(1, 5))
     s2inv = SparsePolynomial.variable(LCTX, "s2", -1)
-    q, m = laurent_clear_denominators(s3 * s2inv, "s2")
-    assert (q.text(), m) == ("s3", 1)
-
-    p = parse_polynomial("1/2*s2^-1*s4 - 1/8*s2^-2*s3^2", LCTX)
-    q, m = laurent_clear_denominators(p, "s2")
-    assert m == 2
-    assert q == parse_polynomial("1/2*s2*s4 - 1/8*s3^2", LCTX)
-
-    s1 = SparsePolynomial.variable(LCTX, "s1")
-    q, m = laurent_clear_denominators(s1 * s1, "s2")
-    assert (q, m) == (s1 * s1, 0)
+    assert (Fraction(3, 2) * s2inv * s3).text() == "3/2*s2^-1*s3"
+    assert (Fraction(5, 2) * s2inv * s4 - Fraction(5, 8) * s2inv * s2inv * s3 * s3).text() == \
+        "5/2*s2^-1*s4 - 5/8*s2^-2*s3^2"
+    assert SparsePolynomial.zero(LCTX).text() == "0"
+    assert SparsePolynomial.constant(LCTX, Fraction(-7, 3)).text() == "-7/3"
+    assert (s4 + s1 * s1 * s2).text() == "s1^2*s2 + s4"
+    assert (2 * s2 - s1).text() == (-s1 + 2 * s2).text() == "2*s2 - s1"
+    assert (1 - 3 * s1 * s3 + s2 * s2).text() == "-3*s1*s3 + s2^2 + 1"
 
 
 def _poly_strategy(ctx):
@@ -110,5 +83,8 @@ def test_ring_axioms(p, q, r):
 
 @settings(max_examples=30, deadline=None)
 @given(_poly_strategy(darboux_context(2)))
-def test_text_round_trip_random(p):
-    assert parse_polynomial(p.text(), darboux_context(2)) == p
+def test_text_ignores_term_order(p):
+    # one polynomial, one string: however its terms were inserted
+    q = SparsePolynomial(p.context, list(p.terms.items())[::-1])
+    assert q == p and q.text() == p.text()
+    assert p.text().count(" + ") + p.text().count(" - ") == max(len(p.terms), 1) - 1

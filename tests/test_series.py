@@ -1,95 +1,80 @@
+"""The exact square roots behind `series burgers`: the Taylor coefficients
+C(1/2, m) of sqrt(1+z) and the principal root of a bivariate series."""
+
 from fractions import Fraction
 
 import pytest
 
-from ptl.series import (
-    TruncatedEvenSeries,
-    binom_half,
-    even_series_sqrt,
-    q_series,
-    rational_sqrt,
-)
+from ptl.burgers import BiSeries, _sqrt_biseries, binom_half, rational_sqrt
 
 
 def test_q_series_printed_values():
-    assert q_series(3).as_fractions() == [
+    assert [binom_half(m) for m in range(4)] == [
         Fraction(1), Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
 
 
 def test_q_series_order_zero():
-    assert q_series(0).as_fractions() == [Fraction(1)]
+    assert _sqrt_biseries(BiSeries.constant(Fraction(9, 4), 1), 1).terms == {
+        (0, 0): Fraction(3, 2)}
 
 
 def test_q_series_fifth_coefficient():
     # direct evaluation of C(1/2, 4)
-    assert q_series(4).as_fractions()[4] == Fraction(-5, 128)
-    direct = (Fraction(1, 2) * Fraction(-1, 2) * Fraction(-3, 2) * Fraction(-5, 2)) / 24
-    assert direct == Fraction(-5, 128)
+    direct = Fraction(1, 2) * Fraction(-1, 2) * Fraction(-3, 2) * Fraction(-5, 2) / 24
+    assert binom_half(4) == direct == Fraction(-5, 128)
 
 
 def test_q_series_recurrence():
-    coeffs = q_series(12).as_fractions()
+    coeffs = [binom_half(m) for m in range(13)]
     for m in range(12):
         assert coeffs[m + 1] == coeffs[m] * (Fraction(1, 2) - m) / (m + 1)
 
 
 def test_sqrt_of_one_plus_x2():
-    g = even_series_sqrt(TruncatedEvenSeries([1, 1, 0, 0]), 3)
-    assert g.shift == 0
-    assert g.series.as_fractions() == [
-        Fraction(1), Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+    g = _sqrt_biseries(BiSeries({(0, 0): 1, (1, 0): 1}, 4), 4)
+    assert g.terms == {(m, 0): binom_half(m) for m in range(4)}
 
 
 def test_sqrt_of_pure_square_term():
-    g = even_series_sqrt(TruncatedEvenSeries([0, 4, 0]), 2)
-    assert g.shift == 1
-    assert g.series.as_fractions()[0] == 2
-    assert all(c == 0 for c in g.series.as_fractions()[1:])
+    g = _sqrt_biseries(BiSeries.constant(4, 3), 3)
+    assert g.terms == {(0, 0): Fraction(2)}
 
 
 def test_sqrt_of_perfect_square():
-    g = even_series_sqrt(TruncatedEvenSeries([1, 2, 1]))
-    assert g.shift == 0
-    assert g.series.as_fractions() == [Fraction(1), Fraction(1), Fraction(0)]
+    g = _sqrt_biseries(BiSeries({(0, 0): 1, (1, 0): 2, (2, 0): 1}, 3), 3)
+    assert g.terms == {(0, 0): Fraction(1), (1, 0): Fraction(1)}
 
 
 def test_sqrt_squares_back(rng):
     for _ in range(40):
-        order = rng.randint(1, 8)
+        order = rng.randint(1, 6)
         lead = rng.choice([1, 4, Fraction(9, 4), Fraction(1, 16)])
-        coeffs = [lead] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                           for _ in range(order)]
-        f = TruncatedEvenSeries(coeffs, order)
-        g = even_series_sqrt(f, order)
-        assert g.square().truncate(order) == f
+        terms = {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for i in range(order) for j in range(order - i)}
+        f = BiSeries({**terms, (0, 0): lead}, order)
+        g = _sqrt_biseries(f, order)
+        assert g.terms[(0, 0)] == rational_sqrt(lead)
+        assert (g * g).terms == f.terms
 
 
 def test_sqrt_of_zero_rejected():
     with pytest.raises(ValueError):
-        even_series_sqrt(TruncatedEvenSeries([0, 0, 0]))
+        _sqrt_biseries(BiSeries({(1, 0): 1}, 3), 3)
 
 
 def test_sqrt_needs_perfect_square():
     with pytest.raises(ValueError):
-        even_series_sqrt(TruncatedEvenSeries([2, 1]))
-    with pytest.raises(ValueError):
-        rational_sqrt(Fraction(-1))
+        _sqrt_biseries(BiSeries({(0, 0): 2, (1, 0): 1}, 2), 2)
+    for bad in (Fraction(-1), Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            rational_sqrt(bad)
+    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
 
 
 def test_sqrt_with_polynomial_tail_coefficients():
-    # scalar-extractable leading coefficient, ring-element tails
-    from ptl.context import series_context
-    from ptl.poly import SparsePolynomial
-    ctx = series_context(("u",))
-    u = SparsePolynomial.variable(ctx, "u")
-    one = SparsePolynomial.constant(ctx, 1)
-    f = TruncatedEvenSeries([one, u, u * u], 2)
-    g = even_series_sqrt(f, 2)
-    assert g.shift == 0
-    sq = g.square().truncate(2)
-    assert sq.coefficients[0] == one
-    assert sq.coefficients[1] == u
-    assert sq.coefficients[2] == u * u
+    # a root whose tail mixes both variables: (1 + dx*t)^2
+    f = BiSeries({(0, 0): 1, (1, 1): 2, (2, 2): 1}, 5)
+    assert _sqrt_biseries(f, 5).terms == {(0, 0): Fraction(1), (1, 1): Fraction(1)}
 
 
 def test_binom_half_zero():
@@ -97,11 +82,11 @@ def test_binom_half_zero():
 
 
 def test_series_arithmetic_truncates_consistently():
-    a = TruncatedEvenSeries([1, 2, 3], 2)
-    b = TruncatedEvenSeries([0, 1, 1, 9], 3)
+    a = BiSeries({(0, 0): 1, (1, 0): 2, (2, 0): 3}, 3)
+    b = BiSeries({(1, 0): 1, (0, 2): 1, (3, 0): 9}, 4)
     s = a + b
-    assert s.order == 2
-    assert s.as_fractions() == [Fraction(1), Fraction(3), Fraction(4)]
+    assert s.order == 3
+    assert s.terms == {(0, 0): 1, (1, 0): 3, (2, 0): 3, (0, 2): 1}
     p = a * b
-    assert p.order == 2
-    assert p.as_fractions() == [Fraction(0), Fraction(1), Fraction(3)]
+    assert p.order == 3
+    assert p.terms == {(1, 0): 1, (2, 0): 2, (0, 2): 1}
