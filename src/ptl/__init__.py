@@ -7,50 +7,49 @@ bracket-span engine over invariant rings) are cross-checked against each other
 and against closed-form partition combinatorics.
 """
 
-from ptl.context import VariableContext, darboux_context, svar_context
-from ptl.poly import SparsePolynomial
-from ptl.poisson import PoissonStructure, poisson_bracket
-from ptl.weyl import GroupSpec, SignedPermutation, act, invariant_basis, hh0_dimension
-from ptl.tables import GradedDimensionTable
-from ptl.engine import BracketSpanProblem, hp0_graded_dims, bracket_membership, check_aminus_identity
-from ptl.solver import kernel_basis, family_generators
-from ptl.partitions import (
-    multipartition_count,
-    p_count,
-    p_prime_count,
-    bn_hilbert,
-    prime_bound,
-)
-from ptl.strata import LeafDescriptor, leaves_symmetric_power, leaves_kleinian, leaves_type_d
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "VariableContext",
-    "darboux_context",
-    "svar_context",
-    "SparsePolynomial",
-    "PoissonStructure",
-    "poisson_bracket",
-    "GroupSpec",
-    "SignedPermutation",
-    "act",
-    "invariant_basis",
-    "hh0_dimension",
-    "GradedDimensionTable",
-    "BracketSpanProblem",
-    "hp0_graded_dims",
-    "bracket_membership",
-    "check_aminus_identity",
-    "kernel_basis",
-    "family_generators",
-    "multipartition_count",
-    "p_count",
-    "p_prime_count",
-    "bn_hilbert",
-    "prime_bound",
-    "LeafDescriptor",
-    "leaves_symmetric_power",
-    "leaves_kleinian",
-    "leaves_type_d",
-]
+# public name -> the module that defines it; each module is imported on the
+# first access to one of its names (PEP 562), so that `import ptl.cli` and
+# each CLI command load only the modules they use
+_SOURCES = {
+    "VariableContext": "context",
+    "darboux_context": "context",
+    "svar_context": "context",
+    "SparsePolynomial": "poly",
+    "PoissonStructure": "poisson",
+    "poisson_bracket": "poisson",
+    "GroupSpec": "weyl",
+    "SignedPermutation": "weyl",
+    "act": "weyl",
+    "invariant_basis": "weyl",
+    "hh0_dimension": "weyl",
+    "GradedDimensionTable": "tables",
+    "BracketSpanProblem": "engine",
+    "hp0_graded_dims": "engine",
+    "bracket_membership": "engine",
+    "check_aminus_identity": "engine",
+    "kernel_basis": "solver",
+    "family_generators": "solver",
+    "multipartition_count": "partitions",
+    "p_count": "partitions",
+    "p_prime_count": "partitions",
+    "bn_hilbert": "partitions",
+    "prime_bound": "partitions",
+    "LeafDescriptor": "strata",
+    "leaves_symmetric_power": "strata",
+    "leaves_kleinian": "strata",
+    "leaves_type_d": "strata",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module 'ptl' has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"ptl.{_SOURCES[name]}"), name)
+    globals()[name] = value
+    return value

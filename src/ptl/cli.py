@@ -6,18 +6,19 @@ counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
 --prime that is not a prime below 2^31, --workers below 1, --n-max below 2,
-a series --order below 1, a negative --max-degree or --max-columns, --n
-given with --n-max, a --d other than non-negative d_0..d_n for strata
-type-d or d_0..d_i for a typeD prime bound, and a --cache-dir or
-$PTL_CACHE_DIR that cannot be made a directory), 3 resource guardrail
-exceeded (the degrees computed before it are still printed, with a
-truncation marker), 4 cache corruption, 5 a kernel that could not be
-certified over Q or an internal check (AssertionError) that failed, with
-one line on stderr.
+a series --order below 1, a negative --max-degree or --max-columns, a
+negative --n or --i of a partition count, --n given with --n-max, a --d
+other than non-negative d_0..d_n for strata type-d or d_0..d_i for a typeD
+prime bound, and a --cache-dir or $PTL_CACHE_DIR that cannot be made a
+directory), 3 resource guardrail exceeded (the degrees computed before it
+are still printed, with a truncation marker), 4 cache corruption, 5 an
+internal check (AssertionError) that failed, a certificate that does not
+hold among them, with one line on stderr.
 --workers N runs on a process pool whose workers read, re-verify and write
 the cache exactly as a serial run does.  Only typed-solver payloads are
-cached, each basis vector as integers over its component's columns
-(`_encoded`); `cache verify` re-verifies each of them as a load does.
+cached, each vector of the reduced (s1-free) kernel basis as integers over
+its component's s1-free columns (`_encoded`); `cache verify` re-verifies
+each of them as a load does.
 `hp0 brute` accepts --cache-dir but recomputes its table on every run.
 """
 
@@ -34,25 +35,10 @@ from functools import partial
 from itertools import repeat
 
 from ptl.cache import CacheCorruption, ResultCache, canonical_json, code_version, ENV_CACHE_DIR
-from ptl.engine import BracketSpanProblem, GuardrailExceeded, check_aminus_identity, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, is_prime
-from ptl.partitions import (
-    bn_hilbert,
-    multipartition_count,
-    p_count,
-    p_prime_count,
-    prime_bound,
-)
-from ptl.solver import (
-    KernelCertificationError,
-    display_table,
-    family_generators,
-    kernel_basis,
-    recertifies,
-)
-from ptl.strata import leaves_kleinian, leaves_symmetric_power, leaves_type_d
-from ptl.tables import GradedDimensionTable
-from ptl.weyl import GroupSpec, hh0_dimension
+
+# Each command imports the modules of its own route when it runs, so that
+# `import ptl.cli` and one command load only what that command needs.
 
 SCHEMA_ID = "ptl-output/1"
 FIGURE_HEADER = (
@@ -92,6 +78,8 @@ def _cache_from_args(args) -> ResultCache:
 # -- typed solve ---------------------------------------------------------------
 
 def _display_fields(dual_weights: dict) -> dict:
+    from ptl.solver import display_table
+    from ptl.tables import GradedDimensionTable
     display = display_table(GradedDimensionTable(
         {int(w): dim for w, dim in dual_weights.items()}))
     return {"display_series": display.series(),
@@ -117,7 +105,9 @@ def _verify_solve(n: int, weight, prime: int, payload) -> bool:
     from exactly the form `_encoded` writes (ints only, a positive
     denominator coprime to the nonzero numerators, columns ascending from
     0), the rest of the payload, as JSON, exactly the `_record` of n and
-    their counts, then the solver's component certificate run again."""
+    the dimensions they give, then the solver's component certificate run
+    again."""
+    from ptl.solver import kernel_dims, recertifies
     vectors = payload.get("vectors") if isinstance(payload, dict) else None
     if type(vectors) is not list:
         return False
@@ -131,7 +121,7 @@ def _verify_solve(n: int, weight, prime: int, payload) -> bool:
                 and all(nums) and math.gcd(den, *nums) == 1):
             return False
         columns.setdefault(w, []).append({c: Fraction(x, den) for c, x in zip(cols, nums)})
-    counts = {str(w): len(vecs) for w, vecs in columns.items()}
+    counts = {str(w): dim for w, dim in kernel_dims(n, weight, columns).items()}
     if canonical_json(payload) != canonical_json(_record(n, counts, vectors)):
         return False
     return recertifies(n, weight, columns, prime)
@@ -149,6 +139,7 @@ def _record_verifier(key: dict):
 
 
 def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
+    from ptl.solver import kernel_basis
     key = {"module": "typed-solver", "family": "D", "n": n,
            "weight": weight, "prime": prime, "code": code_version()}
     cached = cache.get(key, verify=_record_verifier(key))
@@ -201,6 +192,7 @@ def cmd_typed_solve(args) -> int:
 
 
 def cmd_typed_families(args) -> int:
+    from ptl.solver import family_generators
     gens = family_generators(args.n)
     texts = [g.text() for g in gens]
     if args.format == "json":
@@ -219,6 +211,8 @@ def cmd_hp0_brute(args) -> int:
     # Tables are recomputed on every run: a cached table would carry no
     # certificate that a load could re-check.  --cache-dir is accepted and
     # ignored.
+    from ptl.engine import BracketSpanProblem, GuardrailExceeded, hp0_graded_dims
+    from ptl.weyl import GroupSpec
     problem = BracketSpanProblem(GroupSpec(args.group, args.n), args.subgroup)
     exit_code = 0
     try:
@@ -246,6 +240,7 @@ def _write_hp0_table(payload: dict, fmt: str):
         sys.stdout.write(_csv_lines([("degree", "dim")] + pairs))
         return
     if fmt == "latex":
+        from ptl.tables import GradedDimensionTable
         table = GradedDimensionTable({int(k): v for k, v in dims.items()})
         if table.entries and all(k % 4 == 0 for k in table.entries):
             # the figures' convention: series in t^(1/4) of the degree
@@ -262,6 +257,7 @@ def _write_hp0_table(payload: dict, fmt: str):
 
 
 def cmd_hp0_aminus(args) -> int:
+    from ptl.engine import check_aminus_identity
     report = check_aminus_identity(args.n, args.max_degree, prime=args.prime)
     if args.format == "json":
         sys.stdout.write(_emit_json({
@@ -289,6 +285,7 @@ def _emit_count(args, statistic: str, value: int, params: dict) -> int:
 
 
 def cmd_counts(args) -> int:
+    from ptl.partitions import bn_hilbert, multipartition_count, p_count, p_prime_count, prime_bound
     if args.statistic == "multipartitions":
         return _emit_count(args, "multipartitions",
                            multipartition_count(args.n, args.i),
@@ -303,6 +300,7 @@ def cmd_counts(args) -> int:
                            {"n": args.n, "i": args.i,
                             "multipartition_reading": args.multipartition_reading})
     if args.statistic == "hh0":
+        from ptl.weyl import hh0_dimension
         return _emit_count(args, "hh0", hh0_dimension(args.family, args.n),
                            {"family": args.family, "n": args.n})
     if args.statistic == "prime-bound":
@@ -346,6 +344,7 @@ def _emit_strata(args, variety: str, leaves) -> int:
 
 
 def cmd_strata(args) -> int:
+    from ptl.strata import leaves_kleinian, leaves_symmetric_power, leaves_type_d
     if args.variety == "symmetric-power":
         return _emit_strata(args, "symmetric-power",
                             leaves_symmetric_power(args.n, args.dim_y))
@@ -391,6 +390,7 @@ def cmd_series_burgers(args) -> int:
 def cmd_compare_hp0_hh0(args) -> int:
     if args.family != "D":
         raise SystemExit2("only --family D is implemented")
+    from ptl.weyl import hh0_dimension
     cache = _cache_from_args(args)
     rows = []
     first_strict = None
@@ -549,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = counts.add_subparsers(dest="statistic", required=True)
     for name in ("multipartitions", "p", "p-prime"):
         c = csub.add_parser(name)
-        c.add_argument("--n", type=int, required=True)
-        c.add_argument("--i", type=int, required=True)
+        c.add_argument("--n", type=_at_least(0), required=True)
+        c.add_argument("--i", type=_at_least(0), required=True)
         if name == "p-prime":
             c.add_argument("--multipartition-reading", action="store_true")
         _add_common(c)
@@ -561,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.set_defaults(func=cmd_counts, statistic="bn-hilbert")
     pb = csub.add_parser("prime-bound")
     pb.add_argument("--family", required=True, choices=("typeA-sym", "typeA-quot", "typeD"))
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--i", type=int, required=True)
+    pb.add_argument("--n", type=_at_least(0), required=True)
+    pb.add_argument("--i", type=_at_least(0), required=True)
     pb.add_argument("--d", type=_dims, default=None, help="comma-separated d_0..d_i for typeD")
     _add_common(pb)
     pb.set_defaults(func=cmd_counts, statistic="prime-bound")
@@ -627,9 +627,6 @@ def main(argv=None) -> int:
     except CacheCorruption as exc:
         sys.stderr.write(f"cache corruption: {exc}\n")
         return 4
-    except KernelCertificationError as exc:
-        sys.stderr.write(f"certification failed: {exc}\n")
-        return 5
     except AssertionError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return 5

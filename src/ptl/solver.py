@@ -19,21 +19,48 @@ In closed form, the d/ds_{k+t} coefficient is 2(k+t)-1 times a sum over
 the partitions of t that depends on k only through the index shift 2k
 (`_xi_slice`), and 4^t times it has integer coefficients, so every
 constraint row is assembled in integers, one xi_k at a time (`_xi_blocks`).
+A row is keyed by its Laurent label packed into one int (`_label_code`).
 
 The constraints preserve the bigrading, so the kernel is computed one
-(degree, dual weight) component at a time by one certificate
-(`_component_kernel`), which builds no more rows once their mod-p rank is
-full: the kernel is then zero.  Otherwise d = ncols - rank_p bounds the
-dimension; candidate vectors that every integer constraint row
-annihilates exactly and that are independent mod p are the
-basis when there are d of them, and otherwise `linalg.certified_nullspace`
-lifts the modular nullspace over a stream of word-sized primes and checks
-every reconstructed vector against every row.  The candidates are the
-known solution families (multiples of s1^2 and the s2^k s_{k+1} g
-corrections) when solving, and a cached record's vectors when
-re-verifying it (`recertifies`).  Vectors are exact column-coefficient
-dicts over a component's columns; `SolutionBasis.vectors` alone turns
-them into polynomials.
+(degree, dual weight) component at a time.  Write a column as s1^a m with
+m free of s1.  Three facts can be read off `_column_rows_for_k`:
+
+1. a >= 2: the column has no entry in any row.  Below 2k, xi_k has a row
+   on a column only through d/ds_j with j >= k and exponent 1, and s_1 is
+   the index j = 1.
+2. a = 1: the column has exactly one entry, 4^(n-1) (at the integer
+   scale), in the xi_1 row labelled by the polynomial m.  For k >= 2 the
+   index 1 is below k; for k = 1, d/ds_1 comes with slice 0, which is 1.
+3. Every other label of xi_1 comes from an s1-free column, through
+   d/ds_j with j >= 2, and has no s1.  So a xi_1 label m that is a
+   polynomial has s1 m of degree n (xi_1 lowers the degree by one) and of
+   the component's dual weight (xi_1 keeps it, and s1 has weight 0): s1 m
+   is a column of the same component, and by 2 its row has the entry
+   4^(n-1) there.
+
+Lemma.  Let C2, C1 and C0 be the columns with a >= 2, a = 1 and a = 0, P
+the xi_1 rows with a polynomial label, and L all other rows.  x is in the
+kernel iff x restricted to C0 is in the kernel of the reduced system
+(L on C0), and x_{s1 m} = -(row m . x)/4^(n-1) for every row m of P, with
+x on C2 free.  Proof: by 1 and 2, L has no entry outside C0, and C2 none
+at all; by 2 and 3, m -> s1 m matches the rows of P one to one with C1,
+and P on C1 is 4^(n-1) times the identity.  So the kernel's dimension is
+|C2| plus that of the reduced kernel, which is all `_xi_blocks` assembles.
+
+Certificate (`_component_kernel`).  The family-(ii) leading monomials
+z = s2^k s_{k+1} g (`_family_leads`) are s1-free, and `family_generators`
+completes each e_z to a kernel element, so the column of z is zero in the
+reduced system; that is checked exactly, column by column, for every k.
+Reduced rows enter a mod-p echelon as they are built, and none are built
+once the mod-p rank is |C0| - |Z|: rank_Q >= rank_p bounds the kernel's
+dimension by |Z|, so {e_z} is its basis.  A component that never reaches
+that rank is lifted by `linalg.certified_nullspace`, which checks every
+reconstructed vector against every row; re-verifying a cached record
+(`recertifies`) accepts its vectors in place of the lift when they are
+annihilated exactly and, on the echelon's non-lead columns, are the unit
+vectors.  Bases are exact column-coefficient dicts over a component's
+s1-free columns; `SolutionBasis.vectors` alone completes them, adds the
+s1^2 monomials, and turns them into polynomials.
 """
 
 from __future__ import annotations
@@ -96,6 +123,50 @@ def _xi_slice(k: int, t: int) -> dict:
 
 # -- constraint assembly ------------------------------------------------------
 
+def _digit_width(n: int) -> int:
+    """Bits per exponent in the code of a label on degree n.  An exponent
+    of a label is a column exponent (at most n) plus or minus at most
+    t < n parts of a partition, so 2^(b-1) > 2n keeps it inside the
+    balanced digit range [-2^(b-1), 2^(b-1))."""
+    return (2 * n).bit_length() + 1
+
+
+def _label_code(expo, n: int) -> int:
+    """The exponent tuple of a (Laurent) monomial over s_1, s_2, ... packed
+    into one int: the exponent of s_i is the balanced digit i-1 in base
+    2^_digit_width(n), so on degree n the code is injective."""
+    b = _digit_width(n)
+    return sum(x << b * i for i, x in enumerate(expo) if x)
+
+
+def _label(code: int, n: int) -> tuple:
+    """The exponent tuple over s_1..s_2n that `_label_code` packed."""
+    b = _digit_width(n)
+    half, out = 1 << b - 1, []
+    for _ in range(2 * n):
+        digit = (code + half) % (1 << b) - half
+        out.append(digit)
+        code = (code - digit) >> b
+    return tuple(out)
+
+
+def _polynomial_xi1(code: int, n: int) -> bool:
+    """Whether the code of a xi_1 label of an s1-free column (fact 3 of the
+    module docstring) is a polynomial: s_1's digit is 0 and s_2's is the
+    only one that can be negative, so it is the sign bit of s_2's digit."""
+    return not code >> 2 * _digit_width(n) - 1 & 1
+
+
+@lru_cache(maxsize=None)
+def _slice_codes(k: int, t: int, b: int) -> tuple:
+    """`_xi_slice(k, t)` for d/ds_{k+t} at digit width b, as (code offset,
+    coefficient) pairs: a column's code plus the offset is the code of its
+    label, the column divided by s_{k+t} times the slice monomial."""
+    shift = 1 << b * (k + t - 1)
+    return tuple((sum(x << b * (i - 1) for i, x in mono) - shift, c)
+                 for mono, c in _xi_slice(k, t).items())
+
+
 def _partition_to_expo(lam: tuple, N: int) -> tuple:
     expo = [0] * N
     for part in lam:
@@ -103,10 +174,11 @@ def _partition_to_expo(lam: tuple, N: int) -> tuple:
     return tuple(expo)
 
 
-def _column_rows_for_k(k: int, n: int, e: tuple, support: list):
-    """Yield (row label monomial, int value) for 4^(n-k) * xi_k applied to the
+def _column_rows_for_k(k: int, n: int, e: tuple, support: list, code: int):
+    """Yield (row label code, int value) for 4^(n-k) * xi_k applied to the
     column monomial e, after the substitution s_1 = ... = s_{2k-1} = 0;
-    `support` lists the s-indices where e is nonzero, ascending.
+    `support` lists the s-indices where e is nonzero, ascending, and
+    `code` is `_label_code(e, n)`.
 
     Slice t = j - k of xi_k enters through d/ds_j; `_xi_slice` scales it by
     4^t, so a further 4^(n-j) puts every slice of xi_k on the one scale
@@ -122,15 +194,11 @@ def _column_rows_for_k(k: int, n: int, e: tuple, support: list):
     else:
         js = [j for j in support if j <= n]
         # d/ds_j for k <= j < 2k hits zero exponents here; j > n never occurs
+    b = _digit_width(n)
     for j in js:
         scale = e[j - 1] * (2 * j - 1) << 2 * (n - j)
-        base = list(e)
-        base[j - 1] -= 1
-        for mono, c in _xi_slice(k, j - k).items():
-            label = base.copy()
-            for idx, ex in mono:
-                label[idx - 1] += ex
-            yield tuple(label), scale * c
+        for offset, c in _slice_codes(k, j - k, b):
+            yield code + offset, scale * c
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +214,28 @@ def _components(n: int) -> MappingProxyType:
                              for w, cols in sorted(comps.items())})
 
 
+@lru_cache(maxsize=None)
+def _reduced_components(n: int) -> MappingProxyType:
+    """Per dual weight: (number of s1^2 columns, the s1-free columns, the
+    positions among them of the family-(ii) leads), read-only because the
+    result is cached."""
+    leads = set(_family_leads(n))
+    out = {}
+    for w, cols in _components(n).items():
+        free = tuple(e for e in cols if not e[0])
+        out[w] = (sum(e[0] >= 2 for e in cols), free,
+                  tuple(i for i, e in enumerate(free) if e in leads))
+    return MappingProxyType(out)
+
+
+_NO_COLUMNS = (0, (), ())
+
+
 def _xi_blocks(n: int, weight: int, ks):
-    """Yield, for each k of `ks`, the rows of xi_k on one component and their
-    labels (k, ambient Laurent monomial), in generation order.
+    """Yield, for each k of `ks`, the rows of xi_k on the s1-free columns of
+    one component and their labels (k, label code), in generation order:
+    the reduced system of the module docstring, without the rows of xi_1
+    whose label is a polynomial.
 
     The rows are built at the scale 4^(n-k) (`_column_rows_for_k`), where
     every closed-form coefficient is an int, and each row is then divided by
@@ -156,17 +243,20 @@ def _xi_blocks(n: int, weight: int, ks):
     exactly `linalg.integer_vector` of the rational row, whose denominators
     are powers of two.
     """
-    columns = _components(n).get(weight, ())
+    columns = _reduced_components(n).get(weight, _NO_COLUMNS)[1]
     supports = [[i + 1 for i, x in enumerate(e) if x] for e in columns]
-    # xi_k has no row on a column with two s-indices below 2k, or one below k
-    reach = [s[1] // 2 if len(s) > 1 else s[0] for s in supports]
+    codes = [_label_code(e, n) for e in columns]
+    # the largest k with a row on the column: below 2k, xi_k reaches only a
+    # smallest s-index j >= k of exponent 1, and no further one
+    reach = [min(s[0], s[1] // 2 if len(s) > 1 else s[0]) if e[s[0] - 1] == 1 else s[0] // 2
+             for e, s in zip(columns, supports)]
     for k in ks:
         row_index: dict = {}
         rows: list[dict] = []
         for ci, e in enumerate(columns):
             if k > reach[ci]:
                 continue
-            for label, val in _column_rows_for_k(k, n, e, supports[ci]):
+            for label, val in _column_rows_for_k(k, n, e, supports[ci], codes[ci]):
                 ri = row_index.get(label)
                 if ri is None:
                     ri = row_index[label] = len(rows)
@@ -175,6 +265,8 @@ def _xi_blocks(n: int, weight: int, ks):
                 row[ci] = row.get(ci, 0) + val
         rows_out, labels_out = [], []
         for row, label in zip(rows, row_index):
+            if k == 1 and _polynomial_xi1(label, n):
+                continue
             row = {c: x for c, x in row.items() if x}
             if row:
                 g = math.gcd(*row.values())
@@ -182,6 +274,23 @@ def _xi_blocks(n: int, weight: int, ks):
                 rows_out.append({c: x >> shift for c, x in row.items()})
                 labels_out.append((k, label))
         yield rows_out, labels_out
+
+
+def _check_zero_columns(n: int, weight: int, ks) -> None:
+    """AssertionError unless every family-(ii) lead column of the component
+    is zero in the reduced rows of each xi_k of `ks`, one column at a time."""
+    _squares, columns, zeros = _reduced_components(n).get(weight, _NO_COLUMNS)
+    for z in zeros:
+        e = columns[z]
+        support = [i + 1 for i, x in enumerate(e) if x]
+        for k in ks:
+            entries: dict[int, int] = {}
+            for label, val in _column_rows_for_k(k, n, e, support, _label_code(e, n)):
+                if k > 1 or not _polynomial_xi1(label, n):
+                    entries[label] = entries.get(label, 0) + val
+            if any(entries.values()):
+                raise AssertionError(f"family-(ii) lead column {z} of (n, w) = ({n}, {weight}) "
+                                     f"is not zero in xi_{k}")
 
 
 # -- known solution families ---------------------------------------------------
@@ -207,45 +316,55 @@ def _family_terms(n: int) -> list[dict]:
         expo = list(_partition_to_expo(lam, n))
         expo[0] += 2
         out.append({tuple(expo): Fraction(1)})
+    return out + [_completed(n, {z: 1}) for z in _family_leads(n)]
+
+
+def _family_leads(n: int):
+    """Yield the family-(ii) leading monomials s_2^k s_{k+1} g of degree n
+    (k >= 1, g a monomial in s_2..s_{k+1}) as exponent tuples over
+    s_1..s_2n; distinct, as k + 1 is their largest s-index."""
     for k in itertools.count(1):
-        base_deg = 3 * k + 1
-        if base_deg > n:
-            break
-        for g in _monomials_in_range(n - base_deg, 2, k + 1):
-            h = dict(g)
-            h[2] = h.get(2, 0) + k
-            h[k + 1] = h.get(k + 1, 0) + 1
-            out.append(_family_two_element(n, h))
-    return out
+        if 3 * k + 1 > n:
+            return
+        for lam in partitions(n - 3 * k - 1, k + 1):
+            if all(part >= 2 for part in lam):
+                expo = list(_partition_to_expo(lam, 2 * n))
+                expo[1] += k
+                expo[k] += 1
+                yield tuple(expo)
 
 
-def _monomials_in_range(total: int, lo: int, hi: int) -> list[Counter]:
-    """Monomials in s_lo..s_hi of degree `total`, as {index: exponent}."""
-    return [Counter(lam) for lam in partitions(total, hi) if all(part >= lo for part in lam)]
-
-
-def _family_two_element(n: int, h: dict) -> dict:
-    """s_2^k s_{k+1} g  -  s_1 * xi_1(same), assembled exactly as terms
-    (xi_1 involves no substitution, as h has no s_1)."""
-    e = tuple(h.get(i + 1, 0) for i in range(2 * n))
-    terms = {e[:n]: Fraction(1)}
-    for label, val in _column_rows_for_k(1, n, e, sorted(h)):
-        expo = (label[0] + 1,) + label[1:n]  # the s_1 prefactor
-        terms[expo] = terms.get(expo, 0) - Fraction(val, 4 ** (n - 1))
-    terms = {expo: c for expo, c in terms.items() if c}
-    if any(x < 0 for expo in terms for x in expo):
-        raise AssertionError("family element failed to clear its denominator")
-    return terms
+def _completed(n: int, terms: dict) -> dict:
+    """The kernel vector with s1-free part `terms` ({exponent tuple over
+    s_1..s_2n: value}): x_{s1 m} = -(row m . x)/4^(n-1) for each xi_1 row
+    with a polynomial label m (the module docstring's lemma), as
+    {exponent tuple over s_1..s_n: Fraction}.  AssertionError unless the
+    other xi_1 rows annihilate `terms`, as they do on the reduced kernel:
+    else the completion would leave a Laurent polynomial."""
+    out = {e[:n]: Fraction(x) for e, x in terms.items()}
+    laurent: dict = {}
+    for e, x in terms.items():
+        support = [i + 1 for i, a in enumerate(e) if a]
+        for code, val in _column_rows_for_k(1, n, e, support, _label_code(e, n)):
+            if _polynomial_xi1(code, n):
+                s1m = _label(code + 1, n)[:n]
+                out[s1m] = out.get(s1m, 0) - x * Fraction(val, 4 ** (n - 1))
+            else:
+                laurent[code] = laurent.get(code, 0) + x * val
+    if any(laurent.values()):
+        raise AssertionError("a completed vector failed to clear its denominator")
+    return {e: x for e, x in out.items() if x}
 
 
 def family_span_dims(n: int) -> GradedDimensionTable:
     """Exact dimensions of span(family_generators(n)) per dual weight."""
-    entries = {}
-    for w, vecs in _family_columns(n).items():
-        ech = SparseRationalEchelon()
-        entries[w] = sum(ech.add(vec) for vec in vecs)
-    return GradedDimensionTable(entries, {"family": "D", "n": n,
-                                          "grading": "dual-weight", "kind": "family-span"})
+    spans: dict[int, SparseRationalEchelon] = {}
+    for terms in _family_terms(n):
+        w = 4 * (sum(next(iter(terms))) - n)
+        spans.setdefault(w, SparseRationalEchelon()).add(terms)
+    return GradedDimensionTable({w: ech.rank for w, ech in spans.items()},
+                                {"family": "D", "n": n, "grading": "dual-weight",
+                                 "kind": "family-span"})
 
 
 # -- kernel computation ---------------------------------------------------------
@@ -254,119 +373,121 @@ def family_span_dims(n: int) -> GradedDimensionTable:
 class SolutionBasis:
     n: int
     weight: int | None
-    columns: dict[int, list[dict]]      # dual weight -> basis over the component's columns
+    columns: dict[int, list[dict]]      # dual weight -> reduced kernel basis over the s1-free columns
     weight_dims: GradedDimensionTable   # keyed by dual weight (nonpositive)
     display: GradedDimensionTable       # keyed by display exponent -w/4
 
     @property
     def vectors(self) -> list[SparsePolynomial]:
-        """The basis as polynomials in s1..sn, component by component."""
-        ctx, comps = svar_context(self.n), _components(self.n)
-        return [SparsePolynomial(ctx, {comps[w][c][:self.n]: x for c, x in vec.items()})
-                for w, vecs in self.columns.items() for vec in vecs]
+        """A basis of the whole kernel as polynomials in s1..sn, component
+        by component: the s1^2 monomials, then the completed reduced basis."""
+        n, ctx = self.n, svar_context(self.n)
+        out = []
+        for w, cols in _components(n).items():
+            if self.weight is None or w == self.weight:
+                free = _reduced_components(n)[w][1]
+                out += [SparsePolynomial(ctx, {e[:n]: 1}) for e in cols if e[0] >= 2]
+                out += [SparsePolynomial(ctx, _completed(n, {free[c]: x for c, x in vec.items()}))
+                        for vec in self.columns.get(w, ())]
+        return out
 
 
-class KernelCertificationError(RuntimeError):
-    pass
+def kernel_dims(n: int, weight: int | None, columns: dict[int, list[dict]]) -> GradedDimensionTable:
+    """The kernel's dimension per dual weight, given the reduced kernel
+    basis `columns` (as in `SolutionBasis.columns`): the number of s1^2
+    columns plus that of the basis vectors, over every component of degree
+    n or over `weight`'s only."""
+    return GradedDimensionTable(
+        {w: squares + len(columns.get(w, ()))
+         for w, (squares, _free, _zeros) in _reduced_components(n).items()
+         if weight is None or w == weight},
+        {"family": "D", "n": n, "grading": "dual-weight"})
 
 
 def _component_kernel(n: int, weight: int, candidates: list[dict], prime: int,
                       k_max: int | None = None) -> list[dict]:
-    """Certified exact kernel basis of one component, as column-coefficient dicts.
+    """Certified exact basis of the reduced kernel of one component, as
+    column-coefficient dicts over its s1-free columns.
 
-    The `_xi_blocks` of k = k_max (default n) down to 1 enter a sparse
-    mod-p echelon as they are built, each in reverse generation order (a
-    quarter of the fill-in of generation order at n = 33, w = -104).  Full
-    mod-p rank certifies a zero kernel, and the blocks left are never built.
+    The family-(ii) lead columns Z are first checked to be zero
+    (`_check_zero_columns`).  The `_xi_blocks` of k = k_max (default n)
+    down to 1 then enter a sparse mod-p echelon as they are built, each in
+    reverse generation order (a quarter of the fill-in of generation order
+    at n = 33, w = -104).  Rank |C0| - |Z| certifies the basis {e_z}, and
+    the blocks left are never built.
 
-    Otherwise d = ncols - rank_p bounds the kernel's dimension from above.
-    Every row must annihilate every candidate (the known families, or the
-    vectors of a cached record) exactly, else AssertionError; the candidates
-    independent mod p of those kept before them (hence independent over Q)
-    are the basis when there are d of them.  Otherwise the basis is
+    Otherwise the bound d = |C0| - rank_p exceeds |Z|.  The `candidates`
+    (a cached record's vectors) are the basis when every row annihilates
+    them exactly and there are d of them, the i-th 1 at the i-th non-lead
+    column and 0 at the others, hence independent; otherwise the basis is
     `certified_nullspace`'s, which depends only on the rows and the prime.
     """
-    ncols = len(_components(n).get(weight, ()))
+    ks = range(n if k_max is None else k_max, 0, -1)
+    _check_zero_columns(n, weight, ks)
+    _squares, columns, zeros = _reduced_components(n).get(weight, _NO_COLUMNS)
+    ncols, basis = len(columns), [{z: 1} for z in zeros]
+    target = ncols - len(zeros)
+    if target == 0:
+        return basis
     ech = IncrementalModEchelon(ncols, prime)
     rows: list[dict] = []
-    for block, _labels in _xi_blocks(n, weight, range(n if k_max is None else k_max, 0, -1)):
+    for block, _labels in _xi_blocks(n, weight, ks):
         block.reverse()
         for row in block:
             ech.add(row)
-            if ech.rank == ncols:  # d = 0: the rows left cannot change it
-                return []
+            if ech.rank == target:  # the rows left cannot change it
+                return basis
         rows += block
-    d = ncols - ech.rank  # 0 only for a weight with no columns
-    images = [integer_vector(vec) for vec in candidates]
-    if not all(annihilated(rows, images)):
-        raise AssertionError("family vector escaped the kernel")
-    spanned = IncrementalModEchelon(ncols, prime)
-    kept = [vec for vec, image in zip(candidates, images) if spanned.add(image)]
-    if len(kept) == d:
-        return kept
-    if len(kept) > d:
-        raise KernelCertificationError("family span exceeds the modular bound")
+    non_leads = [f for f in range(ncols) if f not in ech.rows]
+    if ([{f: vec[f] for f in non_leads if f in vec} for vec in candidates]
+            == [{f: 1} for f in non_leads]
+            and all(annihilated(rows, [integer_vector(vec) for vec in candidates]))):
+        return candidates
     return certified_nullspace(ech, rows)
-
-
-def _family_columns(n: int) -> dict[int, list[dict]]:
-    """The family generators as column-coefficient dicts over the degree-n
-    components, grouped by dual weight in generator order."""
-    index = {e[:n]: (w, i) for w, cols in _components(n).items() for i, e in enumerate(cols)}
-    out: dict[int, list[dict]] = {}
-    for terms in _family_terms(n):
-        w = index[next(iter(terms))][0]
-        out.setdefault(w, []).append({index[e][1]: c for e, c in terms.items()})
-    return out
 
 
 def kernel_basis(n: int, weight: int | None = None, *,
                  prime: int = DEFAULT_PRIME, k_max: int | None = None) -> SolutionBasis:
     """Exact kernel of the restricted xi_k constraints on degree-n polynomials.
 
-    Returns a basis per bigraded component (all dual weights, or just the
-    requested one) together with the dimension tables.  n = 1 yields the
-    zero space.
+    Returns the reduced basis per bigraded component (all dual weights, or
+    just the requested one) together with the dimension tables.  n = 1
+    yields the zero space.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    fams = _family_columns(n) if n >= 2 else {}
     columns: dict[int, list[dict]] = {}
     for w in _components(n):
         if weight is not None and w != weight:
             continue
-        basis = _component_kernel(n, w, fams.get(w, []), prime, k_max)
+        basis = _component_kernel(n, w, [], prime, k_max)
         if basis:
             columns[w] = basis
-    meta = {"family": "D", "n": n, "grading": "dual-weight"}
-    weight_dims = GradedDimensionTable({w: len(b) for w, b in columns.items()}, meta)
+    weight_dims = kernel_dims(n, weight, columns)
     return SolutionBasis(n, weight, columns, weight_dims, display_table(weight_dims))
 
 
 def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],
                 prime: int = DEFAULT_PRIME) -> bool:
-    """Whether `columns` (dual weight -> exact column-coefficient dicts, as in
-    `SolutionBasis.columns`) are, component by component, the basis that
-    `_component_kernel` certifies with them as candidates: over every
-    component of degree n, or over `weight`'s only.
+    """Whether `columns` (dual weight -> exact column-coefficient dicts over
+    the s1-free columns, as in `SolutionBasis.columns`) are, component by
+    component, the basis that `_component_kernel` certifies with them as
+    candidates: over every component of degree n, or over `weight`'s only.
 
     This is the certificate of `kernel_basis` re-run, not a count against
-    the bound ncols - rank_p: at an unlucky prime that bound overstates the
+    the bound |C0| - rank_p: at an unlucky prime that bound overstates the
     kernel, and `kernel_basis` returned `certified_nullspace`'s basis, which
     re-running reproduces.
     """
-    comps = _components(n)
+    comps = _reduced_components(n)
     weights = list(comps) if weight is None else [weight]
     if not columns.keys() <= set(weights):
         return False
-    if any(not 0 <= c < len(comps.get(w, ())) for w, vecs in columns.items()
+    if any(not 0 <= c < len(comps.get(w, _NO_COLUMNS)[1]) for w, vecs in columns.items()
            for vec in vecs for c in vec):
         return False
-    try:
-        return all(_component_kernel(n, w, columns.get(w, []), prime)
-                   == columns.get(w, []) for w in weights)
-    except AssertionError:  # a vector outside the kernel
-        return False
+    return all(_component_kernel(n, w, columns.get(w, []), prime) == columns.get(w, [])
+               for w in weights)
 
 
 def display_table(weight_dims: GradedDimensionTable) -> GradedDimensionTable:
@@ -376,14 +497,14 @@ def display_table(weight_dims: GradedDimensionTable) -> GradedDimensionTable:
 
 def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:
     """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, as a raw
-    {Laurent monomial: Fraction} dict over 2n dense positions."""
+    {Laurent label code: Fraction} dict."""
     N = max(F.context.arity, 2 * n, 2 * k)
     scale = 4 ** max(n - k, 0)
     out: dict = {}
     for expo, c in F.terms.items():
         e = tuple(expo) + (0,) * (N - len(expo))
         support = [i + 1 for i, x in enumerate(e) if x]
-        for label, val in _column_rows_for_k(k, n, e, support):
+        for label, val in _column_rows_for_k(k, n, e, support, _label_code(e, n)):
             s = out.get(label, Fraction(0)) + c * Fraction(val, scale)
             if s:
                 out[label] = s

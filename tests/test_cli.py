@@ -19,7 +19,8 @@ from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, IncrementalModEchelon, is_prime
 from ptl.partitions import bn_hilbert
 from ptl.weyl import GroupSpec
-from ptl.solver import KernelCertificationError, _components
+import ptl.solver
+from ptl.solver import _components
 
 
 def run_cli(capsys, *argv):
@@ -176,12 +177,13 @@ def test_cache_corruption_exit_4(tmp_path, capsys):
 
 
 def test_cache_verify_detects_tampering(tmp_path, capsys):
-    run_cli(capsys, "typed", "solve", "--n", "2", "--cache-dir", str(tmp_path))
+    run_cli(capsys, "typed", "solve", "--n", "4", "--cache-dir", str(tmp_path))
     code, out = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 0 and "1 cache entries" in out
     record = next(tmp_path.glob("*.json"))
     data = json.loads(record.read_text())
-    assert data["payload"]["vectors"] == [[0, 1, [0, 1]]]  # s1^2
+    # the s1-free basis: s2^2, the one s1-free column of dual weight -8
+    assert data["payload"]["vectors"] == [[-8, 1, [0, 1]]]
     data["payload"]["vectors"][0][2][1] = 2
     record.write_text(json.dumps(data))
     code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
@@ -209,7 +211,7 @@ def test_cache_reverifies_kernel_payload(tmp_path, capsys):
     record = json.loads(record_path.read_text())
     key = record["key"]
     payload = dict(record["payload"])
-    _replace_last_vector(payload, [-4, 1, [0, 1]])  # s2, not in the kernel
+    _replace_last_vector(payload, [-4, 1, [0, 1]])  # s2 added: not in the kernel
     cache.put(key, payload)     # checksum now matches the forged payload
     code, _ = run_cli(capsys, *args)
     assert code == 4
@@ -362,15 +364,22 @@ def test_invalid_option_values_exit_2(argv, capsys):
 
 
 def test_certification_failure_exit_5(monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise KernelCertificationError("family span exceeds the modular bound")
-
-    monkeypatch.setattr("ptl.cli.kernel_basis", fail)
-    code = main(["typed", "solve", "--n", "3", "--no-cache"])
+    # a column forged into the family-(ii) leads, which the certificate
+    # takes to be zero in the reduced system: s4, the one column of dual
+    # weight -12 at n = 4, is not, and the exact check stops the solve
+    leads = ptl.solver._family_leads
+    monkeypatch.setattr(ptl.solver, "_family_leads",
+                        lambda n: [*leads(n), (0, 0, 0, 1, 0, 0, 0, 0)] if n == 4 else leads(n))
+    ptl.solver._reduced_components.cache_clear()
+    try:
+        code = main(["typed", "solve", "--n", "4", "--no-cache"])
+    finally:
+        ptl.solver._reduced_components.cache_clear()
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
-    assert captured.err == "certification failed: family span exceeds the modular bound\n"
+    assert captured.err == ("internal check failed: family-(ii) lead column 0 of (n, w) = "
+                            "(4, -12) is not zero in xi_4\n")
 
 
 def test_assertion_error_exit_5(monkeypatch, capsys):
@@ -419,12 +428,17 @@ def _retitle_display(payload):
 
 def _replace_last_vector(payload, *new):
     # swap the record's last [dual weight, denominator, [column, numerator,
-    # ...]] vector for `new`, with dual_weights and both series recounted
-    # from their first entries, so that only the vectors are wrong
+    # ...]] vector (if any) for `new`, with dual_weights and both series
+    # recounted as the s1^2 columns plus the vectors, by their first
+    # entries, so that only the vectors are wrong
     vectors = payload["vectors"][:-1] + list(new)
     dual = {}
     for vec in vectors:
         dual[str(vec[0])] = dual.get(str(vec[0]), 0) + 1
+    for w, columns in _components(payload["n"]).items():
+        squares = sum(e[0] >= 2 for e in columns)
+        if squares:
+            dual[str(w)] = dual.get(str(w), 0) + squares
     payload.update(vectors=vectors, dual_weights=dual, **_display_fields(dual))
 
 
@@ -438,31 +452,31 @@ def _drop_last_vector(payload):
     _replace_last_vector(payload)
 
 
-# forged last vectors of the n = 4 record, whose last vector is s1^4, the
-# one column of dual weight 0: [0, 1, [0, 1]]
+# forged last vectors of the n = 4 record, whose one vector is s2^2, the
+# one s1-free column of dual weight -8: [-8, 1, [0, 1]]
 _FORGED_VECTORS = {
-    "column-out-of-range": [0, 1, [1, 1]],
-    "column-negative": [0, 1, [-1, 1]],
-    "denominator-zero": [0, 0, [0, 1]],
-    "denominator-negative": [0, -1, [0, -1]],
-    "denominator-not-coprime": [0, 2, [0, 2]],
-    "numerator-zero": [0, 1, [0, 0]],
-    "numerator-float": [0, 1, [0, 1.0]],
-    "numerator-string": [0, 1, [0, "1"]],
-    "numerator-true": [0, 1, [0, True]],
-    "column-true": [0, 1, [True, 1]],
-    "empty-vector": [0, 1, []],
+    "column-out-of-range": [-8, 1, [1, 1]],
+    "column-negative": [-8, 1, [-1, 1]],
+    "denominator-zero": [-8, 0, [0, 1]],
+    "denominator-negative": [-8, -1, [0, -1]],
+    "denominator-not-coprime": [-8, 2, [0, 2]],
+    "numerator-zero": [-8, 1, [0, 0]],
+    "numerator-float": [-8, 1, [0, 1.0]],
+    "numerator-string": [-8, 1, [0, "1"]],
+    "numerator-true": [-8, 1, [0, True]],
+    "column-true": [-8, 1, [True, 1]],
+    "empty-vector": [-8, 1, []],
     "weight-not-a-component": [4, 1, [0, 1]],
-    "triple-too-short": [0, 1],
-    "triple-too-long": [0, 1, [0, 1], 0],
-    "pairs-odd": [0, 1, [0]],
-    "pairs-not-a-list": [0, 1, 0],
+    "triple-too-short": [-8, 1],
+    "triple-too-long": [-8, 1, [0, 1], 0],
+    "pairs-odd": [-8, 1, [0]],
+    "pairs-not-a-list": [-8, 1, 0],
 }
 
 
 def _forge_last_vector(name):
     def edit(payload):
-        assert payload["vectors"][-1] == [0, 1, [0, 1]]
+        assert payload["vectors"] == [[-8, 1, [0, 1]]]
         _replace_last_vector(payload, _FORGED_VECTORS[name])
     return edit
 
@@ -545,15 +559,16 @@ def test_folded_cells_any_prime_and_workers(command, prime, workers):
 
 
 def _change_one_numerator(cache_dir, index):
-    """Move one stored coordinate by 1 at a column whose monomial m has s1 to
-    the first power, keeping the record well formed and its checksum right.
-    xi_1 sends m to m/s1 at s1 = 0, so the vector leaves the kernel."""
+    """Move one stored coordinate by 1, keeping the record well formed and
+    its checksum right.  The certificate re-run gives back only the stored
+    basis: a unit vector e_z of a family-(ii) lead becomes 2 e_z, and a
+    lifted vector, 1 at its own non-lead column and 0 at the others, either
+    loses that shape or leaves the kernel (a lead column is not zero)."""
     spots = []
     for path in sorted(Path(cache_dir).glob("*.json")):
         record = json.loads(path.read_text())
         for w, den, flat in record["payload"]["vectors"]:
-            spots += [(record, den, flat, i + 1) for i in range(0, len(flat), 2)
-                      if _components(record["key"]["n"])[w][flat[i]][0] == 1]
+            spots += [(record, den, flat, i + 1) for i in range(0, len(flat), 2)]
     record, den, flat, i = spots[index % len(spots)]
     flat[i] += den if flat[i] + den else -den
     ResultCache(cache_dir).put(record["key"], record["payload"])
@@ -568,7 +583,7 @@ def test_typed_solve_any_prime_workers_and_cache_state(n_max, prime, workers, st
     # without a process pool, and without, into or from a cache; a record
     # with one numerator changed is cache corruption
     if state == "changed":
-        n_max = max(n_max, 4)  # the n = 2, 3 records are s1^n alone
+        n_max = max(n_max, 4)  # the n = 2, 3 records hold no vector
     lines = (Path(__file__).parent / "data" / "typed_solve_n34.tex").read_text().splitlines()
     table = "\n".join(lines[:n_max + 1] + lines[-1:]) + "\n"
     argv = ["typed", "solve", "--n-max", str(n_max), "--prime", str(prime),
@@ -604,6 +619,36 @@ def test_hp0_brute_degree_16_reference(group, capsys):
 def test_public_names_resolve():
     assert len(set(ptl.__all__)) == len(ptl.__all__)
     assert [name for name in ptl.__all__ if not hasattr(ptl, name)] == []
+
+
+def test_typed_solve_loads_only_its_route():
+    # `ptl` resolves its public names on first access, and each command
+    # imports its own route: typed solve never loads the engine
+    env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
+    probe = ("import sys, ptl.cli; code = ptl.cli.main(['typed', 'solve', '--n', '3', "
+             "'--no-cache']); print(code, 'ptl.engine' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("multipartitions", "--n", "-1", "--i", "0"),
+    ("multipartitions", "--n", "3", "--i", "-2"),
+    ("p", "--n", "-1", "--i", "0"),
+    ("p", "--n", "3", "--i", "-1"),
+    ("p-prime", "--n", "-1", "--i", "0"),
+    ("p-prime", "--n", "3", "--i", "-1"),
+    ("prime-bound", "--family", "typeA-sym", "--n", "4", "--i", "-1"),
+    ("prime-bound", "--family", "typeA-quot", "--n", "-4", "--i", "1"),
+])
+def test_counts_reject_negative_n_and_i(argv, capsys):
+    # a mistyped sign is a flag error, never a printed count of 0
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "is below 0" in err
 
 
 def test_stdlib_only():

@@ -12,9 +12,12 @@ from ptl.linalg import DEFAULT_PRIME, SparseRationalEchelon, annihilated, intege
 from ptl.partitions import even_part_count, partitions
 from ptl.poly import SparsePolynomial
 from ptl.solver import (
+    _column_rows_for_k,
     _component_kernel,
+    _completed,
     _components,
-    _family_columns,
+    _label,
+    _label_code,
     _xi_blocks,
     _xi_slice,
     _xi_terms,
@@ -65,7 +68,8 @@ def _xi_pointwise(F, k, point):
 
 
 def _system(n, weight, k_max=None):
-    """(labels, rows) of xi_1..xi_{k_max} (default n) on one component."""
+    """(labels, rows) of the reduced system of xi_1..xi_{k_max} (default n)
+    on one component: its s1-free columns, without xi_1's polynomial rows."""
     labels, rows = [], []
     for block, block_labels in _xi_blocks(n, weight, range(1, (k_max or n) + 1)):
         rows += block
@@ -165,6 +169,42 @@ def _reference_system(n, weight, k_max=None):
     return [label for label, row in kept if row], [row for _, row in kept if row]
 
 
+def _reduced_reference(n, weight, k_max=None):
+    """`_reference_system` cut down to the reduced system: the rows other
+    than xi_1's with a polynomial label, on the s1-free columns (renumbered
+    from 0), with labels (k, `_label_code`); the rows left have no entry on
+    a column with s1 (the module docstring's facts 1 and 2)."""
+    columns = _components(n).get(weight, ())
+    free = {c: i for i, c in enumerate(c for c, e in enumerate(columns) if not e[0])}
+    labels, rows = [], []
+    for (k, label), row in zip(*_reference_system(n, weight, k_max)):
+        if k == 1 and min(label) >= 0:
+            continue
+        assert row.keys() <= free.keys(), (n, weight, k, label)
+        labels.append((k, _label_code(label, n)))
+        rows.append({free[c]: x for c, x in row.items()})
+    return labels, rows
+
+
+def test_xi_rows_on_s1_columns():
+    # the three facts behind the reduction, on the rational reference: an
+    # s1^2 column has no entry; s1 m has one, 1, in the xi_1 row labelled m;
+    # and each xi_1 row with a polynomial label m has the column s1 m
+    for n in range(1, 15):
+        for w, columns in _components(n).items():
+            labels, rows = _reference_system(n, w)
+            for c, e in enumerate(columns):
+                entries = [(label, row[c]) for label, row in zip(labels, rows) if c in row]
+                if e[0] >= 2:
+                    assert entries == [], (n, e)
+                elif e[0] == 1:
+                    assert entries == [((1, (0,) + e[1:]), 1)], (n, e)
+            index = {e: c for c, e in enumerate(columns)}
+            for (k, label), row in zip(labels, rows):
+                if k == 1 and min(label) >= 0:
+                    assert index[(1,) + label[1:]] in row, (n, label)
+
+
 def test_integer_rows_are_the_scaled_rational_rows():
     # every row is integer_vector of the rational row, so the mod-p rank at
     # every prime (2 included) and every lift are those of the rational rows
@@ -172,10 +212,48 @@ def test_integer_rows_are_the_scaled_rational_rows():
         for w in _components(n):
             for k_max in (None, (n + 1) // 2):
                 labels, rows = _system(n, w, k_max)
-                ref_labels, ref_rows = _reference_system(n, w, k_max)
+                ref_labels, ref_rows = _reduced_reference(n, w, k_max)
                 assert labels == ref_labels, (n, w, k_max)
                 assert rows == [integer_vector(row) for row in ref_rows], (n, w, k_max)
                 assert all(type(x) is int for row in rows for x in row.values())
+
+
+def test_label_codes_are_injective_past_eight_bit_exponents():
+    # at n = 260, xi_1 sends s2^130 to the label s2^128 s3, whose code in a
+    # fixed 8-bit digit would be that of s2^-128 s3^2; the digit width
+    # derived from n decodes every label back to its exponents
+    n = 260
+
+    def expo(powers):
+        e = [0] * (2 * n)
+        for i, x in powers.items():
+            e[i - 1] = x
+        return tuple(e)
+
+    seen = []
+    for e in (expo({2: 130}), expo({2: 128, 4: 1}), expo({2: 127, 3: 2}), expo({2: 1, 3: 86})):
+        support = [i + 1 for i, x in enumerate(e) if x]
+        codes = [code for code, _ in _column_rows_for_k(1, n, e, support, _label_code(e, n))]
+        labels = []
+        for j in support:
+            for mono in _xi_slice(1, j - 1):
+                label = list(e)
+                label[j - 1] -= 1
+                for i, x in mono:
+                    label[i - 1] += x
+                labels.append(tuple(label))
+        assert [_label(code, n) for code in codes] == labels
+        seen += zip(codes, labels)
+    assert len({code for code, _ in seen}) == len({label for _, label in seen})
+    assert max(max(label) for _, label in seen) > 127
+
+    def eight_bit(label):
+        return sum(x << 8 * i for i, x in enumerate(label))
+
+    big, wrapped = expo({2: 128, 3: 1}), expo({2: -128, 3: 2})
+    assert eight_bit(big) == eight_bit(wrapped)
+    assert _label_code(big, n) != _label_code(wrapped, n)
+    assert _label(_label_code(wrapped, n), n) == wrapped
 
 
 def test_xi_terms_are_binom_half_times_four_to_the_t():
@@ -322,8 +400,9 @@ def test_solver_certification_survives_bad_primes():
 
 
 def test_assembly_stops_at_full_modular_rank(monkeypatch):
-    # blocks are built largest k first and no more once the mod-p rank is
-    # full: the one-column component s_n needs only xi_n's single row
+    # blocks are built largest k first and no more once the mod-p rank
+    # reaches |C0| - |Z|: the one-column component s_n needs only xi_n's
+    # single row
     built = {}
     blocks = ptl.solver._xi_blocks
 
@@ -336,23 +415,25 @@ def test_assembly_stops_at_full_modular_rank(monkeypatch):
     for n in range(2, 23):
         kernel_basis(n)
         assert built[n, -4 * (n - 1)] == 1, n
-    assert sum(built.values()) <= 7000
+    assert sum(built.values()) <= 3786
 
 
 def test_early_stop_never_cuts_off_a_kernel():
-    # the kernel's dimension is ncols - rank_Q at every prime, the unlucky
-    # ones included, whether the families certify it or the lift does
+    # the kernel's dimension is ncols - rank_Q of the full rational system
+    # at every prime, the unlucky ones included, whether the family-(ii)
+    # leads certify the reduced kernel or the lift does; re-run with its
+    # basis as candidates, the certificate returns that basis
     for n in range(1, 13):
-        fams = _family_columns(n) if n >= 2 else {}
         for w, columns in _components(n).items():
-            rows = _system(n, w)[1]
             ech = SparseRationalEchelon()
-            rank = sum(ech.add({c: Fraction(x) for c, x in row.items()}) for row in rows)
+            rank = sum(ech.add(row) for row in _reference_system(n, w)[1])
+            squares = sum(e[0] >= 2 for e in columns)
+            rows = _system(n, w)[1]
             for p in (2, 3, DEFAULT_PRIME):
-                for candidates in (fams.get(w, []), []):
-                    basis = _component_kernel(n, w, candidates, p)
-                    assert len(basis) == len(columns) - rank, (n, w, p)
-                    assert all(annihilated(rows, [integer_vector(v) for v in basis]))
+                basis = _component_kernel(n, w, [], p)
+                assert squares + len(basis) == len(columns) - rank, (n, w, p)
+                assert all(annihilated(rows, [integer_vector(v) for v in basis]))
+                assert _component_kernel(n, w, basis, p) == basis, (n, w, p)
 
 
 def test_recertifies_exactly_the_certified_basis():
@@ -369,11 +450,25 @@ def test_recertifies_exactly_the_certified_basis():
     assert recertifies(8, -20, extra)
     assert not recertifies(8, None, extra)
     assert not recertifies(8, -16, extra)
-    # n = 2: column 0 is s1^2 at dual weight 0 and s2 at -4
-    assert recertifies(2, None, {0: [{0: 1}]})
+    # in lifted components only the lifted basis recertifies: as many
+    # kernel vectors that are dependent, or one of them doubled, do not
+    # (at n = 14, w = -36 the lift's second vector is the unit vector of a
+    # family-(ii) lead)
+    for n, w in ((11, -28), (14, -36)):
+        lifted = kernel_basis(n, weight=w).columns[w]
+        assert recertifies(n, w, {w: lifted})
+        assert not recertifies(n, w, {w: [lifted[0]] * len(lifted)})
+        for i in range(2):
+            doubled = [{c: 2 * x for c, x in vec.items()} if j == i else vec
+                       for j, vec in enumerate(lifted)]
+            assert not recertifies(n, w, {w: doubled})
+    # n = 2: the kernel is s1^2 alone, so the reduced basis is empty; s2 is
+    # the one s1-free column, at dual weight -4
+    assert kernel_basis(2).columns == {}
+    assert recertifies(2, None, {})
     assert not recertifies(2, None, {-4: [{0: 1}]})
-    assert not recertifies(2, None, {0: [{0: 1}], -4: [{0: 1}]})
-    assert not recertifies(2, None, {0: [{1: 1}]})
+    assert not recertifies(2, None, {0: [{0: 1}]})
+    assert not recertifies(2, None, {-4: [{1: 1}]})
     assert not recertifies(2, None, {-8: [{0: 1}]})
 
 
@@ -427,6 +522,13 @@ def test_pointwise_rejects_off_stratum():
         _xi_pointwise(s2, 1, {"s1": 1, "s2": 1})
     with pytest.raises(ValueError):
         _xi_pointwise(s2, 1, {"s2": 0, "s3": 1})
+
+
+def test_completion_rejects_a_vector_outside_the_reduced_kernel():
+    # s4 alone: xi_1 sends it to Laurent labels that no s1 term can cancel
+    assert _completed(4, {(0, 2, 0, 0, 0, 0, 0, 0): 1}) == {(0, 2, 0, 0): 1, (1, 0, 1, 0): -3}
+    with pytest.raises(AssertionError):
+        _completed(4, {(0, 0, 0, 1, 0, 0, 0, 0): 1})
 
 
 def test_constraint_residual_detects_nonmembers():
