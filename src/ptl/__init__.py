@@ -20,16 +20,11 @@ _SOURCES = {
     "svar_context": "context",
     "SparsePolynomial": "poly",
     "PoissonStructure": "poisson",
-    "poisson_bracket": "poisson",
     "GroupSpec": "weyl",
-    "SignedPermutation": "weyl",
-    "act": "weyl",
-    "invariant_basis": "weyl",
     "hh0_dimension": "weyl",
     "GradedDimensionTable": "tables",
     "BracketSpanProblem": "engine",
     "hp0_graded_dims": "engine",
-    "bracket_membership": "engine",
     "check_aminus_identity": "engine",
     "kernel_basis": "solver",
     "family_generators": "solver",

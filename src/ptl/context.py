@@ -1,4 +1,4 @@
-"""Variable contexts: named variables with a fixed bigrading.
+"""Variable contexts: named variables with a fixed grading.
 
 A context pins down the ambient polynomial ring once, so that every
 polynomial carries its grading data and arity checks are cheap.  Two kinds
@@ -7,7 +7,7 @@ are used:
 * ``darboux(n)`` -- variables x1..xn, y1..yn, each of degree 1.  Also used
   (with a smaller pair count) for the coordinates that survive eliminating
   the last coordinate of the reflection representation.
-* s-variables s1..sN -- si has degree i and weight 4*(1-i).
+* s-variables s1..sN -- si has degree i.
 
 Exponent vectors are dense tuples of ints matching the context arity.
 Negative exponents are legal only in the single declared localized variable.
@@ -24,14 +24,13 @@ class VariableContext:
     kind: str
     names: tuple[str, ...]
     degrees: tuple[int, ...]
-    weights: tuple[int, ...]
     localized: int | None = None  # index of the one variable allowed negative exponents
     _index: dict = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
-        if len(self.degrees) != len(self.names) or len(self.weights) != len(self.names):
+        if len(self.degrees) != len(self.names):
             raise ValueError("grading data must match arity")
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.names)})
 
@@ -48,23 +47,19 @@ class VariableContext:
     def degree_of(self, exponents) -> int:
         return sum(e * d for e, d in zip(exponents, self.degrees))
 
-    def weight_of(self, exponents) -> int:
-        return sum(e * w for e, w in zip(exponents, self.weights))
 
-
-def darboux_context(n: int, prefix_x: str = "x", prefix_y: str = "y") -> VariableContext:
+def darboux_context(n: int) -> VariableContext:
     """Context for C^{2n} with variables x1..xn, y1..yn, all of degree 1."""
     if n < 1:
         raise ValueError("darboux context needs n >= 1")
-    names = tuple(f"{prefix_x}{i}" for i in range(1, n + 1)) + tuple(
-        f"{prefix_y}{i}" for i in range(1, n + 1))
+    names = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
+        f"y{i}" for i in range(1, n + 1))
     ones = (1,) * (2 * n)
-    zeros = (0,) * (2 * n)
-    return VariableContext("darboux", names, ones, zeros)
+    return VariableContext("darboux", names, ones)
 
 
 def svar_context(nmax: int, localized_at: int | None = None) -> VariableContext:
-    """Context for s1..s_nmax; deg(si) = i, weight(si) = 4*(1-i).
+    """Context for s1..s_nmax; deg(si) = i.
 
     `localized_at` optionally declares s_{localized_at} as the localization
     variable (1-based index).
@@ -73,8 +68,7 @@ def svar_context(nmax: int, localized_at: int | None = None) -> VariableContext:
         raise ValueError("svar context needs nmax >= 1")
     names = tuple(f"s{i}" for i in range(1, nmax + 1))
     degrees = tuple(range(1, nmax + 1))
-    weights = tuple(4 * (1 - i) for i in range(1, nmax + 1))
     loc = None if localized_at is None else localized_at - 1
     if loc is not None and not (0 <= loc < nmax):
         raise ValueError("localized variable out of range")
-    return VariableContext("svars", names, degrees, weights, localized=loc)
+    return VariableContext("svars", names, degrees, localized=loc)

@@ -38,40 +38,31 @@ orbit sum and has no row; v0 itself is all-even or all-odd, hence fixed.
 The other cells (the reflection action, relative and ambient targets)
 bracket whole polynomials, with rows for the coordinates of H's invariants.
 
-The A-/A+ sector identity of the demihyperoctahedral ring (A_- equals
-{A+, A-}) and its leading-term expansion
-{symm(x1^(a1+1) y1^b1), symm(y1 x2^a2 y2^b2 ...)} =
-((1+c)/n)(a1+1) symm(x1^a1 y1^b1 ...) + higher order,
-c = #{i >= 2 : (a_i, b_i) = (0, 1)}, are exposed as dedicated checks.
+`check_aminus_identity` checks the A-/A+ sector identity of the
+demihyperoctahedral ring, A_- = {A+, A-}, on folded cells.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
-    SparseRationalEchelon,
     certified_nullspace,
 )
 from ptl.poisson import (
     PoissonStructure,
     darboux_structure,
     reflection_structure,
-    poisson_bracket,
     raw_bracket,
 )
-from ptl.poly import SparsePolynomial
 from ptl.tables import GradedDimensionTable
 from ptl.weyl import (
     GroupSpec,
-    _sn_orbit,
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
@@ -95,25 +86,6 @@ class BracketSpanProblem:
         if self.spec.family == "symmetric-reflection":
             return reflection_structure(self.spec.n)
         return darboux_structure(self.spec.n)
-
-
-@dataclass
-class BracketCertificate:
-    """Exact witness: sum coefficient * {u, v} equals the certified target."""
-
-    pairs: list[tuple[SparsePolynomial, SparsePolynomial, Fraction]]
-
-    def expand(self, structure: PoissonStructure) -> SparsePolynomial:
-        total = SparsePolynomial.zero(structure.context)
-        for u, v, c in self.pairs:
-            total = total + poisson_bracket(u, v, structure) * c
-        return total
-
-
-@dataclass
-class MembershipResult:
-    certificate: BracketCertificate | None
-    residue: SparsePolynomial | None
 
 
 class GuardrailExceeded(Exception):
@@ -251,10 +223,12 @@ def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
     entries: dict[int, int] = {}
     pool = None
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # leaving a multiprocessing pool terminates its workers, so a
+        # guardrail hit does not wait for the later cells already running
+        from multiprocessing import Pool
+        pool = Pool(workers)
     with pool or nullcontext():
-        for d, value in zip(degrees, (pool.map if pool else map)(task, degrees)):
+        for d, value in zip(degrees, (pool.imap if pool else map)(task, degrees)):
             if value is None:
                 meta["truncated"] = True
                 meta["truncated_at_degree"] = d
@@ -302,130 +276,3 @@ def check_aminus_identity(n: int, max_degree: int, *,
                                prime=prime)
         report[d] = "pass" if rank == dim else "fail"
     return report
-
-
-def bracket_membership(f: SparsePolynomial, problem: BracketSpanProblem) -> MembershipResult:
-    """Constructive membership of f in {O^G, O^H}: certificate or residue.
-
-    The residue is expressed in the graded-lex leading-monomial complement
-    of the span, so residues reduce to themselves (idempotent choice).
-    All arithmetic here is rational; certificates re-expand bit-exactly.
-    """
-    if not f.is_homogeneous() or not f.terms:
-        raise ValueError("membership needs a nonzero homogeneous input")
-    degree = f.degree()
-    structure = problem.structure()
-    if f.context != structure.context:
-        raise ValueError("context mismatch")
-    m = structure.pairs
-    order = {e: i for i, e in enumerate(sorted(
-        monomials_of_degree(2 * m, degree),
-        key=lambda e: e, reverse=True))}
-
-    def coords(p: SparsePolynomial) -> dict:
-        return {order[e]: c for e, c in p.terms.items()}
-
-    ech = SparseRationalEchelon(track=True)
-    tags: dict = {}
-    ctx = structure.context
-    for block, raw in enumerate(_column_pairs(problem, degree)):
-        us, vs = ([SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()}) for d in ws]
-                  for ws in raw)
-        for iu, u in enumerate(us):
-            for iv, v in enumerate(vs):
-                col = poisson_bracket(u, v, structure)
-                if not col.terms:
-                    continue
-                tag = (block, iu, iv)
-                tags[tag] = (u, v)
-                ech.add(coords(col), tag)
-    red, combo = ech.reduce_only(coords(f))
-    if red:
-        inv_order = {i: e for e, i in order.items()}
-        residue = SparsePolynomial(f.context, {inv_order[i]: c for i, c in red.items()})
-        return MembershipResult(None, residue)
-    # the reducer maintains f + sum combo_t * col_t = residual, so negate
-    pairs = [(tags[t][0], tags[t][1], -c) for t, c in sorted(combo.items()) if c]
-    cert = BracketCertificate(pairs)
-    if cert.expand(structure) != f:
-        raise AssertionError("certificate failed bit-exact re-expansion")
-    return MembershipResult(cert, None)
-
-
-# -- leading-term identity (A_- = {A_+, A_-} expansion) ------------------------
-
-def _pair_key(ab: tuple[int, int]) -> tuple[int, int]:
-    # x^a y^b > x^a' y^b' iff a+b > a'+b', or equal total and a > a'
-    return (ab[0] + ab[1], ab[0])
-
-
-def symmetrized_order_key(expo: tuple, m: int) -> tuple:
-    """Comparison key for symmetrized monomials: per-index pairs sorted
-    descending in the two-level single-pair order, compared lexicographically."""
-    pairs = sorted(((expo[i], expo[m + i]) for i in range(m)),
-                   key=_pair_key, reverse=True)
-    return tuple(_pair_key(p) for p in pairs)
-
-
-def symmetrize(mono: SparsePolynomial, n: int) -> SparsePolynomial:
-    """Average over simultaneous index permutations (coefficient 1/n!)."""
-    ctx = mono.context
-    out: dict = {}
-    scale = Fraction(1, math.factorial(n))
-    for perm in itertools.permutations(range(n)):
-        for expo, c in mono.terms.items():
-            img = [0] * (2 * n)
-            for i in range(n):
-                img[perm[i]] = expo[i]
-                img[n + perm[i]] = expo[n + i]
-            key = tuple(img)
-            out[key] = out.get(key, 0) + c * scale
-    return SparsePolynomial(ctx, out)
-
-
-def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
-    """Check the leading-term expansion behind the A_- = {A_+, A_-} identity.
-
-    `pairs` = [(a_1, b_1), ..., (a_n, b_n)], sorted descending in the
-    two-level order, with every a_i + b_i odd.  Returns a report with the
-    expected and observed leading coefficient and whether every other
-    symmetrized component is strictly higher in the order.
-    """
-    n = len(pairs)
-    if n < 1:
-        raise ValueError("need at least one index")
-    keys = [_pair_key(p) for p in pairs]
-    if keys != sorted(keys, reverse=True):
-        raise ValueError("exponent pairs must be sorted descending")
-    if any((a + b) % 2 == 0 for a, b in pairs):
-        raise ValueError("every index must have odd total degree")
-    a1, b1 = pairs[0]
-    structure = darboux_structure(n)
-    ctx = structure.context
-    first = SparsePolynomial.monomial(
-        ctx, tuple([a1 + 1] + [0] * (n - 1) + [b1] + [0] * (n - 1)))
-    second_expo = [0] * (2 * n)
-    second_expo[n] = 1  # y_1
-    for i in range(1, n):
-        second_expo[i] = pairs[i][0]
-        second_expo[n + i] = pairs[i][1]
-    second = SparsePolynomial.monomial(ctx, tuple(second_expo))
-    bracket = poisson_bracket(symmetrize(first, n), symmetrize(second, n), structure)
-
-    target_expo = tuple(p[0] for p in pairs) + tuple(p[1] for p in pairs)
-    target_key = symmetrized_order_key(target_expo, n)
-    c = sum(1 for i in range(1, n) if pairs[i] == (0, 1))
-    expected = Fraction(1 + c, n) * (a1 + 1)
-
-    components = {e: coeff * len(_sn_orbit(e, n)) for e, coeff in bracket.terms.items()
-                  if orbit_rep(e, n) == e}
-    target_rep = orbit_rep(target_expo, n)
-    observed = components.get(target_rep, Fraction(0))
-    higher = all(symmetrized_order_key(rep, n) > target_key
-                 for rep in components if rep != target_rep)
-    return {
-        "expected_leading": expected,
-        "observed_leading": observed,
-        "others_strictly_higher": higher,
-        "ok": observed == expected and higher,
-    }

@@ -14,9 +14,8 @@ dimension is reported:
   vector.  The lift provably succeeds before its modulus passes twice the
   square of the input's Hadamard bound.
 
-Exact rational elimination (`SparseRationalEchelon`) serves small jobs
-that need the row combinations or a greedy independent subset: membership
-certificates, family spans and the reflection invariant bases.  The
+Exact rational elimination (`SparseRationalEchelon`) picks the greedy
+independent subset that makes up the reflection invariant bases.  The
 tests hold `certified_nullspace` to a rational-elimination nullspace of
 their own.
 
@@ -175,29 +174,26 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
 
 
 class SparseRationalEchelon:
-    """Exact RREF over Q on sparse dict vectors, with optional tracking.
+    """Exact echelon over Q on sparse dict vectors: each stored row is
+    reduced against the earlier ones, and its lead is its smallest
+    coordinate."""
 
-    Pivot coordinate choice follows a caller-supplied priority (smaller key
-    first); with `track=True` each insertion also records the expression of
-    the reduced vector as a combination of the inserted originals, which is
-    what membership certificates are made of.
-    """
-
-    def __init__(self, *, track: bool = False):
+    def __init__(self):
         self.rows: list[dict] = []
         self.leads: list = []
         self.lead_index: dict = {}
-        self.combos: list[dict] = []
-        self.track = track
-        self._count = 0
 
-    def _reduce(self, vec: dict, combo: dict | None):
+    def add(self, vec: dict) -> bool:
+        """Insert a vector; returns True when it increased the rank."""
         vec = dict(vec)
         while vec:
             lead = min(vec)
             idx = self.lead_index.get(lead)
             if idx is None:
-                return vec, combo, lead
+                self.lead_index[lead] = len(self.rows)
+                self.rows.append(vec)
+                self.leads.append(lead)
+                return True
             coef = vec[lead] / self.rows[idx][lead]
             for k, v in self.rows[idx].items():
                 s = vec.get(k, 0) - coef * v
@@ -205,32 +201,7 @@ class SparseRationalEchelon:
                     vec[k] = s
                 else:
                     vec.pop(k, None)
-            if combo is not None:
-                for k, v in self.combos[idx].items():
-                    s = combo.get(k, 0) - coef * v
-                    if s:
-                        combo[k] = s
-                    else:
-                        combo.pop(k, None)
-        return vec, combo, None
-
-    def reduce_only(self, vec: dict):
-        """Residual of vec modulo the current row space (plus combination)."""
-        combo = {} if self.track else None
-        red, combo, _lead = self._reduce(vec, combo)
-        return red, combo
-
-    def add(self, vec: dict, tag=None) -> bool:
-        combo = {self._count if tag is None else tag: Fraction(1)} if self.track else None
-        red, combo, lead = self._reduce(vec, combo)
-        self._count += 1
-        if lead is None:
-            return False
-        self.lead_index[lead] = len(self.rows)
-        self.rows.append(red)
-        self.combos.append(combo if combo is not None else {})
-        self.leads.append(lead)
-        return True
+        return False
 
     @property
     def rank(self) -> int:

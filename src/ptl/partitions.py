@@ -14,8 +14,9 @@ Statistics implemented:
   n - (number of parts).
 
 Every generating-function evaluation is exact integer polynomial
-truncation; enumerative cross-checks live alongside so the two routes can
-be compared directly.  Results are memoized behind immutable caches.
+truncation; p_{n,i} is computed both from its generating function and by a
+part-count recurrence, which must agree.  Results are memoized behind
+immutable caches.
 """
 
 from __future__ import annotations
@@ -104,20 +105,6 @@ def _multipartition_row(i: int, nmax: int) -> tuple:
             for d in range(m, nmax + 1):
                 coeffs[d] += coeffs[d - m]
     return tuple(coeffs)
-
-
-def multipartition_count_enum(n: int, i: int) -> int:
-    """a_n(i) by direct enumeration of ordered i-tuples of partitions."""
-    if n == 0:
-        return 1
-    if i == 0:
-        return 0
-    if i == 1:
-        return sum(1 for _ in partitions(n))
-    total = 0
-    for first in range(n + 1):
-        total += multipartition_count_enum(first, 1) * multipartition_count_enum(n - first, i - 1)
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,9 @@ immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from ptl.context import VariableContext, darboux_context
-from ptl.poly import SparsePolynomial
 
 
 @dataclass(frozen=True)
@@ -43,34 +41,6 @@ def reflection_structure(n: int) -> PoissonStructure:
     if n < 2:
         raise ValueError("reflection structure needs n >= 2")
     return PoissonStructure("reflection", n, darboux_context(n - 1))
-
-
-def _partials(f: SparsePolynomial, m: int):
-    names = f.context.names
-    fx = [f.derivative(names[i]) for i in range(m)]
-    fy = [f.derivative(names[m + i]) for i in range(m)]
-    return fx, fy
-
-
-def poisson_bracket(f: SparsePolynomial, g: SparsePolynomial,
-                    P: PoissonStructure) -> SparsePolynomial:
-    """{f, g} under P; bilinear, antisymmetric, Leibniz, Jacobi."""
-    if f.context != P.context or g.context != P.context:
-        raise ValueError("context mismatch with the Poisson structure")
-    m = P.pairs
-    fx, fy = _partials(f, m)
-    gx, gy = _partials(g, m)
-    out = SparsePolynomial.zero(P.context)
-    for i in range(m):
-        out = out + fx[i] * gy[i] - fy[i] * gx[i]
-    if P.kind == "reflection":
-        sum_fx = sum(fx[1:], fx[0]) if m else SparsePolynomial.zero(P.context)
-        sum_fy = sum(fy[1:], fy[0]) if m else SparsePolynomial.zero(P.context)
-        sum_gx = sum(gx[1:], gx[0]) if m else SparsePolynomial.zero(P.context)
-        sum_gy = sum(gy[1:], gy[0]) if m else SparsePolynomial.zero(P.context)
-        corr = sum_fx * sum_gy - sum_fy * sum_gx
-        out = out - corr * Fraction(1, P.n)
-    return out
 
 
 # -- raw fast paths (integer coefficients, dict-of-tuples representation) --

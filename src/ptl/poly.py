@@ -33,7 +33,7 @@ class SparsePolynomial:
 
     __slots__ = ("context", "terms")
 
-    def __init__(self, context: VariableContext, terms=None, *, validate: bool = True):
+    def __init__(self, context: VariableContext, terms=None):
         self.context = context
         tt = {}
         if terms:
@@ -52,8 +52,7 @@ class SparsePolynomial:
                     else:
                         del tt[expo]
         self.terms = tt
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         arity = self.context.arity

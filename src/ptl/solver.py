@@ -77,7 +77,6 @@ from ptl.context import svar_context
 from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
-    SparseRationalEchelon,
     annihilated,
     certified_nullspace,
     integer_vector,
@@ -356,17 +355,6 @@ def _completed(n: int, terms: dict) -> dict:
     return {e: x for e, x in out.items() if x}
 
 
-def family_span_dims(n: int) -> GradedDimensionTable:
-    """Exact dimensions of span(family_generators(n)) per dual weight."""
-    spans: dict[int, SparseRationalEchelon] = {}
-    for terms in _family_terms(n):
-        w = 4 * (sum(next(iter(terms))) - n)
-        spans.setdefault(w, SparseRationalEchelon()).add(terms)
-    return GradedDimensionTable({w: ech.rank for w, ech in spans.items()},
-                                {"family": "D", "n": n, "grading": "dual-weight",
-                                 "kind": "family-span"})
-
-
 # -- kernel computation ---------------------------------------------------------
 
 @dataclass
@@ -493,31 +481,3 @@ def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],
 def display_table(weight_dims: GradedDimensionTable) -> GradedDimensionTable:
     """Re-key a dual-weight table by the display exponent -w/4."""
     return weight_dims.reindexed(lambda w: -w // 4, grading="display-exponent")
-
-
-def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:
-    """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, as a raw
-    {Laurent label code: Fraction} dict."""
-    N = max(F.context.arity, 2 * n, 2 * k)
-    scale = 4 ** max(n - k, 0)
-    out: dict = {}
-    for expo, c in F.terms.items():
-        e = tuple(expo) + (0,) * (N - len(expo))
-        support = [i + 1 for i, x in enumerate(e) if x]
-        for label, val in _column_rows_for_k(k, n, e, support, _label_code(e, n)):
-            s = out.get(label, Fraction(0)) + c * Fraction(val, scale)
-            if s:
-                out[label] = s
-            else:
-                del out[label]
-    return out
-
-
-def is_kernel_member(F: SparsePolynomial, n: int, k_max: int | None = None) -> bool:
-    """Exact membership test: every restricted xi_k annihilates F."""
-    if not F.terms:
-        return True
-    for k in range(1, (k_max if k_max is not None else n) + 1):
-        if constraint_residual(F, k, n):
-            return False
-    return True

@@ -1,0 +1,480 @@
+"""Reference implementations that the tests hold the package to.
+
+None of these is run by a CLI command.  Each is the slow, independent route
+to something the package computes faster, or a check of an identity the
+package relies on:
+
+* the group-element layer: signed permutations, the group's elements and
+  generators, and the action on `SparsePolynomial`s (`act`,
+  `invariant_basis`), against which the orbit-sum bases are checked;
+* the class-count scan: conjugacy classes without eigenvalue one by a
+  determinant scan that never looks at cycle types, against the closed
+  forms of `weyl.hh0_dimension`;
+* `poisson_bracket` on `SparsePolynomial`s, the reference for
+  `poisson.raw_bracket`;
+* the leading-term expansion behind the A_- = {A_+, A_-} identity;
+* the typed solver's Fraction membership test and family spans, and
+  multipartitions by enumeration.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from ptl.context import VariableContext, darboux_context
+from ptl.linalg import SparseRationalEchelon
+from ptl.partitions import partition_count, partition_count_exact_parts, partitions
+from ptl.poisson import PoissonStructure, darboux_structure
+from ptl.poly import SparsePolynomial
+from ptl.solver import _column_rows_for_k, _family_terms, _label_code
+from ptl.tables import GradedDimensionTable
+from ptl.weyl import GroupSpec, _sn_orbit, invariant_basis_raw, orbit_rep, restrict_to_zero_sum
+
+
+# -- group elements and the action ---------------------------------------------
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """Element of B_n: x_i -> signs[i] * x_{perm[i]} (0-based internally)."""
+
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.perm)
+        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
+            raise ValueError("not a signed permutation")
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValueError("signs must be +-1")
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    @staticmethod
+    def identity(n: int) -> "SignedPermutation":
+        return SignedPermutation(tuple(range(n)), (1,) * n)
+
+    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
+        """self after other, so that act(self.compose(other)) = act(self) o act(other)."""
+        perm = tuple(self.perm[other.perm[i]] for i in range(self.n))
+        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(self.n))
+        return SignedPermutation(perm, signs)
+
+    def inverse(self) -> "SignedPermutation":
+        inv = [0] * self.n
+        for i, j in enumerate(self.perm):
+            inv[j] = i
+        signs = tuple(self.signs[inv[i]] for i in range(self.n))
+        return SignedPermutation(tuple(inv), signs)
+
+    def conjugate_by(self, h: "SignedPermutation") -> "SignedPermutation":
+        return h.compose(self).compose(h.inverse())
+
+    def is_plain(self) -> bool:
+        return all(s == 1 for s in self.signs)
+
+    def sign_product(self) -> int:
+        p = 1
+        for s in self.signs:
+            p *= s
+        return p
+
+
+def context(spec: GroupSpec) -> VariableContext:
+    return _spec_context(spec.family, spec.n)
+
+
+def contains(spec: GroupSpec, g: SignedPermutation) -> bool:
+    if g.n != spec.n:
+        return False
+    if spec.family in ("symmetric-full", "symmetric-reflection"):
+        return g.is_plain()
+    if spec.family == "demihyperoctahedral":
+        return g.sign_product() == 1
+    return True
+
+
+def elements(spec: GroupSpec):
+    """All group elements; only sensible for small n."""
+    n = spec.n
+    for perm in itertools.permutations(range(n)):
+        if spec.family in ("symmetric-full", "symmetric-reflection"):
+            yield SignedPermutation(perm, (1,) * n)
+        elif spec.family == "hyperoctahedral":
+            for signs in itertools.product((1, -1), repeat=n):
+                yield SignedPermutation(perm, signs)
+        else:
+            for signs in itertools.product((1, -1), repeat=n):
+                if _prod(signs) == 1:
+                    yield SignedPermutation(perm, signs)
+
+
+def generators(spec: GroupSpec) -> list[SignedPermutation]:
+    n = spec.n
+    gens = []
+    if n >= 2:
+        swap = list(range(n))
+        swap[0], swap[1] = 1, 0
+        gens.append(SignedPermutation(tuple(swap), (1,) * n))
+        cycle = tuple(list(range(1, n)) + [0])
+        gens.append(SignedPermutation(cycle, (1,) * n))
+    if spec.family == "hyperoctahedral":
+        gens.append(SignedPermutation(tuple(range(n)), (-1,) + (1,) * (n - 1)))
+    elif spec.family == "demihyperoctahedral":
+        if n >= 2:
+            gens.append(SignedPermutation(tuple(range(n)), (-1, -1) + (1,) * (n - 2)))
+    return gens or [SignedPermutation.identity(n)]
+
+
+@lru_cache(maxsize=None)
+def _spec_context(family: str, n: int) -> VariableContext:
+    return darboux_context(n - 1 if family == "symmetric-reflection" else n)
+
+
+def _prod(signs) -> int:
+    p = 1
+    for s in signs:
+        p *= s
+    return p
+
+
+def act_monomial_raw(g: SignedPermutation, expo: tuple, m: int) -> tuple[tuple, int]:
+    """Image of a monomial exponent vector under the monomial action on m pairs.
+
+    Returns (new exponent vector, sign).
+    """
+    out = [0] * (2 * m)
+    sign = 1
+    for i in range(m):
+        a, b = expo[i], expo[m + i]
+        j = g.perm[i]
+        out[j] = a
+        out[m + j] = b
+        if g.signs[i] == -1 and (a + b) % 2:
+            sign = -sign
+    return tuple(out), sign
+
+
+def act(g: SignedPermutation, f: SparsePolynomial, spec: GroupSpec) -> SparsePolynomial:
+    """Ring-homomorphism action x_i -> sign_i x_{perm(i)}, y likewise.
+
+    For symmetric-reflection, f is lifted to C^{2n} (free of x_n, y_n),
+    permuted there and restricted back to the eliminated coordinates.
+    """
+    if not contains(spec, g):
+        raise ValueError(f"element not in {spec.family}({spec.n})")
+    if f.context != context(spec):
+        raise ValueError("context mismatch")
+    m = spec.pairs
+    lift = spec.family == "symmetric-reflection"
+    out: dict = {}
+    for expo, c in f.terms.items():
+        if lift:
+            expo = expo[:m] + (0,) + expo[m:] + (0,)
+        key, sign = act_monomial_raw(g, expo, g.n)
+        s = out.get(key, 0) + sign * c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    if lift:
+        out = restrict_to_zero_sum(g.n, max(map(sum, out), default=0), [out])[0]
+    return SparsePolynomial._raw(f.context, out)
+
+
+def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
+    """Deterministically ordered basis of the degree-d invariant subspace."""
+    ctx = context(spec)
+    return [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
+            for d in invariant_basis_raw(spec, degree)]
+
+
+# -- class counts by a determinant scan ----------------------------------------
+
+def _det_minus_id(g: SignedPermutation, reflection: bool = False) -> int:
+    """Exact integer det(M_g - I) by fraction-free elimination.
+
+    With `reflection=True` the matrix is the eliminated-coordinate action on
+    C^{n-1} (x_i -> x_{g(i)}, the image -Σx_j substituted for x_n);
+    otherwise the signed n x n permutation matrix.  In both cases the
+    determinant on the doubled symplectic space is the square of this one,
+    so nonvanishing here decides fixed-point-freeness there.
+    """
+    if reflection:
+        m = g.n - 1
+        mat = [[0] * m for _ in range(m)]
+        for i in range(m):
+            j = g.perm[i]
+            if j < m:
+                mat[j][i] += 1
+            else:
+                for r in range(m):
+                    mat[r][i] -= 1
+        for i in range(m):
+            mat[i][i] -= 1
+        n = m
+    else:
+        n = g.n
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            mat[g.perm[i]][i] += g.signs[i]
+            mat[i][i] -= 1
+    # Bareiss
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            for r in range(k + 1, n):
+                if mat[r][k]:
+                    mat[k], mat[r] = mat[r], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
+
+
+def _conjugation_orbit_count(spec: GroupSpec, members: set) -> int:
+    """Number of orbits of the conjugation action on a conjugation-stable set
+    of (perm, signs) keys, by breadth-first search under the group generators."""
+    gens = generators(spec)
+    gens = gens + [h.inverse() for h in gens]
+    classes = 0
+    visited = set()
+    for key in sorted(members):
+        if key in visited:
+            continue
+        classes += 1
+        stack = [key]
+        visited.add(key)
+        while stack:
+            p, s = stack.pop()
+            g = SignedPermutation(p, s)
+            for h in gens:
+                c = g.conjugate_by(h)
+                ck = (c.perm, c.signs)
+                if ck not in visited:
+                    if ck not in members:
+                        raise AssertionError("conjugation left the locus")
+                    visited.add(ck)
+                    stack.append(ck)
+    return classes
+
+
+def fixed_point_free_class_count(spec: GroupSpec) -> int:
+    """Brute-force scan: conjugacy classes of g with det(g - Id) != 0 on C^{2n}.
+
+    Enumerates the whole group, keeps elements whose n x n block determinant
+    is nonzero (the C^{2n} determinant is its square), and counts conjugation
+    orbits by breadth-first search under the group generators.  No cycle-type
+    classification is consulted.
+    """
+    reflection = spec.family == "symmetric-reflection"
+    return _conjugation_orbit_count(
+        spec, {(g.perm, g.signs) for g in elements(spec) if _det_minus_id(g, reflection)})
+
+
+def bn_class_count(n: int) -> int:
+    """Conjugacy classes of B_n: pairs of partitions with total size n."""
+    return sum(partition_count(k) * partition_count(n - k) for k in range(n + 1))
+
+
+def dn_class_count(n: int) -> int:
+    """Conjugacy classes of D_n by the signed-cycle classification.
+
+    B_n-classes lying in D_n are those with evenly many negative cycles;
+    such a class splits into two D_n-classes exactly when there are no
+    negative cycles and every positive cycle has even length.
+    """
+    total = 0
+    for k in range(0, n + 1):
+        for lneg in range(0, k + 1):
+            if lneg % 2 == 0:
+                total += partition_count_exact_parts(k, lneg) * partition_count(n - k)
+    split = sum(1 for lam in partitions(n) if all(part % 2 == 0 for part in lam))
+    return total + split
+
+
+def conjugacy_class_count_brute(spec: GroupSpec) -> int:
+    """Count conjugacy classes by BFS orbits of the conjugation action."""
+    return _conjugation_orbit_count(spec, {(g.perm, g.signs) for g in elements(spec)})
+
+
+# -- the Poisson bracket on SparsePolynomials -----------------------------------
+
+def _partials(f: SparsePolynomial, m: int):
+    names = f.context.names
+    fx = [f.derivative(names[i]) for i in range(m)]
+    fy = [f.derivative(names[m + i]) for i in range(m)]
+    return fx, fy
+
+
+def poisson_bracket(f: SparsePolynomial, g: SparsePolynomial,
+                    P: PoissonStructure) -> SparsePolynomial:
+    """{f, g} under P; bilinear, antisymmetric, Leibniz, Jacobi."""
+    if f.context != P.context or g.context != P.context:
+        raise ValueError("context mismatch with the Poisson structure")
+    m = P.pairs
+    fx, fy = _partials(f, m)
+    gx, gy = _partials(g, m)
+    out = SparsePolynomial.zero(P.context)
+    for i in range(m):
+        out = out + fx[i] * gy[i] - fy[i] * gx[i]
+    if P.kind == "reflection":
+        sum_fx = sum(fx[1:], fx[0]) if m else SparsePolynomial.zero(P.context)
+        sum_fy = sum(fy[1:], fy[0]) if m else SparsePolynomial.zero(P.context)
+        sum_gx = sum(gx[1:], gx[0]) if m else SparsePolynomial.zero(P.context)
+        sum_gy = sum(gy[1:], gy[0]) if m else SparsePolynomial.zero(P.context)
+        corr = sum_fx * sum_gy - sum_fy * sum_gx
+        out = out - corr * Fraction(1, P.n)
+    return out
+
+
+# -- leading-term identity (A_- = {A_+, A_-} expansion) ------------------------
+#
+# {symm(x1^(a1+1) y1^b1), symm(y1 x2^a2 y2^b2 ...)} =
+# ((1+c)/n)(a1+1) symm(x1^a1 y1^b1 ...) + higher order,
+# c = #{i >= 2 : (a_i, b_i) = (0, 1)}.
+
+def _pair_key(ab: tuple[int, int]) -> tuple[int, int]:
+    # x^a y^b > x^a' y^b' iff a+b > a'+b', or equal total and a > a'
+    return (ab[0] + ab[1], ab[0])
+
+
+def symmetrized_order_key(expo: tuple, m: int) -> tuple:
+    """Comparison key for symmetrized monomials: per-index pairs sorted
+    descending in the two-level single-pair order, compared lexicographically."""
+    pairs = sorted(((expo[i], expo[m + i]) for i in range(m)),
+                   key=_pair_key, reverse=True)
+    return tuple(_pair_key(p) for p in pairs)
+
+
+def symmetrize(mono: SparsePolynomial, n: int) -> SparsePolynomial:
+    """Average over simultaneous index permutations (coefficient 1/n!)."""
+    ctx = mono.context
+    out: dict = {}
+    scale = Fraction(1, math.factorial(n))
+    for perm in itertools.permutations(range(n)):
+        for expo, c in mono.terms.items():
+            img = [0] * (2 * n)
+            for i in range(n):
+                img[perm[i]] = expo[i]
+                img[n + perm[i]] = expo[n + i]
+            key = tuple(img)
+            out[key] = out.get(key, 0) + c * scale
+    return SparsePolynomial(ctx, out)
+
+
+def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
+    """Check the leading-term expansion behind the A_- = {A_+, A_-} identity.
+
+    `pairs` = [(a_1, b_1), ..., (a_n, b_n)], sorted descending in the
+    two-level order, with every a_i + b_i odd.  Returns a report with the
+    expected and observed leading coefficient and whether every other
+    symmetrized component is strictly higher in the order.
+    """
+    n = len(pairs)
+    if n < 1:
+        raise ValueError("need at least one index")
+    keys = [_pair_key(p) for p in pairs]
+    if keys != sorted(keys, reverse=True):
+        raise ValueError("exponent pairs must be sorted descending")
+    if any((a + b) % 2 == 0 for a, b in pairs):
+        raise ValueError("every index must have odd total degree")
+    a1, b1 = pairs[0]
+    structure = darboux_structure(n)
+    ctx = structure.context
+    first = SparsePolynomial.monomial(
+        ctx, tuple([a1 + 1] + [0] * (n - 1) + [b1] + [0] * (n - 1)))
+    second_expo = [0] * (2 * n)
+    second_expo[n] = 1  # y_1
+    for i in range(1, n):
+        second_expo[i] = pairs[i][0]
+        second_expo[n + i] = pairs[i][1]
+    second = SparsePolynomial.monomial(ctx, tuple(second_expo))
+    bracket = poisson_bracket(symmetrize(first, n), symmetrize(second, n), structure)
+
+    target_expo = tuple(p[0] for p in pairs) + tuple(p[1] for p in pairs)
+    target_key = symmetrized_order_key(target_expo, n)
+    c = sum(1 for i in range(1, n) if pairs[i] == (0, 1))
+    expected = Fraction(1 + c, n) * (a1 + 1)
+
+    components = {e: coeff * len(_sn_orbit(e, n)) for e, coeff in bracket.terms.items()
+                  if orbit_rep(e, n) == e}
+    target_rep = orbit_rep(target_expo, n)
+    observed = components.get(target_rep, Fraction(0))
+    higher = all(symmetrized_order_key(rep, n) > target_key
+                 for rep in components if rep != target_rep)
+    return {
+        "expected_leading": expected,
+        "observed_leading": observed,
+        "others_strictly_higher": higher,
+        "ok": observed == expected and higher,
+    }
+
+
+# -- typed solver: membership and family spans -----------------------------------
+
+def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:
+    """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, as a raw
+    {Laurent label code: Fraction} dict."""
+    N = max(F.context.arity, 2 * n, 2 * k)
+    scale = 4 ** max(n - k, 0)
+    out: dict = {}
+    for expo, c in F.terms.items():
+        e = tuple(expo) + (0,) * (N - len(expo))
+        support = [i + 1 for i, x in enumerate(e) if x]
+        for label, val in _column_rows_for_k(k, n, e, support, _label_code(e, n)):
+            s = out.get(label, Fraction(0)) + c * Fraction(val, scale)
+            if s:
+                out[label] = s
+            else:
+                del out[label]
+    return out
+
+
+def is_kernel_member(F: SparsePolynomial, n: int, k_max: int | None = None) -> bool:
+    """Exact membership test: every restricted xi_k annihilates F."""
+    if not F.terms:
+        return True
+    for k in range(1, (k_max if k_max is not None else n) + 1):
+        if constraint_residual(F, k, n):
+            return False
+    return True
+
+
+def family_span_dims(n: int) -> GradedDimensionTable:
+    """Exact dimensions of span(family_generators(n)) per dual weight."""
+    spans: dict[int, SparseRationalEchelon] = {}
+    for terms in _family_terms(n):
+        w = 4 * (sum(next(iter(terms))) - n)
+        spans.setdefault(w, SparseRationalEchelon()).add(terms)
+    return GradedDimensionTable({w: ech.rank for w, ech in spans.items()},
+                                {"family": "D", "n": n, "grading": "dual-weight",
+                                 "kind": "family-span"})
+
+
+# -- partitions ------------------------------------------------------------------
+
+def multipartition_count_enum(n: int, i: int) -> int:
+    """a_n(i) by direct enumeration of ordered i-tuples of partitions."""
+    if n == 0:
+        return 1
+    if i == 0:
+        return 0
+    if i == 1:
+        return sum(1 for _ in partitions(n))
+    total = 0
+    for first in range(n + 1):
+        total += multipartition_count_enum(first, 1) * multipartition_count_enum(n - first, i - 1)
+    return total

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import io
@@ -528,9 +529,15 @@ def test_workers_reverify_cache(tmp_path, capsys):
     assert code == 4
 
 
-_FOLDED_COMMANDS = [("hp0", "brute", "--group", group, "--n", "3", "--max-degree", "10")
-                    for group in ("hyperoctahedral", "demihyperoctahedral", "symmetric-full")]
-_FOLDED_COMMANDS.append(("hp0", "aminus", "--n", "4", "--max-degree", "8"))
+_ENGINE_COMMANDS = [("hp0", "brute", "--group", group, "--n", "3", "--max-degree", "10")
+                    for group in ("hyperoctahedral", "demihyperoctahedral", "symmetric-full")] + [
+    ("hp0", "aminus", "--n", "4", "--max-degree", "8"),
+    ("hp0", "brute", "--group", "symmetric-reflection", "--n", "4",
+     "--subgroup", "last-point-stabilizer", "--max-degree", "6"),
+    ("hp0", "brute", "--group", "symmetric-reflection", "--n", "3", "--max-degree", "8"),
+    ("hp0", "brute", "--group", "symmetric-full", "--n", "2", "--subgroup", "ambient",
+     "--max-degree", "6"),
+]
 _PRIMES = st.sampled_from([2, 3, 5, 65537, 1048573, PRIME_LIMIT - 1]) | st.integers(
     2, PRIME_LIMIT - 1).map(lambda x: next(p for p in range(x, 1, -1) if is_prime(p)))
 
@@ -546,10 +553,11 @@ _default_prime_run = functools.cache(_captured_main)
 
 @seed(20110607)
 @settings(max_examples=100, deadline=None, database=None)
-@given(command=st.sampled_from(_FOLDED_COMMANDS), prime=_PRIMES, workers=st.sampled_from([1, 2]))
+@given(command=st.sampled_from(_ENGINE_COMMANDS), prime=_PRIMES, workers=st.sampled_from([1, 2]))
 def test_folded_cells_any_prime_and_workers(command, prime, workers):
-    # the folded B_3/D_3/S_3 cells and the A_-/A_+ check print the default
-    # prime's output at every prime below 2^31 and with a process pool
+    # the folded B_3/D_3/S_3 cells, the A_-/A_+ check, and the reflection,
+    # relative and ambient cells, which bracket whole polynomials, print the
+    # default prime's output at every prime below 2^31 and with a process pool
     argv = command + ("--prime", str(prime))
     if command[1] == "brute":
         argv += ("--workers", str(workers))
@@ -619,6 +627,20 @@ def test_hp0_brute_degree_16_reference(group, capsys):
 def test_public_names_resolve():
     assert len(set(ptl.__all__)) == len(ptl.__all__)
     assert [name for name in ptl.__all__ if not hasattr(ptl, name)] == []
+
+
+def test_package_holds_no_code_only_tests_reach():
+    # every top-level function and class of the package is named, as a name
+    # or an attribute, by package code outside its own definition; the
+    # interpreter calls `__getattr__`
+    stmts = [stmt for path in sorted(Path(ptl.__file__).parent.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    refs = [{node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))} for stmt in stmts]
+    unused = [stmt.name for i, stmt in enumerate(stmts)
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name != "__getattr__"
+              and not any(stmt.name in r for j, r in enumerate(refs) if j != i)]
+    assert unused == []
 
 
 def test_typed_solve_loads_only_its_route():

@@ -8,7 +8,6 @@ from ptl.partitions import (
     bn_hilbert,
     even_part_count,
     multipartition_count,
-    multipartition_count_enum,
     p_count,
     p_prime_count,
     partition_count,
@@ -16,6 +15,7 @@ from ptl.partitions import (
     partitions,
     prime_bound,
 )
+from reference import multipartition_count_enum
 
 
 def test_multipartition_examples():
