@@ -535,7 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
     brute.add_argument("--max-degree", type=_at_least(0), required=True)
     brute.add_argument("--subgroup", default="full",
                        choices=("full", "last-point-stabilizer", "ambient"))
-    brute.add_argument("--max-columns", type=_at_least(0), default=None)
+    brute.add_argument("--max-columns", type=_at_least(0), default=None,
+                       help="exit 3 at the first degree whose cell would stream more "
+                            "columns than this (only the brackets of weight zero, "
+                            "deg_x = deg_y, are streamed)")
     brute.add_argument("--workers", type=_at_least(1), default=1)
     _add_common(brute, cacheable=True, prime=True)
     brute.set_defaults(func=cmd_hp0_brute)

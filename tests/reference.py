@@ -13,6 +13,8 @@ package relies on:
 * `poisson_bracket` on `SparsePolynomial`s, the reference for
   `poisson.raw_bracket`;
 * the leading-term expansion behind the A_- = {A_+, A_-} identity;
+* whole engine cells: the bracket spans of `ptl.engine` over every weight,
+  against which its weight-zero cells are checked;
 * the typed solver's Fraction membership test and family spans, and
   multipartitions by enumeration.
 """
@@ -25,10 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ptl import engine
 from ptl.context import VariableContext, darboux_context
 from ptl.linalg import SparseRationalEchelon
 from ptl.partitions import partition_count, partition_count_exact_parts, partitions
-from ptl.poisson import PoissonStructure, darboux_structure
+from ptl.poisson import PoissonStructure, darboux_structure, raw_bracket
 from ptl.poly import SparsePolynomial
 from ptl.solver import _column_rows_for_k, _family_terms, _label_code
 from ptl.tables import GradedDimensionTable
@@ -421,6 +424,44 @@ def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
         "others_strictly_higher": higher,
         "ok": observed == expected and higher,
     }
+
+
+# -- whole engine cells ----------------------------------------------------------
+
+def exact_bracket_rank(structure: PoissonStructure, blocks, dim: int) -> int:
+    """Rank over Q of the brackets {u, v}, u in us and v in vs for each
+    (us, vs) block, each bracketed whole with every output monomial its own
+    row.  The brackets lie in a space of dimension dim, so the rank stops
+    there."""
+    ech = SparseRationalEchelon()
+    for us, vs in blocks:
+        for u in us:
+            for v in vs:
+                if ech.rank == dim:
+                    return dim
+                ech.add({k: Fraction(c) for k, c in raw_bracket(u, v, structure).items()})
+    return ech.rank
+
+
+def whole_cell_dimension(problem: engine.BracketSpanProblem, degree: int) -> int:
+    """dim O^H_d - rank {O^G, O^H}_d over every weight: the brackets of all
+    pairs of `engine._column_pairs`, ranked exactly."""
+    dim = len(engine._h_basis_raw(problem, degree))
+    return dim - exact_bracket_rank(problem.structure(), engine._column_pairs(problem, degree), dim)
+
+
+def whole_aminus_report(n: int, max_degree: int) -> dict[int, str]:
+    """`engine.check_aminus_identity` over every weight: the brackets
+    {(A_+)_a, (A_-)_b}, a + b = d + 2, ranked exactly against dim (A_-)_d."""
+    spec, structure = GroupSpec("demihyperoctahedral", n), darboux_structure(n)
+    report = {}
+    for d in range(n % 2, max_degree + 1, 2):
+        blocks = [(invariant_basis_raw(spec, a, "+"), invariant_basis_raw(spec, d + 2 - a, "-"))
+                  for a in range(2, d + 2, 2)]
+        dim = len(invariant_basis_raw(spec, d, "-"))
+        rank = exact_bracket_rank(structure, blocks, dim)
+        report[d] = "pass" if rank == dim else "fail"
+    return report
 
 
 # -- typed solver: membership and family spans -----------------------------------

@@ -77,9 +77,10 @@ def test_guardrail_exit_3(capsys):
 
 
 def test_truncated_table_prints_only_computed_degrees(capsys):
-    # B_2 stops at degree 4; degrees 4..8 were never computed (dim 4 is 1)
+    # B_2 stops at degree 4, whose cell streams 10 weight-zero columns;
+    # degrees 4..8 were never computed (dim 4 is 1)
     argv = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "8",
-            "--max-columns", "10", "--no-cache", "--format")
+            "--max-columns", "5", "--no-cache", "--format")
     code, out = run_cli(capsys, *argv, "json")
     assert code == 3 and json.loads(out)["truncated_at_degree"] == 4
     code, out = run_cli(capsys, *argv, "table")

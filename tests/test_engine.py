@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,17 @@ from ptl.engine import (
     check_aminus_identity,
     hp0_graded_dims,
 )
-from ptl.linalg import SparseRationalEchelon
+from ptl.linalg import DEFAULT_PRIME, SparseRationalEchelon
 from ptl.partitions import bn_hilbert
-from ptl.poisson import darboux_structure, raw_bracket
+from ptl.poisson import raw_bracket
 from ptl.solver import kernel_basis
-from ptl.weyl import GroupSpec, invariant_basis_raw
-from reference import leading_term_identity_report
+from ptl.weyl import GroupSpec, invariant_basis_raw, monomials_of_degree, restrict_to_zero_sum
+from reference import (
+    exact_bracket_rank,
+    leading_term_identity_report,
+    whole_aminus_report,
+    whole_cell_dimension,
+)
 
 
 def _prob(family, n, subgroup="full"):
@@ -165,26 +171,13 @@ def test_leading_term_identity(rng):
             assert rep["ok"], (pairs, rep)
 
 
-def _unfolded_rank(structure, blocks, dim):
-    # reference column builder: bracket whole orbit sums, keep every output
-    # monomial as its own row, and rank the columns over Q (every column is
-    # an invariant, so the rank stops at the invariant dimension dim)
-    ech = SparseRationalEchelon()
-    for us, vs in blocks:
-        for u in us:
-            for v in vs:
-                if ech.rank == dim:
-                    return dim
-                ech.add({k: Fraction(c) for k, c in raw_bracket(u, v, structure).items()})
-    return ech.rank
-
-
 def _unfolded_dimension(problem, degree):
-    # every split a + b = degree + 2 and the whole of O^G_a in the first slot
+    # every split a + b = degree + 2, the whole of O^G_a in the first slot,
+    # every weight, whole orbit sums, ranked over Q
     blocks = [(invariant_basis_raw(problem.spec, a), engine._h_basis_raw(problem, degree + 2 - a))
               for a in range(1, degree + 2)]
     dim = len(engine._h_basis_raw(problem, degree))
-    return dim - _unfolded_rank(problem.structure(), blocks, dim)
+    return dim - exact_bracket_rank(problem.structure(), blocks, dim)
 
 
 # (problem, max degree) per parameter: the Darboux cells the engine folds,
@@ -212,16 +205,77 @@ def test_folded_cells_match_unfolded_reference(family):
 
 def test_folded_aminus_matches_unfolded_reference():
     for n, max_degree in ((3, 7), (4, 8)):
-        spec = GroupSpec("demihyperoctahedral", n)
-        structure = darboux_structure(n)
-        expected = {}
-        for d in range(n % 2, max_degree + 1, 2):
-            blocks = [(invariant_basis_raw(spec, a, "+"),
-                       invariant_basis_raw(spec, d + 2 - a, "-"))
-                      for a in range(2, d + 2, 2)]
-            dim = len(invariant_basis_raw(spec, d, "-"))
-            expected[d] = "pass" if _unfolded_rank(structure, blocks, dim) == dim else "fail"
-        assert check_aminus_identity(n, max_degree) == expected
+        assert check_aminus_identity(n, max_degree) == whole_aminus_report(n, max_degree)
+
+
+def _euler_element(m):
+    # sum_i x_i y_i on m pairs
+    return {tuple(int(k % m == i) for k in range(2 * m)): 1 for i in range(m)}
+
+
+@pytest.mark.parametrize("family, ns", [
+    ("symmetric-full", (1, 2, 3, 4)),
+    ("hyperoctahedral", (1, 2, 3, 4)),
+    ("demihyperoctahedral", (1, 2, 3, 4)),
+    ("symmetric-reflection", (2, 3, 4)),
+])
+def test_euler_element_brackets_by_weight(family, ns):
+    # the lemma behind weight-zero cells (engine docstring): E = sum x_i y_i,
+    # on the reflection pair the restriction of sum_{i <= n} x_i y_i, is an
+    # invariant of degree 2, and {E, e} = (deg_y e - deg_x e) e for every
+    # monomial e (times n, the scale of the reflection structure's raw bracket)
+    for n in ns:
+        spec = GroupSpec(family, n)
+        m, reflection = spec.pairs, family == "symmetric-reflection"
+        euler = restrict_to_zero_sum(n, 2, [_euler_element(n)])[0] if reflection else _euler_element(m)
+        ech = SparseRationalEchelon()
+        for u in invariant_basis_raw(spec, 2):
+            ech.add({k: Fraction(c) for k, c in u.items()})
+        assert not ech.add({k: Fraction(c) for k, c in euler.items()})
+        structure = BracketSpanProblem(spec).structure()
+        for d in range(5):
+            for e in monomials_of_degree(2 * m, d):
+                shift = (sum(e[m:]) - sum(e[:m])) * (n if reflection else 1)
+                assert raw_bracket(euler, {e: 1}, structure) == ({e: shift} if shift else {})
+
+
+# every cell kind, the reflection, relative and ambient ones included
+_WHOLE_CELL_PROBLEMS = [_prob("hyperoctahedral", 2), _prob("demihyperoctahedral", 3),
+                        _prob("symmetric-full", 3), _prob("symmetric-reflection", 3),
+                        _prob("symmetric-reflection", 3, "last-point-stabilizer"),
+                        _prob("symmetric-full", 2, "ambient")]
+
+
+@functools.cache
+def _whole_tables():
+    cells = [{d: v for d in range(9) if (v := whole_cell_dimension(prob, d))}
+             for prob in _WHOLE_CELL_PROBLEMS]
+    return cells, [whole_aminus_report(n, 9) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("prime", [2, 3, DEFAULT_PRIME])
+def test_weight_zero_cells_match_whole_cells(prime):
+    # certifying each cell on weight zero gives the table of the whole cell,
+    # today's column set over every weight ranked exactly, at any prime
+    cells, aminus = _whole_tables()
+    for prob, expected in zip(_WHOLE_CELL_PROBLEMS, cells):
+        assert dict(hp0_graded_dims(prob, 8, prime=prime).items()) == expected, prob
+    for n, expected in zip((2, 3), aminus):
+        assert check_aminus_identity(n, 9, prime=prime) == expected
+
+
+def test_odd_degree_cells_build_no_basis(monkeypatch):
+    # an odd degree has no monomial of weight zero, so its cell is 0 before
+    # any basis is built; n = 3 has A_- in odd degrees only
+    calls = []
+    for name in ("invariant_basis_raw", "monomials_of_degree"):
+        monkeypatch.setattr(engine, name,
+                            lambda *a, _f=getattr(engine, name), **k: calls.append(a) or _f(*a, **k))
+    for prob in _WHOLE_CELL_PROBLEMS + [_prob("hyperoctahedral", 4)]:
+        for d in (1, 3, 11):
+            assert engine._cell_dimension(prob, d) == 0
+    assert set(check_aminus_identity(3, 9).values()) == {"pass"}
+    assert calls == []
 
 
 def test_full_cells_bracket_one_term_representatives(monkeypatch):
@@ -243,17 +297,24 @@ def test_full_cells_bracket_one_term_representatives(monkeypatch):
 
 def test_hyperoctahedral_cells_bracket_power_sums(monkeypatch):
     # the B_4 degree-12 cell has a rank deficit, so it streams every column:
-    # 6,447 with the whole basis of O^G_a in the first slot, fewer with the
-    # power sums of degree <= 8
-    streamed = []
-    rank = engine._certified_rank
+    # 6,447 with the whole basis of O^G_a in the first slot, 3,264 with the
+    # power sums of degree <= 8, and 350 with only the pairs of opposite
+    # weights deg_x - deg_y among those
+    streamed, weights = [], []
+    rank, bracket = engine._certified_rank, engine.raw_bracket
 
     def spy(columns, *args, **kwargs):
         return rank((streamed.append(c) or c for c in columns), *args, **kwargs)
 
+    def bracket_spy(f, g, structure):
+        weights.append(sum(sum(e[:4]) - sum(e[4:]) for e in (next(iter(f)), next(iter(g)))))
+        return bracket(f, g, structure)
+
     monkeypatch.setattr(engine, "_certified_rank", spy)
+    monkeypatch.setattr(engine, "raw_bracket", bracket_spy)
     assert engine._cell_dimension(_prob("hyperoctahedral", 4), 12) == 1
-    assert 0 < len(streamed) < 6447
+    assert len(streamed) == 350
+    assert len(weights) >= 350 and set(weights) == {0}
 
 
 @pytest.mark.slow
