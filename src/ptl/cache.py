@@ -16,8 +16,6 @@ import os
 import tempfile
 from pathlib import Path
 
-ENV_CACHE_DIR = "PTL_CACHE_DIR"
-
 
 class CacheCorruption(Exception):
     pass

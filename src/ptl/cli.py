@@ -34,11 +34,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
-from ptl.cache import CacheCorruption, ResultCache, canonical_json, code_version, ENV_CACHE_DIR
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, is_prime
 
 # Each command imports the modules of its own route when it runs, so that
-# `import ptl.cli` and one command load only what that command needs.
+# `import ptl.cli` and one command load only what that command needs; only
+# the commands that take a cache load `ptl.cache`.
+
+ENV_CACHE_DIR = "PTL_CACHE_DIR"
 
 SCHEMA_ID = "ptl-output/1"
 FIGURE_HEADER = (
@@ -66,6 +68,7 @@ def _csv_lines(rows) -> str:
 
 
 def _cache_from_args(args) -> ResultCache:
+    from ptl.cache import ResultCache
     if getattr(args, "no_cache", False):
         return ResultCache(None)
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
@@ -107,6 +110,7 @@ def _verify_solve(n: int, weight, prime: int, payload) -> bool:
     0), the rest of the payload, as JSON, exactly the `_record` of n and
     the dimensions they give, then the solver's component certificate run
     again."""
+    from ptl.cache import canonical_json
     from ptl.solver import kernel_dims, recertifies
     vectors = payload.get("vectors") if isinstance(payload, dict) else None
     if type(vectors) is not list:
@@ -139,6 +143,7 @@ def _record_verifier(key: dict):
 
 
 def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
+    from ptl.cache import code_version
     from ptl.solver import kernel_basis
     key = {"module": "typed-solver", "family": "D", "n": n,
            "weight": weight, "prime": prime, "code": code_version()}
@@ -627,7 +632,9 @@ def main(argv=None) -> int:
         parser.error(mismatch)
     try:
         return args.func(args)
-    except CacheCorruption as exc:
+    except getattr(sys.modules.get("ptl.cache"), "CacheCorruption", ()) as exc:
+        # evaluated only as an exception passes: the commands that use a
+        # cache, and only they, have loaded ptl.cache by then
         sys.stderr.write(f"cache corruption: {exc}\n")
         return 4
     except AssertionError as exc:

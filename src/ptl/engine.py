@@ -64,10 +64,14 @@ built for them.  For `check_aminus_identity` E lies in A_+ (the index i of
 x_i y_i has degree 2), so the same argument restricts A_- = {A_+, A_-} to
 weight zero.  This is the invariance of Poisson traces under the
 Hamiltonian flow of the invariant E (Etingof and Schedler, "Poisson traces
-and D-modules on Poisson varieties", GAFA 2010).  The rows are the
-weight-zero basis elements (monomials for the reflection and ambient
-cells), and the columns the pairs of opposite weights; the B_4 degree-12
-cell streams 350 columns of the 3,264 with every weight.
+and D-modules on Poisson varieties", GAFA 2010).
+
+So a cell asks `ptl.weyl` only for the (degree, x-degree) pieces it
+brackets.  Its rows are the weight-zero orbit representatives if it folds,
+else the weight-zero monomials, against which a reflection cell counts
+dim V_0.  A first-slot piece of x-degree p meets the second-slot one of
+x-degree d/2 + 1 - p (B_4, degree 12: 350 columns of the 3,264 over all
+weights); of a folded pair only the smaller orbit sum is expanded.
 """
 
 from __future__ import annotations
@@ -94,6 +98,10 @@ from ptl.weyl import (
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
+    orbit_reps,
+    orbit_size,
+    orbit_sum,
+    reflection_dimension,
 )
 
 SUBGROUP_KINDS = ("full", "last-point-stabilizer", "ambient")
@@ -110,6 +118,11 @@ class BracketSpanProblem:
         if self.subgroup == "last-point-stabilizer" and self.spec.family != "symmetric-reflection":
             raise ValueError("last-point-stabilizer lives inside symmetric-reflection")
 
+    @property
+    def folded(self) -> bool:
+        """Whether H = G acts monomially, so that the cells fold."""
+        return self.subgroup == "full" and self.spec.family != "symmetric-reflection"
+
     def structure(self) -> PoissonStructure:
         if self.spec.family == "symmetric-reflection":
             return reflection_structure(self.spec.n)
@@ -124,60 +137,67 @@ class GuardrailExceeded(Exception):
 
 # -- bases per problem --------------------------------------------------------
 
-def _h_basis_raw(problem: BracketSpanProblem, degree: int) -> tuple[dict, ...]:
-    if degree < 0:
-        return ()
-    spec = problem.spec
-    if problem.subgroup == "full":
-        return invariant_basis_raw(spec, degree)
+def _monomials(m: int, xdeg: int, ydeg: int) -> list[tuple]:
+    """The monomials of bidegree (xdeg, ydeg) on m pairs, in descending order."""
+    return [xs + ys for xs in monomials_of_degree(m, xdeg) for ys in monomials_of_degree(m, ydeg)]
+
+
+def _h_spec(problem: BracketSpanProblem) -> GroupSpec | None:
+    """H, or None for the ambient target (H trivial)."""
     if problem.subgroup == "last-point-stabilizer":
-        return invariant_basis_raw(GroupSpec("symmetric-full", spec.n - 1), degree)
-    return tuple({e: 1} for e in monomials_of_degree(2 * spec.pairs, degree))
+        return GroupSpec("symmetric-full", problem.spec.n - 1)
+    return problem.spec if problem.subgroup == "full" else None
+
+
+def _rows(problem: BracketSpanProblem, degree: int) -> tuple[tuple | list, int]:
+    """Row keys of an even-degree cell and dim (O^H_d)_0 (module docstring):
+    no orbit is expanded and no reflection invariant selected."""
+    h, half = _h_spec(problem), degree // 2
+    if h is None or h.family == "symmetric-reflection":
+        rows = _monomials(problem.spec.pairs, half, half)
+        return rows, len(rows) if h is None else reflection_dimension(h.n, half, half)
+    reps = orbit_reps(h, degree, half)
+    return reps, len(reps)
+
+
+def _h_piece(problem: BracketSpanProblem, degree: int, xdeg: int) -> tuple:
+    """O^H in bidegree (xdeg, degree - xdeg): representatives when the cell
+    folds, whole polynomials otherwise."""
+    h = _h_spec(problem)
+    if h is None:
+        return tuple({e: 1} for e in _monomials(problem.spec.pairs, xdeg, degree - xdeg))
+    return orbit_reps(h, degree, xdeg) if problem.folded else invariant_basis_raw(h, degree, xdeg)
+
+
+def _power_sum(spec: GroupSpec, degree: int, xdeg: int) -> tuple:
+    """The representative of sum_i x_i^xdeg y_i^(degree - xdeg), if that is in O^G."""
+    pad = (0,) * (spec.pairs - 1)
+    return () if spec.family == "hyperoctahedral" and degree % 2 else (
+        (xdeg,) + pad + (degree - xdeg,) + pad,)
 
 
 # -- one degree cell ----------------------------------------------------------
 
-def _by_weight(basis, m: int) -> dict[int, list]:
-    """Weight-homogeneous polynomials on m pairs, split by deg_x - deg_y."""
-    out: dict[int, list] = {}
-    for vec in basis:
-        e = next(iter(vec))
-        out.setdefault(sum(e[:m]) - sum(e[m:]), []).append(vec)
-    return out
-
-
-def _weight_zero_blocks(blocks, m: int) -> list[tuple]:
-    """Each (us, vs) block cut to the pairs of opposite weights: one block
-    (us of weight w, vs of weight -w) per weight w (module docstring)."""
-    out = []
-    for us, vs in blocks:
-        vw = _by_weight(vs, m)
-        out += [(uw, vw[-w]) for w, uw in _by_weight(us, m).items() if -w in vw]
-    return out
-
-
-def _power_sums(spec: GroupSpec, degree: int) -> tuple[dict, ...]:
-    """The orbit sums sum_i x_i^k y_i^l, whose representative has one nonzero pair."""
-    m = spec.pairs
-    return tuple(u for u in invariant_basis_raw(spec, degree)
-                 if not any(max(u)[1:m] + max(u)[m + 1:]))
-
-
 def _column_pairs(problem: BracketSpanProblem, degree: int) -> list[tuple]:
-    """(first slot, second slot) bases per degree split a + b = degree + 2,
-    low a first, whose brackets span {O^G, O^H}_degree.
+    """(first slot, second slot) blocks whose brackets span the weight-zero
+    part of {O^G, O^H}_degree: per split a + b = degree + 2 = 2s, low a first,
+    the pieces of x-degrees p (high first) and s - p, of opposite weights
+    (module docstring).
 
-    Full S_n and B_n cells pair the power sums of degree a <= n, resp. 2n,
-    with the whole of O^G_b for every split; the other cells pair the whole
-    of O^G_a with O^H_b, and for H = G only a <= b (module docstring).
+    Full S_n and B_n cells put the power sums of degree a <= n, resp. 2n, in
+    the first slot; the other cells all of O^G_a, and for H = G only a <= b.
     """
     spec, full = problem.spec, problem.subgroup == "full"
     top = full and {"symmetric-full": spec.n, "hyperoctahedral": 2 * spec.n}.get(spec.family)
-    if top:
-        return [(_power_sums(spec, a), _h_basis_raw(problem, degree + 2 - a))
-                for a in range(1, min(top, degree + 1) + 1)]
-    return [(invariant_basis_raw(spec, a), _h_basis_raw(problem, degree + 2 - a))
-            for a in range(1, degree + 2) if not full or 2 * a <= degree + 2]
+    last = min(top, degree + 1) if top else (degree + 2) // 2 if full else degree + 1
+    s, blocks = degree // 2 + 1, []
+    for a in range(1, last + 1):
+        for p in range(min(a, s), max(0, a - s) - 1, -1):  # 0 <= p <= a, 0 <= s - p <= 2s - a
+            us = (_power_sum(spec, a, p) if top else
+                  orbit_reps(spec, a, p) if problem.folded else invariant_basis_raw(spec, a, p))
+            if us and (vs := _h_piece(problem, 2 * s - a, s - p)):
+                blocks.append((us, vs))
+    return blocks
 
 
 def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
@@ -185,41 +205,35 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
     """Certified dim O^H_d - rank {O^G, O^H}_d for one degree, on weight zero."""
     if degree % 2:
         return 0
-    spec, m = problem.spec, problem.spec.pairs
-    hbasis = _by_weight(_h_basis_raw(problem, degree), m).get(0, [])
-    dim = len(hbasis)
+    rows, dim = _rows(problem, degree)
     if dim == 0:
         return 0
-    fold = problem.subgroup == "full" and spec.family != "symmetric-reflection"
-    if fold or problem.subgroup == "last-point-stabilizer":
-        row_index = {max(vec): i for i, vec in enumerate(hbasis)}
-    else:
-        monomials = (e for e in monomials_of_degree(2 * m, degree) if 2 * sum(e[:m]) == degree)
-        row_index = {e: i for i, e in enumerate(monomials)}
-    blocks = _weight_zero_blocks(_column_pairs(problem, degree), m)
+    blocks = _column_pairs(problem, degree)
     if max_columns is not None:
         n_cols = sum(len(us) * len(vs) for us, vs in blocks)
         if n_cols > max_columns:
             raise GuardrailExceeded(
                 f"degree {degree} needs {n_cols} columns (> {max_columns})", None)
-    columns = _bracket_columns(blocks, problem.structure(), row_index, fold)
-    return dim - _certified_rank(columns, len(row_index), dim, prime=prime)
+    row_index = {e: i for i, e in enumerate(rows)}
+    columns = _bracket_columns(blocks, problem.structure(), row_index, problem.folded)
+    return dim - _certified_rank(columns, len(rows), dim, prime=prime)
 
 
 def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold: bool):
     """Stream the nonzero brackets {u, v}, u in us, v in vs for each block, as
-    sparse columns over the row indices.  With `fold` the orbit sum with more
-    terms is replaced by its representative max(), which goes first, the
-    other is bracketed whole, and each output monomial is added onto the row
-    of its `orbit_rep` (module docstring); a column may so be -{u, v}, which
-    leaves the rank alone.  Monomials without a row are dropped; each
-    distinct monomial is mapped once per cell."""
+    sparse columns over the row indices.  With `fold` the blocks hold orbit
+    representatives: that of the orbit sum with more terms (`orbit_size`)
+    goes first as a monomial, the other orbit sum is bracketed whole
+    (`orbit_sum` expands it on demand), and each output monomial is added
+    onto the row of its `orbit_rep` (module docstring); a column may so be
+    -{u, v}, which leaves the rank alone.  Monomials without a row are
+    dropped; each distinct monomial is mapped once per cell."""
     m, row_of = structure.pairs, {}
     for us, vs in blocks:
-        if fold:  # each orbit sum next to its representative
-            us, vs = ([(w, {max(w): 1}) for w in ws] for ws in (us, vs))
-            pairs = ((u0, v) if len(u) >= len(v) else (v0, u)
-                     for u, u0 in us for v, v0 in vs)
+        if fold:
+            size = {r: orbit_size(r, m) for r in us + vs}
+            pairs = (({u: 1}, orbit_sum(v, m)) if size[u] >= size[v] else ({v: 1}, orbit_sum(u, m))
+                     for u in us for v in vs)
         else:
             pairs = itertools.product(us, vs)
         for f, g in pairs:
@@ -311,18 +325,17 @@ def check_aminus_identity(n: int, max_degree: int, *,
     spec = GroupSpec("demihyperoctahedral", n)
     structure = darboux_structure(n)
     report: dict[int, str] = {}
-    for d in range(0, max_degree + 1):
-        if (d - n) % 2:
-            continue
-        target = [] if d % 2 else _by_weight(invariant_basis_raw(spec, d, sector="-"), n).get(0, [])
-        dim = len(target)
-        if dim == 0:
+    for d in range(n % 2, max_degree + 1, 2):
+        target = () if d % 2 else orbit_reps(spec, d, d // 2, "-")
+        if not target:
             report[d] = "pass"
             continue
-        row_index = {max(vec): i for i, vec in enumerate(target)}
-        blocks = _weight_zero_blocks(((invariant_basis_raw(spec, a, sector="+"),
-                                       invariant_basis_raw(spec, d + 2 - a, sector="-"))
-                                      for a in range(2, d + 2, 2)), n)
+        s = d // 2 + 1
+        blocks = [(us, vs) for a in range(2, 2 * s, 2)
+                  for p in range(min(a, s), max(0, a - s) - 1, -1)
+                  if (us := orbit_reps(spec, a, p, "+"))
+                  and (vs := orbit_reps(spec, 2 * s - a, s - p, "-"))]
+        row_index, dim = {rep: i for i, rep in enumerate(target)}, len(target)
         rank = _certified_rank(_bracket_columns(blocks, structure, row_index, True), dim, dim,
                                prime=prime)
         report[d] = "pass" if rank == dim else "fail"

@@ -14,10 +14,10 @@ dimension is reported:
   vector.  The lift provably succeeds before its modulus passes twice the
   square of the input's Hadamard bound.
 
-Exact rational elimination (`SparseRationalEchelon`) picks the greedy
-independent subset that makes up the reflection invariant bases.  The
-tests hold `certified_nullspace` to a rational-elimination nullspace of
-their own.
+There is no rational elimination in the package: the reflection
+invariant bases are selected mod p against their counted dimension
+(`weyl.invariant_basis_raw`), and the tests hold `certified_nullspace`
+to a rational-elimination nullspace of their own.
 
 The incremental echelon below is pure Python and sparse: its rows are
 dicts keyed by their leads and are not reduced against each other, an
@@ -36,7 +36,7 @@ from heapq import heapify, heappop, heappush
 # certified over Q regardless.
 DEFAULT_PRIME = 1048573
 
-# Moduli of the mod-p echelon stay below 2^31, the range `_prime_stream`
+# Moduli of the mod-p echelon stay below 2^31, the range `prime_stream`
 # draws from and well inside the one where `is_prime` is exact.
 PRIME_LIMIT = 2 ** 31
 
@@ -173,47 +173,12 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-class SparseRationalEchelon:
-    """Exact echelon over Q on sparse dict vectors: each stored row is
-    reduced against the earlier ones, and its lead is its smallest
-    coordinate."""
-
-    def __init__(self):
-        self.rows: list[dict] = []
-        self.leads: list = []
-        self.lead_index: dict = {}
-
-    def add(self, vec: dict) -> bool:
-        """Insert a vector; returns True when it increased the rank."""
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            idx = self.lead_index.get(lead)
-            if idx is None:
-                self.lead_index[lead] = len(self.rows)
-                self.rows.append(vec)
-                self.leads.append(lead)
-                return True
-            coef = vec[lead] / self.rows[idx][lead]
-            for k, v in self.rows[idx].items():
-                s = vec.get(k, 0) - coef * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list[dict]:
     """Exact basis of {x : v . x = 0 for every v in vectors}.
 
     `ech` holds the integer dict `vectors` at its own prime.  Its nullspace
     vectors (x_f = 1 at their own non-lead coordinate f) are lifted by CRT
-    over `_prime_stream`; after each prime every pending vector is
+    over `prime_stream`; after each prime every pending vector is
     rationally reconstructed and checked in exact integer arithmetic
     against every input vector, and kept once it passes (later primes
     back-substitute only the pending free coordinates).  A stream prime
@@ -236,7 +201,7 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
     when the prime stream runs out, is a bug: AssertionError.
     """
     bits = sum((sum(v * v for v in vec.values()).bit_length() + 1) // 2 for vec in vectors)
-    primes = _prime_stream(ech.p)
+    primes = prime_stream(ech.p)
     shape, pending, modulus, found = ech.shape(), ech.nullspace_modp(), ech.p, {}
     while True:
         found.update(_verified(pending, modulus, vectors))
@@ -255,7 +220,7 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
             modulus *= nxt.p
 
 
-def _prime_stream(skip: int):
+def prime_stream(skip: int = 0):
     """Primes below PRIME_LIMIT, largest first, without `skip`."""
     for q in range(PRIME_LIMIT - 1, 2, -2):
         if q != skip and is_prime(q):

@@ -92,10 +92,6 @@ class SparsePolynomial:
         expo[i] = exponent
         return cls._raw(context, {tuple(expo): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, context: VariableContext, expo, coeff=1) -> "SparsePolynomial":
-        return cls(context, {tuple(expo): coeff})
-
     # -- ring structure -------------------------------------------------
 
     def _check_context(self, other: "SparsePolynomial"):
@@ -162,7 +158,7 @@ class SparsePolynomial:
     def __hash__(self):
         return hash((self.context.names, frozenset(self.terms.items())))
 
-    # -- calculus and grading -------------------------------------------
+    # -- calculus ------------------------------------------------------
 
     def derivative(self, name: str) -> "SparsePolynomial":
         """Partial derivative; for the localized variable this is the Laurent d/dv."""
@@ -181,16 +177,6 @@ class SparsePolynomial:
             else:
                 del out[new]
         return SparsePolynomial._raw(self.context, out)
-
-    def degree(self) -> int | None:
-        """Total context degree (None for the zero polynomial)."""
-        if not self.terms:
-            return None
-        return max(self.context.degree_of(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.context.degree_of(e) for e in self.terms}
-        return len(degs) <= 1
 
     # -- canonical text form ----------------------------------------------
 

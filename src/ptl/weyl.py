@@ -9,13 +9,18 @@ stabilizer S_{n-1} inside the latter, which acts on the n-1 surviving
 coordinate pairs as ``symmetric-full`` does.
 
 An element acts by x_i -> sign_i * x_{perm(i)} and simultaneously on y; the
-action is a ring homomorphism, preserves degree, and commutes with the
-Poisson bracket.  Invariant subspaces are spanned by orbit sums of
-monomials, kept with coefficient 1 per orbit member so the rank engine sees
-small integers; the orbits are enumerated directly as multisets of per-index
-(x, y) exponent pairs.  For the non-monomial reflection action the
-invariants are S_n-orbit sums on C^{2n} restricted to the zero-sum
-hyperplane pair, again with integer coefficients.
+action is a ring homomorphism, preserves degree and x-degree, and commutes
+with the Poisson bracket.  Bases are built per (degree, x-degree): for the
+monomial families orbit sums, coefficient 1 per orbit member so the rank
+engine sees small integers, whose representatives are enumerated directly
+as multisets of per-index (x, y) exponent pairs, and which are expanded
+only on request.  For the non-monomial reflection action the invariants
+are S_n-orbit sums on C^{2n} restricted to the zero-sum hyperplane pair
+h + h, again with integer coefficients, chosen mod p against their counted
+dimension: V = h + 1 as S_n-modules, so C[V + V]^{S_n} = C[h + h]^{S_n}
+(x) C[sum x, sum y], and the invariants of h + h in bidegree (p, q) number
+D(p, q) = N(p, q) - N(p-1, q) - N(p, q-1) + N(p-1, q-1), N(p, q) counting
+the S_n-orbits of bidegree-(p, q) monomials on C^{2n}.
 
 Class counts (`hh0_dimension`): dim HH_0 of the invariant Weyl algebra
 equals the number of conjugacy classes acting without eigenvalue one (the
@@ -27,12 +32,12 @@ many cycles, i.e. partitions of n with an even number of parts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from ptl.linalg import SparseRationalEchelon
+from ptl.linalg import IncrementalModEchelon, prime_stream
 from ptl.poisson import _raw_mul
 from ptl.partitions import partition_count, even_part_count
 
@@ -102,33 +107,49 @@ def _arrangements(m: int, blocks: tuple[int, ...]) -> tuple[itemgetter, ...]:
         labels[i + 1:] = reversed(labels[i + 1:])
 
 
+def _runs(rep: tuple, m: int) -> tuple[int, ...]:
+    """Lengths of the runs of equal (x, y) pairs of a representative."""
+    return tuple(len(list(run)) for _, run in itertools.groupby(zip(rep[:m], rep[m:])))
+
+
 def _sn_orbit(expo: tuple, m: int) -> list[tuple]:
     """Distinct images of a monomial under simultaneous index permutations,
     sorted: the distinct arrangements of its multiset of (x, y) pairs."""
     rep = orbit_rep(expo, m)
-    blocks = tuple(len(list(run)) for _, run in itertools.groupby(zip(rep[:m], rep[m:])))
-    return sorted([get(rep) for get in _arrangements(m, blocks)])
+    return sorted([get(rep) for get in _arrangements(m, _runs(rep, m))])
 
 
-def _pair_sequences(m: int, degree: int, bound: tuple[int, int],
+@lru_cache(maxsize=None)
+def orbit_sum(rep: tuple, m: int) -> dict:
+    """The orbit sum of a representative, expanded once: shared, read-only."""
+    return dict.fromkeys(_sn_orbit(rep, m), 1)
+
+
+def orbit_size(rep: tuple, m: int) -> int:
+    """Terms of the orbit sum of a representative: m! / prod(run length!)."""
+    return math.factorial(m) // math.prod(map(math.factorial, _runs(rep, m)))
+
+
+def _pair_sequences(m: int, xdeg: int, ydeg: int, bound: tuple[int, int],
                     parity: int | None = None):
-    """Non-increasing sequences of m (a, b) pairs, each at most `bound`, with
-    the a + b summing to `degree`: the S_m-orbits of degree-d monomials.
+    """Non-increasing sequences of m (a, b) pairs, each at most `bound`, the
+    a summing to xdeg and the b to ydeg: the S_m-orbits of the monomials of
+    bidegree (xdeg, ydeg).  The first a is the largest, so at least xdeg / m.
     With `parity` every a + b has that parity, which prunes while generating."""
-    if parity is not None and (degree - m * parity) % 2:
+    if parity is not None and (xdeg + ydeg - m * parity) % 2:
         return
     if m == 1:
-        yield from (((a, degree - a),) for a in range(min(degree, bound[0]), -1, -1)
-                    if (a, degree - a) <= bound)
+        if (xdeg, ydeg) <= bound:
+            yield ((xdeg, ydeg),)
         return
-    for a in range(min(degree, bound[0]), -1, -1):
-        top = degree - a if a < bound[0] else min(degree - a, bound[1])
+    for a in range(min(xdeg, bound[0]), -(-xdeg // m) - 1, -1):
+        top = ydeg if a < bound[0] else min(ydeg, bound[1])
         step = -1
         if parity is not None:
             top -= (a + top - parity) % 2
             step = -2
         for b in range(top, -1, step):
-            for rest in _pair_sequences(m - 1, degree - a - b, (a, b), parity):
+            for rest in _pair_sequences(m - 1, xdeg - a, ydeg - b, (a, b), parity):
                 yield ((a, b),) + rest
 
 
@@ -144,37 +165,31 @@ def _sector_parities(family: str, sector: str | None) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def invariant_basis_raw(spec: GroupSpec, degree: int, sector: str | None = None) -> tuple[dict, ...]:
-    """Invariant-space basis as raw {exponent: int} dicts, deterministic order.
-
-    For the monomial families these are orbit sums (coefficient one per
-    monomial), one per orbit representative (per-index pairs sorted
-    descending), in descending order of the representative.  `sector`
-    restricts demihyperoctahedral bases to the all-even ("+") or all-odd
-    ("-") eigenspace of the sign character.  For symmetric-reflection see
-    `_reflection_invariants`.  Cached per (spec, degree, sector): the result
-    is shared and must be treated as read-only.
-    """
-    if degree < 0:
+def orbit_reps(spec: GroupSpec, degree: int, xdeg: int,
+               sector: str | None = None) -> tuple[tuple, ...]:
+    """Representatives (per-index pairs sorted descending: the max() of each
+    orbit sum) of the orbit sums spanning a monomial family's invariants in
+    bidegree (xdeg, degree - xdeg), descending, with no orbit expanded.
+    `sector` restricts demihyperoctahedral bases to the all-even ("+") or
+    all-odd ("-") eigenspace of the sign character.  Cached, read-only."""
+    if not 0 <= xdeg <= degree:
         return ()
-    if spec.family == "symmetric-reflection":
-        return _reflection_invariants(spec.n, degree)
-    m = spec.pairs
+    ydeg = degree - xdeg
     reps = []
     for parity in _sector_parities(spec.family, sector):
-        for seq in _pair_sequences(m, degree, (degree, degree), parity):
+        for seq in _pair_sequences(spec.pairs, xdeg, ydeg, (xdeg, ydeg), parity):
             xs, ys = zip(*seq)
             reps.append(xs + ys)
-    reps.sort(reverse=True)
-    return tuple(dict.fromkeys(_sn_orbit(expo, m), 1) for expo in reps)
+    return tuple(sorted(reps, reverse=True))
 
 
-def restrict_to_zero_sum(n: int, degree: int, polys) -> list[dict]:
+def restrict_to_zero_sum(n: int, degree: int, polys):
     """Restrict raw polynomials on C^{2n} of degree at most `degree` to the
     eliminated coordinates: x_n = -(x_1 + ... + x_{n-1}), y_n likewise.
 
-    The powers of the two linear forms are expanded once, as integer dicts;
-    each input is split by its (x_n, y_n) exponents and multiplied out.
+    A generator: the powers of the two linear forms are expanded once, as
+    integer dicts; each input is split by its (x_n, y_n) exponents and
+    multiplied out when it is reached.
     """
     m = n - 1
     zero = (0,) * (2 * m)
@@ -184,7 +199,6 @@ def restrict_to_zero_sum(n: int, degree: int, polys) -> list[dict]:
     for _ in range(degree):
         xpow.append(_raw_mul(xpow[-1], lin_x))
         ypow.append(_raw_mul(ypow[-1], lin_y))
-    out = []
     for poly in polys:
         by_last: dict[tuple[int, int], dict] = {}
         for e, c in poly.items():
@@ -194,30 +208,47 @@ def restrict_to_zero_sum(n: int, degree: int, polys) -> list[dict]:
         total: dict = {}
         for (a, b), part in by_last.items():
             for k, c in _raw_mul(_raw_mul(part, xpow[a]), ypow[b]).items():
-                s = total.get(k, 0) + c
-                if s:
-                    total[k] = s
-                else:
-                    del total[k]
-        out.append(total)
-    return out
+                total[k] = total.get(k, 0) + c
+        yield {k: c for k, c in total.items() if c}
 
 
-def _reflection_invariants(n: int, degree: int) -> tuple[dict, ...]:
-    """Independent integer polynomials spanning the S_n-invariants of the
-    eliminated ring in one degree.
+def reflection_dimension(n: int, xdeg: int, ydeg: int) -> int:
+    """D(xdeg, ydeg), the dimension of the S_n-invariants of the eliminated
+    ring in that bidegree, counted without a basis (module docstring)."""
+    full = GroupSpec("symmetric-full", n)
+    return sum(sign * len(orbit_reps(full, p + q, p)) for p, q, sign in (
+        (xdeg, ydeg, 1), (xdeg - 1, ydeg, -1), (xdeg, ydeg - 1, -1), (xdeg - 1, ydeg - 1, 1)))
 
-    The candidates are the S_n-orbit sums of degree-d monomials on C^{2n},
-    restricted to the zero-sum hyperplane pair.  They span: restriction of
-    invariants is onto for a finite group in characteristic 0 (restrict the
-    Reynolds average of any lift).  Exact incremental row reduction keeps
-    the greedy independent subset, in candidate order (which does not depend
-    on the pivot order of the reduction).
-    """
-    orbits = invariant_basis_raw(GroupSpec("symmetric-full", n), degree)
-    echelon = SparseRationalEchelon()
-    return tuple(total for total in restrict_to_zero_sum(n, degree, orbits)
-                 if echelon.add({k: Fraction(v) for k, v in total.items()}))
+
+# The reflection selection's primes: one fixed stream, whatever --prime is.
+_selection_primes = prime_stream
+
+
+@lru_cache(maxsize=None)
+def invariant_basis_raw(spec: GroupSpec, degree: int, xdeg: int) -> tuple[dict, ...]:
+    """Basis of the invariants in bidegree (xdeg, degree - xdeg) as raw
+    {exponent: int} dicts, cached (shared, read-only): the orbit sums of
+    `orbit_reps`, and for symmetric-reflection a greedy selection mod p of
+    the restricted S_n-orbit sums, which span (restrict the Reynolds average
+    of any lift), each restricted when it is reached.  The selection stops
+    at `reflection_dimension` elements, independent mod p, hence over Q: a
+    basis.  Should the candidates run out first, it starts over at the next
+    prime of `_selection_primes`."""
+    if spec.family != "symmetric-reflection":
+        return tuple(orbit_sum(rep, spec.pairs) for rep in orbit_reps(spec, degree, xdeg))
+    n, ydeg = spec.n, degree - xdeg
+    if not (want := reflection_dimension(n, xdeg, ydeg)):
+        return ()
+    m, reps = n - 1, orbit_reps(GroupSpec("symmetric-full", n), degree, xdeg)
+    length = math.comb(xdeg + m - 1, xdeg) * math.comb(ydeg + m - 1, ydeg)
+    for prime in _selection_primes():
+        ech, chosen = IncrementalModEchelon(length, prime), []
+        for total in restrict_to_zero_sum(n, degree, (orbit_sum(rep, n) for rep in reps)):
+            if ech.add(total):
+                chosen.append(total)
+                if len(chosen) == want:
+                    return tuple(chosen)
+    raise AssertionError("prime stream ran out before the reflection selection")
 
 
 # -- trace-count dimensions (AFLS counts) ------------------------------------

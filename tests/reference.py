@@ -7,6 +7,9 @@ package relies on:
 * the group-element layer: signed permutations, the group's elements and
   generators, and the action on `SparsePolynomial`s (`act`,
   `invariant_basis`), against which the orbit-sum bases are checked;
+* exact rational elimination (`SparseRationalEchelon`), and with it the
+  reflection invariants chosen over Q (`exact_reflection_invariants`),
+  against which the mod-p selection and its counted dimension are checked;
 * the class-count scan: conjugacy classes without eigenvalue one by a
   determinant scan that never looks at cycle types, against the closed
   forms of `weyl.hh0_dimension`;
@@ -29,13 +32,21 @@ from functools import lru_cache
 
 from ptl import engine
 from ptl.context import VariableContext, darboux_context
-from ptl.linalg import SparseRationalEchelon
 from ptl.partitions import partition_count, partition_count_exact_parts, partitions
 from ptl.poisson import PoissonStructure, darboux_structure, raw_bracket
 from ptl.poly import SparsePolynomial
 from ptl.solver import _column_rows_for_k, _family_terms, _label_code
 from ptl.tables import GradedDimensionTable
-from ptl.weyl import GroupSpec, _sn_orbit, invariant_basis_raw, orbit_rep, restrict_to_zero_sum
+from ptl.weyl import (
+    GroupSpec,
+    _sn_orbit,
+    invariant_basis_raw,
+    monomials_of_degree,
+    orbit_rep,
+    orbit_reps,
+    orbit_sum,
+    restrict_to_zero_sum,
+)
 
 
 # -- group elements and the action ---------------------------------------------
@@ -186,15 +197,38 @@ def act(g: SignedPermutation, f: SparsePolynomial, spec: GroupSpec) -> SparsePol
         else:
             del out[key]
     if lift:
-        out = restrict_to_zero_sum(g.n, max(map(sum, out), default=0), [out])[0]
+        out = next(restrict_to_zero_sum(g.n, max(map(sum, out), default=0), [out]))
     return SparsePolynomial._raw(f.context, out)
+
+
+def whole_basis(spec: GroupSpec, degree: int, sector: str | None = None) -> list[dict]:
+    """The package's basis of the degree-d invariants, every x-degree at
+    once, as raw dicts: the orbit sums in descending order of their
+    representatives, for symmetric-reflection the selected pieces by
+    ascending x-degree."""
+    if spec.family == "symmetric-reflection":
+        return [f for p in range(degree + 1) for f in invariant_basis_raw(spec, degree, p)]
+    reps = sorted((r for p in range(degree + 1) for r in orbit_reps(spec, degree, p, sector)),
+                  reverse=True)
+    return [orbit_sum(r, spec.pairs) for r in reps]
 
 
 def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
     """Deterministically ordered basis of the degree-d invariant subspace."""
     ctx = context(spec)
     return [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
-            for d in invariant_basis_raw(spec, degree)]
+            for d in whole_basis(spec, degree)]
+
+
+def exact_reflection_invariants(n: int, degree: int) -> list[dict]:
+    """The reflection invariants of one degree as the package chose them
+    before its mod-p selection: every S_n-orbit sum of the degree on
+    C^{2n}, restricted to the zero-sum hyperplane pair, in descending order
+    of representatives, kept when it grows an exact rational echelon."""
+    orbits = whole_basis(GroupSpec("symmetric-full", n), degree)
+    echelon = SparseRationalEchelon()
+    return [total for total in restrict_to_zero_sum(n, degree, orbits)
+            if echelon.add({k: Fraction(v) for k, v in total.items()})]
 
 
 # -- class counts by a determinant scan ----------------------------------------
@@ -397,14 +431,13 @@ def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
     a1, b1 = pairs[0]
     structure = darboux_structure(n)
     ctx = structure.context
-    first = SparsePolynomial.monomial(
-        ctx, tuple([a1 + 1] + [0] * (n - 1) + [b1] + [0] * (n - 1)))
+    first = SparsePolynomial(ctx, {tuple([a1 + 1] + [0] * (n - 1) + [b1] + [0] * (n - 1)): 1})
     second_expo = [0] * (2 * n)
     second_expo[n] = 1  # y_1
     for i in range(1, n):
         second_expo[i] = pairs[i][0]
         second_expo[n + i] = pairs[i][1]
-    second = SparsePolynomial.monomial(ctx, tuple(second_expo))
+    second = SparsePolynomial(ctx, {tuple(second_expo): 1})
     bracket = poisson_bracket(symmetrize(first, n), symmetrize(second, n), structure)
 
     target_expo = tuple(p[0] for p in pairs) + tuple(p[1] for p in pairs)
@@ -426,6 +459,43 @@ def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
     }
 
 
+# -- exact rational elimination --------------------------------------------------
+
+class SparseRationalEchelon:
+    """Exact echelon over Q on sparse dict vectors: each stored row is
+    reduced against the earlier ones, and its lead is its smallest
+    coordinate."""
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.leads: list = []
+        self.lead_index: dict = {}
+
+    def add(self, vec: dict) -> bool:
+        """Insert a vector; returns True when it increased the rank."""
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            idx = self.lead_index.get(lead)
+            if idx is None:
+                self.lead_index[lead] = len(self.rows)
+                self.rows.append(vec)
+                self.leads.append(lead)
+                return True
+            coef = vec[lead] / self.rows[idx][lead]
+            for k, v in self.rows[idx].items():
+                s = vec.get(k, 0) - coef * v
+                if s:
+                    vec[k] = s
+                else:
+                    vec.pop(k, None)
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
 # -- whole engine cells ----------------------------------------------------------
 
 def exact_bracket_rank(structure: PoissonStructure, blocks, dim: int) -> int:
@@ -443,11 +513,36 @@ def exact_bracket_rank(structure: PoissonStructure, blocks, dim: int) -> int:
     return ech.rank
 
 
+def whole_h_basis(problem: engine.BracketSpanProblem, degree: int) -> list[dict]:
+    """O^H_d over every weight, as whole polynomials."""
+    spec = problem.spec
+    if problem.subgroup == "last-point-stabilizer":
+        return whole_basis(GroupSpec("symmetric-full", spec.n - 1), degree)
+    if problem.subgroup == "ambient":
+        return [{e: 1} for e in monomials_of_degree(2 * spec.pairs, degree)]
+    return whole_basis(spec, degree)
+
+
+def whole_column_pairs(problem: engine.BracketSpanProblem, degree: int) -> list[tuple]:
+    """The column blocks of a cell over every weight: per split
+    a + b = degree + 2, the power sums of degree a <= n, resp. 2n, for full
+    S_n and B_n cells, else the whole of O^G_a, against O^H_b, and for
+    H = G only a <= b."""
+    spec, full, m = problem.spec, problem.subgroup == "full", problem.spec.pairs
+    top = full and {"symmetric-full": spec.n, "hyperoctahedral": 2 * spec.n}.get(spec.family)
+    if top:
+        return [([u for u in whole_basis(spec, a) if not any(max(u)[1:m] + max(u)[m + 1:])],
+                 whole_h_basis(problem, degree + 2 - a))
+                for a in range(1, min(top, degree + 1) + 1)]
+    return [(whole_basis(spec, a), whole_h_basis(problem, degree + 2 - a))
+            for a in range(1, degree + 2) if not full or 2 * a <= degree + 2]
+
+
 def whole_cell_dimension(problem: engine.BracketSpanProblem, degree: int) -> int:
     """dim O^H_d - rank {O^G, O^H}_d over every weight: the brackets of all
-    pairs of `engine._column_pairs`, ranked exactly."""
-    dim = len(engine._h_basis_raw(problem, degree))
-    return dim - exact_bracket_rank(problem.structure(), engine._column_pairs(problem, degree), dim)
+    pairs of `whole_column_pairs`, ranked exactly."""
+    dim = len(whole_h_basis(problem, degree))
+    return dim - exact_bracket_rank(problem.structure(), whole_column_pairs(problem, degree), dim)
 
 
 def whole_aminus_report(n: int, max_degree: int) -> dict[int, str]:
@@ -456,9 +551,9 @@ def whole_aminus_report(n: int, max_degree: int) -> dict[int, str]:
     spec, structure = GroupSpec("demihyperoctahedral", n), darboux_structure(n)
     report = {}
     for d in range(n % 2, max_degree + 1, 2):
-        blocks = [(invariant_basis_raw(spec, a, "+"), invariant_basis_raw(spec, d + 2 - a, "-"))
+        blocks = [(whole_basis(spec, a, "+"), whole_basis(spec, d + 2 - a, "-"))
                   for a in range(2, d + 2, 2)]
-        dim = len(invariant_basis_raw(spec, d, "-"))
+        dim = len(whole_basis(spec, d, "-"))
         rank = exact_bracket_rank(structure, blocks, dim)
         report[d] = "pass" if rank == dim else "fail"
     return report

@@ -675,12 +675,19 @@ def test_counts_reject_negative_n_and_i(argv, capsys):
 
 
 def test_stdlib_only():
-    # ptl has no runtime dependency, and the CLI imports no numpy
+    # ptl has no runtime dependency, and the CLI imports no numpy; neither
+    # `import ptl.cli` nor `hp0 brute`, which takes no cache, loads the
+    # cache or hashlib
     env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
-    probe = "import sys, ptl.cli; print('numpy' in sys.modules)"
+    probe = ("import sys, ptl.cli\n"
+             "loaded = lambda: [m in sys.modules for m in ('numpy', 'ptl.cache', 'hashlib')]\n"
+             "before = loaded()\n"
+             "ptl.cli.main(['hp0', 'brute', '--group', 'hyperoctahedral', '--n', '2', "
+             "'--max-degree', '4'])\n"
+             "print(before, loaded())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    assert out.splitlines()[-1] == "[False, False, False] [False, False, False]"
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"].get("dependencies", []) == []

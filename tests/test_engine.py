@@ -3,23 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from ptl import engine, linalg, poisson, solver
+from ptl import engine, linalg, poisson, solver, weyl
 from ptl.engine import (
     BracketSpanProblem,
     GuardrailExceeded,
     check_aminus_identity,
     hp0_graded_dims,
 )
-from ptl.linalg import DEFAULT_PRIME, SparseRationalEchelon
+from ptl.linalg import DEFAULT_PRIME
 from ptl.partitions import bn_hilbert
 from ptl.poisson import raw_bracket
 from ptl.solver import kernel_basis
-from ptl.weyl import GroupSpec, invariant_basis_raw, monomials_of_degree, restrict_to_zero_sum
+from ptl.weyl import GroupSpec, monomials_of_degree, restrict_to_zero_sum
 from reference import (
+    SparseRationalEchelon,
     exact_bracket_rank,
+    exact_reflection_invariants,
     leading_term_identity_report,
     whole_aminus_report,
+    whole_basis,
     whole_cell_dimension,
+    whole_h_basis,
 )
 
 
@@ -174,9 +178,9 @@ def test_leading_term_identity(rng):
 def _unfolded_dimension(problem, degree):
     # every split a + b = degree + 2, the whole of O^G_a in the first slot,
     # every weight, whole orbit sums, ranked over Q
-    blocks = [(invariant_basis_raw(problem.spec, a), engine._h_basis_raw(problem, degree + 2 - a))
+    blocks = [(whole_basis(problem.spec, a), whole_h_basis(problem, degree + 2 - a))
               for a in range(1, degree + 2)]
-    dim = len(engine._h_basis_raw(problem, degree))
+    dim = len(whole_h_basis(problem, degree))
     return dim - exact_bracket_rank(problem.structure(), blocks, dim)
 
 
@@ -227,9 +231,10 @@ def test_euler_element_brackets_by_weight(family, ns):
     for n in ns:
         spec = GroupSpec(family, n)
         m, reflection = spec.pairs, family == "symmetric-reflection"
-        euler = restrict_to_zero_sum(n, 2, [_euler_element(n)])[0] if reflection else _euler_element(m)
+        euler = (next(restrict_to_zero_sum(n, 2, [_euler_element(n)])) if reflection
+                 else _euler_element(m))
         ech = SparseRationalEchelon()
-        for u in invariant_basis_raw(spec, 2):
+        for u in whole_basis(spec, 2):
             ech.add({k: Fraction(c) for k, c in u.items()})
         assert not ech.add({k: Fraction(c) for k, c in euler.items()})
         structure = BracketSpanProblem(spec).structure()
@@ -268,7 +273,8 @@ def test_odd_degree_cells_build_no_basis(monkeypatch):
     # an odd degree has no monomial of weight zero, so its cell is 0 before
     # any basis is built; n = 3 has A_- in odd degrees only
     calls = []
-    for name in ("invariant_basis_raw", "monomials_of_degree"):
+    names = ("orbit_reps", "invariant_basis_raw", "reflection_dimension", "monomials_of_degree")
+    for name in names:
         monkeypatch.setattr(engine, name,
                             lambda *a, _f=getattr(engine, name), **k: calls.append(a) or _f(*a, **k))
     for prob in _WHOLE_CELL_PROBLEMS + [_prob("hyperoctahedral", 4)]:
@@ -315,6 +321,24 @@ def test_hyperoctahedral_cells_bracket_power_sums(monkeypatch):
     assert engine._cell_dimension(_prob("hyperoctahedral", 4), 12) == 1
     assert len(streamed) == 350
     assert len(weights) >= 350 and set(weights) == {0}
+
+
+def test_row_bases_expand_no_orbit(monkeypatch):
+    # a folded cell's rows are its weight-zero orbit representatives, and a
+    # reflection cell counts its dimension: neither expands an orbit sum nor
+    # selects an invariant
+    built = []
+    for name in ("orbit_sum", "invariant_basis_raw"):
+        monkeypatch.setattr(engine, name,
+                            lambda *a, _f=getattr(weyl, name): built.append(a) or _f(*a))
+    spec = GroupSpec("hyperoctahedral", 4)
+    rows, dim = engine._rows(_prob("hyperoctahedral", 4), 12)
+    assert list(rows) == [max(u) for u in whole_basis(spec, 12) if sum(max(u)[:4]) == 6]
+    assert dim == len(rows) == 63
+    rows, dim = engine._rows(_prob("symmetric-reflection", 4), 6)
+    assert dim == sum(sum(next(iter(f))[:3]) == 3 for f in exact_reflection_invariants(4, 6))
+    assert len(rows) == len(set(rows)) == 100 and all(sum(e[:3]) == 3 for e in rows)
+    assert built == []
 
 
 @pytest.mark.slow

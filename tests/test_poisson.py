@@ -96,12 +96,11 @@ def test_degree_homogeneity(rng):
     for _ in range(30):
         e1 = tuple(rng.randint(0, 3) for _ in range(6))
         e2 = tuple(rng.randint(0, 3) for _ in range(6))
-        m1 = SparsePolynomial.monomial(P.context, e1)
-        m2 = SparsePolynomial.monomial(P.context, e2)
+        m1 = SparsePolynomial(P.context, {e1: 1})
+        m2 = SparsePolynomial(P.context, {e2: 1})
         b = poisson_bracket(m1, m2, P)
         if b.terms:
-            assert b.is_homogeneous()
-            assert b.degree() == sum(e1) + sum(e2) - 2
+            assert {P.context.degree_of(e) for e in b.terms} == {sum(e1) + sum(e2) - 2}
 
 
 def test_reflection_sum_images_vanish():
@@ -112,7 +111,7 @@ def test_reflection_sum_images_vanish():
 
         def power_sum(a, b):
             orbit = {e: 1 for e in _sn_orbit((a,) + pad + (b,) + pad, n)}
-            return restrict_to_zero_sum(n, a + b, [orbit])[0]
+            return next(restrict_to_zero_sum(n, a + b, [orbit]))
 
         assert not power_sum(1, 0)
         assert not power_sum(0, 1)

@@ -8,7 +8,7 @@ from ptl.burgers import binom_half
 from ptl.context import svar_context
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 import ptl.solver
-from ptl.linalg import DEFAULT_PRIME, SparseRationalEchelon, annihilated, integer_vector
+from ptl.linalg import DEFAULT_PRIME, annihilated, integer_vector
 from ptl.partitions import even_part_count, partitions
 from ptl.poly import SparsePolynomial
 from ptl.solver import (
@@ -26,7 +26,12 @@ from ptl.solver import (
     recertifies,
 )
 from ptl.weyl import GroupSpec
-from reference import constraint_residual, family_span_dims, is_kernel_member
+from reference import (
+    SparseRationalEchelon,
+    constraint_residual,
+    family_span_dims,
+    is_kernel_member,
+)
 
 
 def _xi_field(k, nmax):

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ptl.linalg import SparseRationalEchelon
+from ptl import linalg, weyl
+from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.poisson import darboux_structure, reflection_structure
 from ptl.poly import SparsePolynomial
 from ptl.weyl import (
@@ -12,10 +14,13 @@ from ptl.weyl import (
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
+    orbit_size,
+    reflection_dimension,
     _sn_orbit,
 )
 from reference import (
     SignedPermutation,
+    SparseRationalEchelon,
     act,
     bn_class_count,
     conjugacy_class_count_brute,
@@ -23,10 +28,12 @@ from reference import (
     context,
     dn_class_count,
     elements,
+    exact_reflection_invariants,
     fixed_point_free_class_count,
     generators,
     invariant_basis,
     poisson_bracket,
+    whole_basis,
 )
 
 
@@ -163,11 +170,11 @@ def test_averaging_lands_in_span(rng):
         spec = GroupSpec(family, n)
         ctx = context(spec)
         ech = SparseRationalEchelon()
-        for b in invariant_basis_raw(spec, degree):
+        for b in whole_basis(spec, degree):
             assert ech.add({e: Fraction(c) for e, c in b.items()})
         for expo in monomials_of_degree(2 * spec.pairs, degree):
             avg = SparsePolynomial.zero(ctx)
-            mono = SparsePolynomial.monomial(ctx, expo)
+            mono = SparsePolynomial(ctx, {expo: 1})
             for g in elements(spec):
                 avg = avg + act(g, mono, spec)
             if avg.terms:
@@ -179,7 +186,50 @@ def test_reflection_basis_sizes():
     sizes = {3: [1, 0, 3, 4, 6, 10, 17, 18, 31], 4: [1, 0, 3, 4, 11, 12, 32]}
     for n, expected in sizes.items():
         spec = GroupSpec("symmetric-reflection", n)
-        assert [len(invariant_basis_raw(spec, d)) for d in range(len(expected))] == expected
+        assert [sum(len(invariant_basis_raw(spec, d, p)) for p in range(d + 1))
+                for d in range(len(expected))] == expected
+
+
+def test_counted_reflection_dimension_matches_exact_greedy():
+    # D(p, q), counted from S_n-orbits on C^{2n}, against the bidegrees of
+    # the invariants that exact rational elimination keeps; the mod-p
+    # selection stops at D(p, q) elements
+    for n, top in ((2, 6), (3, 6), (4, 6), (5, 5)):
+        for d in range(top + 1):
+            exact = Counter(sum(next(iter(f))[:n - 1]) for f in exact_reflection_invariants(n, d))
+            for p in range(d + 1):
+                assert reflection_dimension(n, p, d - p) == exact[p], (n, d, p)
+                spec = GroupSpec("symmetric-reflection", n)
+                assert len(invariant_basis_raw(spec, d, p)) == exact[p], (n, d, p)
+
+
+@pytest.mark.parametrize("start", [2, 3])
+def test_reflection_selection_survives_small_primes(monkeypatch, start):
+    # a selection prime too small to keep D(p, q) candidates independent
+    # hands over to the next one (at 2, every odd bidegree of n = 2, whose
+    # restricted orbit sums are 2 x^p y^q); the bases keep D(p, q) elements,
+    # independent over Q, and the reflection and relative tables stay
+    drawn = []
+    monkeypatch.setattr(weyl, "_selection_primes", lambda: (
+        drawn.append(q) or q for q in itertools.chain([start], linalg.prime_stream())))
+    weyl.invariant_basis_raw.cache_clear()
+    try:
+        for n, top in ((2, 8), (3, 8), (4, 6)):
+            spec = GroupSpec("symmetric-reflection", n)
+            for d in range(top + 1):
+                for p in range(d + 1):
+                    basis = invariant_basis_raw(spec, d, p)
+                    assert len(basis) == reflection_dimension(n, p, d - p)
+                    ech = SparseRationalEchelon()
+                    assert all(ech.add({e: Fraction(c) for e, c in b.items()}) for b in basis)
+            table = hp0_graded_dims(BracketSpanProblem(spec), top)
+            assert dict(table.items()) == {0: 1}
+        assert (start == 2) == any(q > start for q in drawn)
+        relative = GroupSpec("symmetric-reflection", 4)
+        table = hp0_graded_dims(BracketSpanProblem(relative, "last-point-stabilizer"), 6)
+        assert dict(table.items()) == {0: 1}
+    finally:
+        weyl.invariant_basis_raw.cache_clear()
 
 
 def _permutation_orbit(expo, m):
@@ -217,7 +267,7 @@ def test_direct_orbit_enumeration_matches_scan():
             spec = GroupSpec(family, n)
             for degree in range(9):
                 for sector in (None, "+", "-"):
-                    basis = invariant_basis_raw(spec, degree, sector)
+                    basis = whole_basis(spec, degree, sector)
                     reference = _scanned_basis(spec, degree, sector)
                     assert [list(b.items()) for b in basis] == \
                         [list(b.items()) for b in reference], (family, n, degree, sector)
@@ -230,11 +280,12 @@ def test_sn_orbit_matches_permutations():
             for expo in monomials_of_degree(2 * m, degree):
                 assert _sn_orbit(expo, m) == _permutation_orbit(expo, m)
                 assert orbit_rep(expo, m) == max(_permutation_orbit(expo, m))
+                assert orbit_size(orbit_rep(expo, m), m) == len(_permutation_orbit(expo, m))
 
 
 def test_stabilizer_basis_counts():
     # S_{n-1} orbit sums on the surviving 2(n-1) coordinates
-    basis = invariant_basis_raw(GroupSpec("symmetric-full", 2), 2)
+    basis = whole_basis(GroupSpec("symmetric-full", 2), 2)
     # degree-2 monomials in x1,x2,y1,y2 up to swapping index 1<->2
     assert len(basis) == 6
 
