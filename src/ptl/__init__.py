@@ -15,10 +15,6 @@ __version__ = "0.1.0"
 # first access to one of its names (PEP 562), so that `import ptl.cli` and
 # each CLI command load only the modules they use
 _SOURCES = {
-    "VariableContext": "context",
-    "darboux_context": "context",
-    "svar_context": "context",
-    "SparsePolynomial": "poly",
     "PoissonStructure": "poisson",
     "GroupSpec": "weyl",
     "hh0_dimension": "weyl",

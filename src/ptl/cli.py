@@ -5,14 +5,15 @@ counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 
 Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
---prime that is not a prime below 2^31, --workers below 1, --n-max below 2,
-a series --order below 1, a negative --max-degree or --max-columns, a
-negative --n or --i of a partition count, --n given with --n-max, a --d
-other than non-negative d_0..d_n for strata type-d or d_0..d_i for a typeD
-prime bound, and a --cache-dir or $PTL_CACHE_DIR that cannot be made a
-directory), 3 resource guardrail exceeded (the degrees computed before it
-are still printed, with a truncation marker), 4 cache corruption, 5 an
-internal check (AssertionError) that failed, a certificate that does not
+--format that the command does not print, a --prime that is not a prime
+below 2^31, --workers below 1, --n-max below 2, a series --order below 1,
+a negative --max-degree or --max-columns, a negative --n or --i of a
+partition count, --n given with --n-max, a --d other than non-negative
+d_0..d_n for strata type-d or d_0..d_i for a typeD prime bound, and a
+--cache-dir or $PTL_CACHE_DIR that cannot be made a directory), 3
+resource guardrail exceeded (the degrees computed before it are still
+printed, with a truncation marker), 4 cache corruption, 5 an internal
+check (AssertionError) that failed, a certificate that does not
 hold among them, with one line on stderr.
 --workers N runs on a process pool whose workers read, re-verify and write
 the cache exactly as a serial run does.  Only typed-solver payloads are
@@ -41,6 +42,8 @@ from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, is_prime
 # the commands that take a cache load `ptl.cache`.
 
 ENV_CACHE_DIR = "PTL_CACHE_DIR"
+
+ALL_FORMATS = ("table", "csv", "json", "latex")
 
 SCHEMA_ID = "ptl-output/1"
 FIGURE_HEADER = (
@@ -197,9 +200,8 @@ def cmd_typed_solve(args) -> int:
 
 
 def cmd_typed_families(args) -> int:
-    from ptl.solver import family_generators
-    gens = family_generators(args.n)
-    texts = [g.text() for g in gens]
+    from ptl.solver import family_generators, polynomial_text
+    texts = [polynomial_text(g) for g in family_generators(args.n)]
     if args.format == "json":
         sys.stdout.write(_emit_json({"kind": "typed-families", "n": args.n,
                                      "generators": texts}))
@@ -227,37 +229,33 @@ def cmd_hp0_brute(args) -> int:
         table = exc.table
         sys.stderr.write(f"guardrail: {exc}; partial table follows\n")
         exit_code = 3
-    _write_hp0_table(table.to_json_dict(), args.format)
+    _write_hp0_table(table, args.format)
     return exit_code
 
 
-def _write_hp0_table(payload: dict, fmt: str):
+def _write_hp0_table(table: GradedDimensionTable, fmt: str):
     if fmt == "json":
-        doc = dict(payload)
-        doc["kind"] = "hp0-table"
-        sys.stdout.write(_emit_json(doc))
+        sys.stdout.write(_emit_json({**table.to_json_dict(), "kind": "hp0-table"}))
         return
-    dims = payload["dims"]
+    meta = table.metadata
     # a truncated table holds only the degrees below the one that hit the guardrail
-    end = payload.get("truncated_at_degree", payload["max_degree"] + 1)
-    pairs = [(d, dims.get(str(d), 0)) for d in range(end)]
+    end = meta.get("truncated_at_degree", meta["max_degree"] + 1)
+    pairs = [(d, table.entries.get(d, 0)) for d in range(end)]
     if fmt == "csv":
         sys.stdout.write(_csv_lines([("degree", "dim")] + pairs))
         return
     if fmt == "latex":
-        from ptl.tables import GradedDimensionTable
-        table = GradedDimensionTable({int(k): v for k, v in dims.items()})
         if table.entries and all(k % 4 == 0 for k in table.entries):
             # the figures' convention: series in t^(1/4) of the degree
             table = table.reindexed(lambda d: d // 4)
-        sys.stdout.write(f"${payload['group']}_{{{payload['n']}}}$ & "
+        sys.stdout.write(f"${meta['group']}_{{{meta['n']}}}$ & "
                          f"${table.series(latex=True)}$ \\\\\n")
-        if payload.get("truncated"):
+        if meta["truncated"]:
             sys.stdout.write(f"% truncated at degree {end}\n")
         return
-    note = f" (truncated at degree {end})" if payload.get("truncated") else ""
-    sys.stdout.write(f"# HP0 dims for {payload['group']}(n={payload['n']})"
-                     f" through degree {payload['max_degree']}{note}\n")
+    note = f" (truncated at degree {end})" if meta["truncated"] else ""
+    sys.stdout.write(f"# HP0 dims for {meta['group']}(n={meta['n']})"
+                     f" through degree {meta['max_degree']}{note}\n")
     sys.stdout.write(_table_lines(pairs, ("degree", "dim")))
 
 
@@ -497,9 +495,11 @@ def _d_mismatch(args) -> str | None:
     return None
 
 
-def _add_common(p, *, cacheable: bool = False, prime: bool = False):
-    p.add_argument("--format", choices=("table", "csv", "json", "latex"),
-                   default="table")
+def _add_common(p, formats=("table", "csv", "json"), *, cacheable: bool = False,
+                prime: bool = False):
+    """--format with the formats the command prints, and the cache and prime
+    options when it takes them."""
+    p.add_argument("--format", choices=formats, default="table")
     if cacheable:
         p.add_argument("--cache-dir", default=None,
                        help=f"result cache directory (or ${ENV_CACHE_DIR})")
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--n-max", type=_at_least(2), default=None)
     solve.add_argument("--weight", type=int, default=None)
     solve.add_argument("--workers", type=_at_least(1), default=1)
-    _add_common(solve, cacheable=True, prime=True)
+    _add_common(solve, ALL_FORMATS, cacheable=True, prime=True)
     solve.set_defaults(func=cmd_typed_solve)
     fam = tsub.add_parser("families")
     fam.add_argument("--n", type=int, required=True)
@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "columns than this (only the brackets of weight zero, "
                             "deg_x = deg_y, are streamed)")
     brute.add_argument("--workers", type=_at_least(1), default=1)
-    _add_common(brute, cacheable=True, prime=True)
+    _add_common(brute, ALL_FORMATS, cacheable=True, prime=True)
     brute.set_defaults(func=cmd_hp0_brute)
     aminus = hsub.add_parser("aminus")
     aminus.add_argument("--n", type=int, required=True)
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.set_defaults(func=cmd_counts, statistic=name)
     bn = csub.add_parser("bn-hilbert")
     bn.add_argument("--n", type=int, required=True)
-    _add_common(bn)
+    _add_common(bn, ALL_FORMATS)
     bn.set_defaults(func=cmd_counts, statistic="bn-hilbert")
     pb = csub.add_parser("prime-bound")
     pb.add_argument("--family", required=True, choices=("typeA-sym", "typeA-quot", "typeD"))
@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     bu.add_argument("--h0", type=lambda text: [_rational(c) for c in text.split(",")],
                     help="comma-separated coefficients of x^0, x^2, x^4, ...")
     bu.add_argument("--x0", type=_rational, default="1")
-    _add_common(bu)
+    _add_common(bu, ("table", "json"))
     bu.set_defaults(func=cmd_series_burgers)
 
     compare = sub.add_parser("compare", help="cross-checks")
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cachep = sub.add_parser("cache", help="result cache maintenance")
     cachep.add_argument("action", choices=("info", "clear", "verify"))
-    _add_common(cachep, cacheable=True)
+    _add_common(cachep, ("table", "json"), cacheable=True)
     cachep.set_defaults(func=cmd_cache)
     return parser
 

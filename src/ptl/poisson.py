@@ -17,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from ptl.context import VariableContext, darboux_context
-
 
 @dataclass(frozen=True)
 class PoissonStructure:
     kind: str          # "darboux" | "reflection"
     n: int             # darboux: number of Darboux pairs; reflection: rank of S_n
-    context: VariableContext
 
     @property
     def pairs(self) -> int:
@@ -33,14 +30,14 @@ class PoissonStructure:
 
 
 def darboux_structure(n: int) -> PoissonStructure:
-    return PoissonStructure("darboux", n, darboux_context(n))
+    return PoissonStructure("darboux", n)
 
 
 def reflection_structure(n: int) -> PoissonStructure:
     """Eliminated-coordinate realization of the rank-(n-1) reflection pair."""
     if n < 2:
         raise ValueError("reflection structure needs n >= 2")
-    return PoissonStructure("reflection", n, darboux_context(n - 1))
+    return PoissonStructure("reflection", n)
 
 
 # -- raw fast paths (integer coefficients, dict-of-tuples representation) --

@@ -59,8 +59,8 @@ reconstructed vector against every row; re-verifying a cached record
 (`recertifies`) accepts its vectors in place of the lift when they are
 annihilated exactly and, on the echelon's non-lead columns, are the unit
 vectors.  Bases are exact column-coefficient dicts over a component's
-s1-free columns; `SolutionBasis.vectors` alone completes them, adds the
-s1^2 monomials, and turns them into polynomials.
+s1-free columns; only `family_generators` completes vectors (`_completed`)
+into polynomials, as {exponent tuple over s1..sn: Fraction} dicts.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from ptl.context import svar_context
 from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
@@ -82,7 +81,6 @@ from ptl.linalg import (
     integer_vector,
 )
 from ptl.partitions import partitions
-from ptl.poly import SparsePolynomial
 from ptl.tables import GradedDimensionTable
 
 @lru_cache(maxsize=None)
@@ -294,20 +292,15 @@ def _check_zero_columns(n: int, weight: int, ks) -> None:
 
 # -- known solution families ---------------------------------------------------
 
-def family_generators(n: int) -> list[SparsePolynomial]:
-    """The two explicit solution families in degree n.
+def family_generators(n: int) -> list[dict]:
+    """The two explicit solution families in degree n, as {exponent tuple
+    over s1..sn: Fraction} dicts.
 
     (i) s1^2 * m for every degree-(n-2) monomial m; (ii) for k >= 1 and every
     monomial g in s_2..s_{k+1} with deg(s_2^k s_{k+1} g) = n, the element
     s_2^k s_{k+1} g - s_1 * xi_1(s_2^k s_{k+1} g), which the restriction on g
     makes a polynomial rather than a Laurent polynomial.
     """
-    ctx = svar_context(n)
-    return [SparsePolynomial(ctx, terms) for terms in _family_terms(n)]
-
-
-def _family_terms(n: int) -> list[dict]:
-    """`family_generators(n)` as {exponent tuple over s1..sn: Fraction} dicts."""
     if n < 2:
         raise ValueError("families start at n = 2")
     out = []
@@ -316,6 +309,23 @@ def _family_terms(n: int) -> list[dict]:
         expo[0] += 2
         out.append({tuple(expo): Fraction(1)})
     return out + [_completed(n, {z: 1}) for z in _family_leads(n)]
+
+
+def polynomial_text(terms: dict) -> str:
+    """{exponent tuple over s1, s2, ...: Fraction} as text, such as
+    ``-7/2*s1*s2^2*s5 + s2^3*s4``: terms descending by (degree, exponent
+    tuple), deg s_i = i, a coefficient written unless it is 1 or -1."""
+    if not terms:
+        return "0"
+    pieces = []
+    for expo, c in sorted(terms.items(), reverse=True,
+                          key=lambda kv: (sum(i * e for i, e in enumerate(kv[0], 1)), kv[0])):
+        factors = [f"s{i}" if e == 1 else f"s{i}^{e}" for i, e in enumerate(expo, 1) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _family_leads(n: int):
@@ -364,20 +374,6 @@ class SolutionBasis:
     columns: dict[int, list[dict]]      # dual weight -> reduced kernel basis over the s1-free columns
     weight_dims: GradedDimensionTable   # keyed by dual weight (nonpositive)
     display: GradedDimensionTable       # keyed by display exponent -w/4
-
-    @property
-    def vectors(self) -> list[SparsePolynomial]:
-        """A basis of the whole kernel as polynomials in s1..sn, component
-        by component: the s1^2 monomials, then the completed reduced basis."""
-        n, ctx = self.n, svar_context(self.n)
-        out = []
-        for w, cols in _components(n).items():
-            if self.weight is None or w == self.weight:
-                free = _reduced_components(n)[w][1]
-                out += [SparsePolynomial(ctx, {e[:n]: 1}) for e in cols if e[0] >= 2]
-                out += [SparsePolynomial(ctx, _completed(n, {free[c]: x for c, x in vec.items()}))
-                        for vec in self.columns.get(w, ())]
-        return out
 
 
 def kernel_dims(n: int, weight: int | None, columns: dict[int, list[dict]]) -> GradedDimensionTable:

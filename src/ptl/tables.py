@@ -21,18 +21,6 @@ class GradedDimensionTable:
     def __post_init__(self):
         self.entries = {int(k): int(v) for k, v in self.entries.items() if int(v) != 0}
 
-    def get(self, key: int) -> int:
-        return self.entries.get(key, 0)
-
-    def add(self, key: int, dim: int):
-        if dim:
-            self.entries[key] = self.entries.get(key, 0) + dim
-            if not self.entries[key]:
-                del self.entries[key]
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
     def items(self):
         return sorted(self.entries.items())
 

@@ -4,22 +4,28 @@ None of these is run by a CLI command.  Each is the slow, independent route
 to something the package computes faster, or a check of an identity the
 package relies on:
 
+* `Polynomial`, a polynomial with `Fraction` coefficients over named
+  variables (s1, s2, ... or the Darboux x1..xm, y1..ym), with ring
+  operators, partial derivatives and Laurent exponents; the package itself
+  works on plain exponent dicts, and `Polynomial.text` is
+  `solver.polynomial_text`;
 * the group-element layer: signed permutations, the group's elements and
-  generators, and the action on `SparsePolynomial`s (`act`,
-  `invariant_basis`), against which the orbit-sum bases are checked;
+  generators, and the action on `Polynomial`s (`act`, `invariant_basis`),
+  against which the orbit-sum bases are checked;
 * exact rational elimination (`SparseRationalEchelon`), and with it the
   reflection invariants chosen over Q (`exact_reflection_invariants`),
   against which the mod-p selection and its counted dimension are checked;
 * the class-count scan: conjugacy classes without eigenvalue one by a
   determinant scan that never looks at cycle types, against the closed
   forms of `weyl.hh0_dimension`;
-* `poisson_bracket` on `SparsePolynomial`s, the reference for
+* `poisson_bracket` on `Polynomial`s, the reference for
   `poisson.raw_bracket`;
 * the leading-term expansion behind the A_- = {A_+, A_-} identity;
 * whole engine cells: the bracket spans of `ptl.engine` over every weight,
   against which its weight-zero cells are checked;
-* the typed solver's Fraction membership test and family spans, and
-  multipartitions by enumeration.
+* the typed solver's Fraction membership test, family spans and kernel
+  bases as polynomials (`kernel_vectors`), and multipartitions by
+  enumeration.
 """
 
 from __future__ import annotations
@@ -28,14 +34,21 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import add
 
 from ptl import engine
-from ptl.context import VariableContext, darboux_context
 from ptl.partitions import partition_count, partition_count_exact_parts, partitions
 from ptl.poisson import PoissonStructure, darboux_structure, raw_bracket
-from ptl.poly import SparsePolynomial
-from ptl.solver import _column_rows_for_k, _family_terms, _label_code
+from ptl.solver import (
+    SolutionBasis,
+    _column_rows_for_k,
+    _completed,
+    _components,
+    _label_code,
+    _reduced_components,
+    family_generators,
+    polynomial_text,
+)
 from ptl.tables import GradedDimensionTable
 from ptl.weyl import (
     GroupSpec,
@@ -47,6 +60,77 @@ from ptl.weyl import (
     orbit_sum,
     restrict_to_zero_sum,
 )
+
+
+# -- polynomials with Fraction coefficients -------------------------------------
+
+def s_names(n: int) -> tuple[str, ...]:
+    return tuple(f"s{i}" for i in range(1, n + 1))
+
+
+def darboux_names(m: int) -> tuple[str, ...]:
+    """x1..xm, y1..ym: the variables of a Poisson structure on m pairs."""
+    return tuple(f"x{i}" for i in range(1, m + 1)) + tuple(f"y{i}" for i in range(1, m + 1))
+
+
+class Polynomial:
+    """{exponent tuple: nonzero Fraction} over the variables `names`; an
+    exponent may be negative.  Polynomials over different variables do not
+    mix: a ring operation on them raises ValueError."""
+
+    def __init__(self, names: tuple[str, ...], terms=()):
+        self.names, self.terms = names, {}
+        for expo, c in terms.items() if isinstance(terms, dict) else terms:
+            s = self.terms.pop(expo, 0) + Fraction(c)
+            if s:
+                self.terms[expo] = s
+
+    @classmethod
+    def variable(cls, names: tuple[str, ...], name: str, exponent: int = 1) -> "Polynomial":
+        i = names.index(name)
+        return cls(names, {(0,) * i + (exponent,) + (0,) * (len(names) - i - 1): 1})
+
+    def _same(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return Polynomial(self.names, {(0,) * len(self.names): other})
+        if other.names != self.names:
+            raise ValueError("polynomials over different variables")
+        return other
+
+    def __add__(self, other):
+        return Polynomial(self.names, [*self.terms.items(), *self._same(other).terms.items()])
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._same(other)
+        return Polynomial(self.names, [(tuple(map(add, e1, e2)), c1 * c2)
+                                       for e1, c1 in self.terms.items()
+                                       for e2, c2 in other.terms.items()])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -self._same(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __eq__(self, other):
+        return self.terms == self._same(other).terms
+
+    def derivative(self, name: str) -> "Polynomial":
+        i = self.names.index(name)
+        return Polynomial(self.names, [(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                                       for e, c in self.terms.items() if e[i]])
+
+    def text(self) -> str:
+        """The package's display form, for polynomials in s1, s2, ...."""
+        assert self.names == s_names(len(self.names))
+        return polynomial_text(self.terms)
 
 
 # -- group elements and the action ---------------------------------------------
@@ -99,10 +183,6 @@ class SignedPermutation:
         return p
 
 
-def context(spec: GroupSpec) -> VariableContext:
-    return _spec_context(spec.family, spec.n)
-
-
 def contains(spec: GroupSpec, g: SignedPermutation) -> bool:
     if g.n != spec.n:
         return False
@@ -145,11 +225,6 @@ def generators(spec: GroupSpec) -> list[SignedPermutation]:
     return gens or [SignedPermutation.identity(n)]
 
 
-@lru_cache(maxsize=None)
-def _spec_context(family: str, n: int) -> VariableContext:
-    return darboux_context(n - 1 if family == "symmetric-reflection" else n)
-
-
 def _prod(signs) -> int:
     p = 1
     for s in signs:
@@ -174,7 +249,7 @@ def act_monomial_raw(g: SignedPermutation, expo: tuple, m: int) -> tuple[tuple, 
     return tuple(out), sign
 
 
-def act(g: SignedPermutation, f: SparsePolynomial, spec: GroupSpec) -> SparsePolynomial:
+def act(g: SignedPermutation, f: Polynomial, spec: GroupSpec) -> Polynomial:
     """Ring-homomorphism action x_i -> sign_i x_{perm(i)}, y likewise.
 
     For symmetric-reflection, f is lifted to C^{2n} (free of x_n, y_n),
@@ -182,8 +257,8 @@ def act(g: SignedPermutation, f: SparsePolynomial, spec: GroupSpec) -> SparsePol
     """
     if not contains(spec, g):
         raise ValueError(f"element not in {spec.family}({spec.n})")
-    if f.context != context(spec):
-        raise ValueError("context mismatch")
+    if f.names != darboux_names(spec.pairs):
+        raise ValueError("f is not a polynomial on the group's pairs")
     m = spec.pairs
     lift = spec.family == "symmetric-reflection"
     out: dict = {}
@@ -191,14 +266,10 @@ def act(g: SignedPermutation, f: SparsePolynomial, spec: GroupSpec) -> SparsePol
         if lift:
             expo = expo[:m] + (0,) + expo[m:] + (0,)
         key, sign = act_monomial_raw(g, expo, g.n)
-        s = out.get(key, 0) + sign * c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+        out[key] = out.get(key, 0) + sign * c
     if lift:
         out = next(restrict_to_zero_sum(g.n, max(map(sum, out), default=0), [out]))
-    return SparsePolynomial._raw(f.context, out)
+    return Polynomial(f.names, out)
 
 
 def whole_basis(spec: GroupSpec, degree: int, sector: str | None = None) -> list[dict]:
@@ -213,11 +284,9 @@ def whole_basis(spec: GroupSpec, degree: int, sector: str | None = None) -> list
     return [orbit_sum(r, spec.pairs) for r in reps]
 
 
-def invariant_basis(spec: GroupSpec, degree: int) -> list[SparsePolynomial]:
+def invariant_basis(spec: GroupSpec, degree: int) -> list[Polynomial]:
     """Deterministically ordered basis of the degree-d invariant subspace."""
-    ctx = context(spec)
-    return [SparsePolynomial(ctx, {e: Fraction(c) for e, c in d.items()})
-            for d in whole_basis(spec, degree)]
+    return [Polynomial(darboux_names(spec.pairs), d) for d in whole_basis(spec, degree)]
 
 
 def exact_reflection_invariants(n: int, degree: int) -> list[dict]:
@@ -347,32 +416,27 @@ def conjugacy_class_count_brute(spec: GroupSpec) -> int:
     return _conjugation_orbit_count(spec, {(g.perm, g.signs) for g in elements(spec)})
 
 
-# -- the Poisson bracket on SparsePolynomials -----------------------------------
+# -- the Poisson bracket on Polynomials ------------------------------------------
 
-def _partials(f: SparsePolynomial, m: int):
-    names = f.context.names
-    fx = [f.derivative(names[i]) for i in range(m)]
-    fy = [f.derivative(names[m + i]) for i in range(m)]
+def _partials(f: Polynomial, m: int):
+    fx = [f.derivative(f.names[i]) for i in range(m)]
+    fy = [f.derivative(f.names[m + i]) for i in range(m)]
     return fx, fy
 
 
-def poisson_bracket(f: SparsePolynomial, g: SparsePolynomial,
-                    P: PoissonStructure) -> SparsePolynomial:
+def poisson_bracket(f: Polynomial, g: Polynomial, P: PoissonStructure) -> Polynomial:
     """{f, g} under P; bilinear, antisymmetric, Leibniz, Jacobi."""
-    if f.context != P.context or g.context != P.context:
-        raise ValueError("context mismatch with the Poisson structure")
-    m = P.pairs
+    names = darboux_names(P.pairs)
+    if f.names != names or g.names != names:
+        raise ValueError("f and g must be polynomials on the structure's pairs")
+    m, zero = P.pairs, Polynomial(names)
     fx, fy = _partials(f, m)
     gx, gy = _partials(g, m)
-    out = SparsePolynomial.zero(P.context)
+    out = zero
     for i in range(m):
         out = out + fx[i] * gy[i] - fy[i] * gx[i]
     if P.kind == "reflection":
-        sum_fx = sum(fx[1:], fx[0]) if m else SparsePolynomial.zero(P.context)
-        sum_fy = sum(fy[1:], fy[0]) if m else SparsePolynomial.zero(P.context)
-        sum_gx = sum(gx[1:], gx[0]) if m else SparsePolynomial.zero(P.context)
-        sum_gy = sum(gy[1:], gy[0]) if m else SparsePolynomial.zero(P.context)
-        corr = sum_fx * sum_gy - sum_fy * sum_gx
+        corr = sum(fx, zero) * sum(gy, zero) - sum(fy, zero) * sum(gx, zero)
         out = out - corr * Fraction(1, P.n)
     return out
 
@@ -396,9 +460,8 @@ def symmetrized_order_key(expo: tuple, m: int) -> tuple:
     return tuple(_pair_key(p) for p in pairs)
 
 
-def symmetrize(mono: SparsePolynomial, n: int) -> SparsePolynomial:
+def symmetrize(mono: Polynomial, n: int) -> Polynomial:
     """Average over simultaneous index permutations (coefficient 1/n!)."""
-    ctx = mono.context
     out: dict = {}
     scale = Fraction(1, math.factorial(n))
     for perm in itertools.permutations(range(n)):
@@ -409,7 +472,7 @@ def symmetrize(mono: SparsePolynomial, n: int) -> SparsePolynomial:
                 img[n + perm[i]] = expo[n + i]
             key = tuple(img)
             out[key] = out.get(key, 0) + c * scale
-    return SparsePolynomial(ctx, out)
+    return Polynomial(mono.names, out)
 
 
 def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
@@ -430,14 +493,14 @@ def leading_term_identity_report(pairs: list[tuple[int, int]]) -> dict:
         raise ValueError("every index must have odd total degree")
     a1, b1 = pairs[0]
     structure = darboux_structure(n)
-    ctx = structure.context
-    first = SparsePolynomial(ctx, {tuple([a1 + 1] + [0] * (n - 1) + [b1] + [0] * (n - 1)): 1})
+    names = darboux_names(n)
+    first = Polynomial(names, {tuple([a1 + 1] + [0] * (n - 1) + [b1] + [0] * (n - 1)): 1})
     second_expo = [0] * (2 * n)
     second_expo[n] = 1  # y_1
     for i in range(1, n):
         second_expo[i] = pairs[i][0]
         second_expo[n + i] = pairs[i][1]
-    second = SparsePolynomial(ctx, {tuple(second_expo): 1})
+    second = Polynomial(names, {tuple(second_expo): 1})
     bracket = poisson_bracket(symmetrize(first, n), symmetrize(second, n), structure)
 
     target_expo = tuple(p[0] for p in pairs) + tuple(p[1] for p in pairs)
@@ -561,14 +624,14 @@ def whole_aminus_report(n: int, max_degree: int) -> dict[int, str]:
 
 # -- typed solver: membership and family spans -----------------------------------
 
-def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:
-    """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, as a raw
+def constraint_residual(terms: dict, k: int, n: int) -> dict:
+    """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, F given by
+    its `terms` {exponent tuple over s1, s2, ...: Fraction}, as a raw
     {Laurent label code: Fraction} dict."""
-    N = max(F.context.arity, 2 * n, 2 * k)
     scale = 4 ** max(n - k, 0)
     out: dict = {}
-    for expo, c in F.terms.items():
-        e = tuple(expo) + (0,) * (N - len(expo))
+    for expo, c in terms.items():
+        e = expo + (0,) * (max(2 * n, 2 * k) - len(expo))
         support = [i + 1 for i, x in enumerate(e) if x]
         for label, val in _column_rows_for_k(k, n, e, support, _label_code(e, n)):
             s = out.get(label, Fraction(0)) + c * Fraction(val, scale)
@@ -579,25 +642,36 @@ def constraint_residual(F: SparsePolynomial, k: int, n: int) -> dict:
     return out
 
 
-def is_kernel_member(F: SparsePolynomial, n: int, k_max: int | None = None) -> bool:
-    """Exact membership test: every restricted xi_k annihilates F."""
-    if not F.terms:
-        return True
-    for k in range(1, (k_max if k_max is not None else n) + 1):
-        if constraint_residual(F, k, n):
-            return False
-    return True
+def is_kernel_member(terms: dict, n: int, k_max: int | None = None) -> bool:
+    """Exact membership test: every restricted xi_k annihilates the
+    polynomial with these `terms`."""
+    return not any(constraint_residual(terms, k, n)
+                   for k in range(1, (k_max if k_max is not None else n) + 1))
 
 
 def family_span_dims(n: int) -> GradedDimensionTable:
     """Exact dimensions of span(family_generators(n)) per dual weight."""
     spans: dict[int, SparseRationalEchelon] = {}
-    for terms in _family_terms(n):
+    for terms in family_generators(n):
         w = 4 * (sum(next(iter(terms))) - n)
         spans.setdefault(w, SparseRationalEchelon()).add(terms)
     return GradedDimensionTable({w: ech.rank for w, ech in spans.items()},
                                 {"family": "D", "n": n, "grading": "dual-weight",
                                  "kind": "family-span"})
+
+
+def kernel_vectors(sb: SolutionBasis) -> list[Polynomial]:
+    """A basis of the whole kernel of `sb` as polynomials in s1..sn,
+    component by component: the s1^2 monomials, then the completed reduced
+    basis."""
+    n, names, out = sb.n, s_names(sb.n), []
+    for w, cols in _components(n).items():
+        if sb.weight is None or w == sb.weight:
+            free = _reduced_components(n)[w][1]
+            out += [Polynomial(names, {e[:n]: 1}) for e in cols if e[0] >= 2]
+            out += [Polynomial(names, _completed(n, {free[c]: x for c, x in vec.items()}))
+                    for vec in sb.columns.get(w, ())]
+    return out
 
 
 # -- partitions ------------------------------------------------------------------

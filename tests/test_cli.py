@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import ptl
 from ptl.cache import ResultCache, code_version
-from ptl.cli import _display_fields, main
+from ptl.cli import ALL_FORMATS, _display_fields, main
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, IncrementalModEchelon, is_prime
 from ptl.partitions import bn_hilbert
@@ -124,22 +125,6 @@ def test_cache_roundtrip_and_byte_identical(tmp_path, capsys):
     code, warm = run_cli(capsys, *args)
     assert code == 0
     assert warm == cold
-
-
-def test_typed_solve_never_renders_or_parses_polynomials(tmp_path, capsys, monkeypatch):
-    # records hold integer vectors: solving, loading and `cache verify`
-    # never render polynomial text
-    def fail(*args, **kwargs):
-        raise AssertionError("polynomial text on the typed solve path")
-
-    monkeypatch.setattr("ptl.poly.SparsePolynomial.text", fail)
-    args = ("typed", "solve", "--n-max", "9", "--cache-dir", str(tmp_path))
-    code, cold = run_cli(capsys, *args)
-    assert code == 0
-    code, warm = run_cli(capsys, *args)
-    assert code == 0 and warm == cold
-    code, out = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
-    assert code == 0 and out == "8 cache entries verified\n"
 
 
 def test_hp0_cache_byte_identical(tmp_path, capsys):
@@ -363,6 +348,47 @@ def test_invalid_option_values_exit_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error:" in err
+
+
+_TCJ = ("table", "csv", "json")
+_FORMATS = {
+    ("typed", "solve", "--n", "4", "--no-cache"): ALL_FORMATS,
+    ("typed", "families", "--n", "4"): _TCJ,
+    ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "4"): ALL_FORMATS,
+    ("hp0", "aminus", "--n", "2", "--max-degree", "4"): _TCJ,
+    ("counts", "multipartitions", "--n", "3", "--i", "2"): _TCJ,
+    ("counts", "p", "--n", "4", "--i", "2"): _TCJ,
+    ("counts", "p-prime", "--n", "8", "--i", "5"): _TCJ,
+    ("counts", "bn-hilbert", "--n", "3"): ALL_FORMATS,
+    _PRIME_BOUND_D + ("--d", "1,0"): _TCJ,
+    ("counts", "hh0", "--family", "typeD", "--n", "6"): _TCJ,
+    ("strata", "symmetric-power", "--n", "3", "--dim-y", "4"): _TCJ,
+    ("strata", "kleinian", "--n", "2", "--m", "1"): _TCJ,
+    ("strata", "type-d", "--n", "3", "--no-cache"): _TCJ,
+    ("series", "burgers", "--order", "4"): ("table", "json"),
+    ("compare", "hp0-hh0", "--n-max", "4", "--no-cache"): _TCJ,
+    ("cache", "info", "--no-cache"): ("table", "json"),
+}
+
+
+@pytest.mark.parametrize("argv, fmt", [(argv, fmt) for argv in _FORMATS for fmt in ALL_FORMATS],
+                         ids=[f"{argv[0]}-{argv[1]}-{fmt}" for argv in _FORMATS
+                              for fmt in ALL_FORMATS])
+def test_format_choices_are_what_the_command_prints(argv, fmt, capsys):
+    # --format offers only the formats a command has a branch for: any
+    # other exits 2 rather than printing a different format
+    if fmt not in _FORMATS[argv]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+        return
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    _, table = run_cli(capsys, *argv)
+    assert code == 0 and (out == table) == (fmt == "table")
+    if fmt == "json":
+        assert json.loads(out)["schema"] == "ptl-output/1"
+    if fmt == "latex":
+        assert out.startswith(("$", "\\begin{tabular}"))
 
 
 def test_certification_failure_exit_5(monkeypatch, capsys):
@@ -632,27 +658,46 @@ def test_public_names_resolve():
 
 def test_package_holds_no_code_only_tests_reach():
     # every top-level function and class of the package is named, as a name
-    # or an attribute, by package code outside its own definition; the
-    # interpreter calls `__getattr__`
-    stmts = [stmt for path in sorted(Path(ptl.__file__).parent.glob("*.py"))
-             for stmt in ast.parse(path.read_text()).body]
-    refs = [{node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
-             if isinstance(node, (ast.Name, ast.Attribute))} for stmt in stmts]
-    unused = [stmt.name for i, stmt in enumerate(stmts)
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name != "__getattr__"
-              and not any(stmt.name in r for j, r in enumerate(refs) if j != i)]
+    # or an attribute, and every method and property of its classes as an
+    # attribute, by package code outside its own definition; the
+    # interpreter calls `__getattr__` and the other dunder methods
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(ptl.__file__).parent.glob("*.py"))]
+
+    def refs(node, kinds):
+        return Counter(getattr(n, "id", None) or n.attr for n in ast.walk(node)
+                       if isinstance(n, kinds))
+
+    top = [stmt for tree in trees for stmt in tree.body
+           if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    methods = [stmt for cls in top if isinstance(cls, ast.ClassDef) for stmt in cls.body
+               if isinstance(stmt, ast.FunctionDef)]
+    unused = []
+    for defs, kinds in ((top, (ast.Name, ast.Attribute)), (methods, ast.Attribute)):
+        everywhere = sum((refs(tree, kinds) for tree in trees), Counter())
+        unused += [d.name for d in defs if not (d.name.startswith("__") and d.name.endswith("__"))
+                   and everywhere[d.name] == refs(d, kinds)[d.name]]
     assert unused == []
 
 
-def test_typed_solve_loads_only_its_route():
+@pytest.mark.parametrize("argv, modules", [
+    (["hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "4"],
+     {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl",
+      "ptl.partitions"}),
+    (["typed", "solve", "--n", "3", "--no-cache"],
+     {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver", "ptl.partitions",
+      "ptl.tables"}),
+], ids=["hp0-brute", "typed-solve"])
+def test_each_route_loads_only_its_modules(argv, modules):
     # `ptl` resolves its public names on first access, and each command
-    # imports its own route: typed solve never loads the engine
+    # imports its own route: typed solve never loads the engine, and
+    # neither route loads a module it does not run
     env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
-    probe = ("import sys, ptl.cli; code = ptl.cli.main(['typed', 'solve', '--n', '3', "
-             "'--no-cache']); print(code, 'ptl.engine' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    probe = ("import sys, ptl.cli; code = ptl.cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'ptl'))")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    code, *loaded = out.splitlines()[-1].split()
+    assert (code, set(loaded)) == ("0", modules)
 
 
 @pytest.mark.parametrize("argv", [

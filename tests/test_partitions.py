@@ -97,7 +97,7 @@ def test_bn_hilbert_small():
 
 def test_bn_hilbert_total_is_partition_count():
     for n in range(0, 15):
-        assert bn_hilbert(n).total() == partition_count(n)
+        assert sum(bn_hilbert(n).entries.values()) == partition_count(n)
 
 
 def test_prime_bounds():

@@ -7,12 +7,11 @@ from ptl.poisson import (
     raw_bracket,
     reflection_structure,
 )
-from ptl.poly import SparsePolynomial
-from reference import poisson_bracket
+from reference import Polynomial, darboux_names, poisson_bracket
 
 
 def _var(P, name):
-    return SparsePolynomial.variable(P.context, name)
+    return Polynomial.variable(darboux_names(P.pairs), name)
 
 
 def _sl2(P):
@@ -29,11 +28,10 @@ def _sl2(P):
 
 def _random_poly(P, rng, max_terms=3, max_deg=2):
     terms = {}
-    arity = P.context.arity
     for _ in range(rng.randint(1, max_terms)):
-        expo = tuple(rng.randint(0, max_deg) for _ in range(arity))
+        expo = tuple(rng.randint(0, max_deg) for _ in range(2 * P.pairs))
         terms[expo] = terms.get(expo, 0) + Fraction(rng.randint(-4, 4))
-    return SparsePolynomial(P.context, terms)
+    return Polynomial(darboux_names(P.pairs), terms)
 
 
 def test_darboux_basic_relations():
@@ -54,11 +52,14 @@ def test_reflection_structure_constant():
 
 
 def test_sl2_printed_generators():
-    E, F, H = _sl2(darboux_structure(2))
-    assert (E.text(), F.text(), H.text()) == ("x1^2 + x2^2", "y1^2 + y2^2", "x1*y1 + x2*y2")
-    E, _, H = _sl2(reflection_structure(3))
-    assert (E.text(), H.text()) == ("2*x1^2 + 2*x1*x2 + 2*x2^2",
-                                    "2*x1*y1 + x1*y2 + x2*y1 + 2*x2*y2")
+    P = darboux_structure(2)
+    x1, x2, y1, y2 = (_var(P, v) for v in ("x1", "x2", "y1", "y2"))
+    assert _sl2(P) == (x1 * x1 + x2 * x2, y1 * y1 + y2 * y2, x1 * y1 + x2 * y2)
+    R = reflection_structure(3)
+    x1, x2, y1, y2 = (_var(R, v) for v in ("x1", "x2", "y1", "y2"))
+    E, _, H = _sl2(R)
+    assert E == 2 * x1 * x1 + 2 * x1 * x2 + 2 * x2 * x2
+    assert H == 2 * x1 * y1 + x1 * y2 + x2 * y1 + 2 * x2 * y2
 
 
 def test_sl2_brackets():
@@ -92,15 +93,14 @@ def test_jacobi_leibniz_antisymmetry(structure, rng):
 
 def test_degree_homogeneity(rng):
     P = darboux_structure(3)
-    names = P.context.names
     for _ in range(30):
         e1 = tuple(rng.randint(0, 3) for _ in range(6))
         e2 = tuple(rng.randint(0, 3) for _ in range(6))
-        m1 = SparsePolynomial(P.context, {e1: 1})
-        m2 = SparsePolynomial(P.context, {e2: 1})
+        m1 = Polynomial(darboux_names(3), {e1: 1})
+        m2 = Polynomial(darboux_names(3), {e2: 1})
         b = poisson_bracket(m1, m2, P)
         if b.terms:
-            assert {P.context.degree_of(e) for e in b.terms} == {sum(e1) + sum(e2) - 2}
+            assert {sum(e) for e in b.terms} == {sum(e1) + sum(e2) - 2}
 
 
 def test_reflection_sum_images_vanish():
@@ -130,12 +130,8 @@ def test_ad_h_acts_diagonally(rng):
         for degree in (2, 3, 4):
             for f in invariant_basis(spec, degree):
                 out = poisson_bracket(f, H, P)
-                expected = SparsePolynomial.zero(P.context)
-                for expo, c in f.terms.items():
-                    xdeg = sum(expo[:m])
-                    ydeg = sum(expo[m:])
-                    expected = expected + SparsePolynomial(
-                        P.context, {expo: c * (xdeg - ydeg)})
+                expected = Polynomial(f.names, {expo: c * (sum(expo[:m]) - sum(expo[m:]))
+                                                for expo, c in f.terms.items()})
                 assert out == expected
 
 

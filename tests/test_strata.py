@@ -85,7 +85,8 @@ def test_type_d_n4_even_sector():
 
 def test_type_d_codim_counts_match_prime_bound():
     for n in (2, 3, 4, 5, 6):
-        d = tuple([1] + [kernel_basis(r).weight_dims.total() for r in range(1, n + 1)])
+        d = tuple([1] + [sum(kernel_basis(r).weight_dims.entries.values())
+                        for r in range(1, n + 1)])
         leaves = leaves_type_d(n, d)
         for i in range(n + 1):
             got = sum(l.multiplicity for l in leaves if l.codim_units == i)
