@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     "PoissonStructure": "poisson",
     "GroupSpec": "weyl",
-    "hh0_dimension": "weyl",
+    "hh0_dimension": "partitions",
     "GradedDimensionTable": "tables",
     "BracketSpanProblem": "engine",
     "hp0_graded_dims": "engine",

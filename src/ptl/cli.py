@@ -21,25 +21,26 @@ cached, each vector of the reduced (s1-free) kernel basis as integers over
 its component's s1-free columns (`_encoded`); `cache verify` re-verifies
 each of them as a load does.
 `hp0 brute` accepts --cache-dir but recomputes its table on every run.
+
+A command builds only its own branch of the parser (`build_parser`): the
+top level names every command with its help, and only the command that
+runs gets its sub-commands and options; help and exit-2 messages read as
+they would with the whole parser built.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
-from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, is_prime
-
 # Each command imports the modules of its own route when it runs, so that
-# `import ptl.cli` and one command load only what that command needs; only
-# the commands that take a cache load `ptl.cache`.
+# `import ptl.cli` and one command load only what that command needs: only
+# a cache loads `ptl.cache`, JSON `json`, a --prime `ptl.linalg`.
 
 ENV_CACHE_DIR = "PTL_CACHE_DIR"
 
@@ -53,6 +54,7 @@ FIGURE_HEADER = (
 
 
 def _emit_json(doc: dict) -> str:
+    import json
     doc = dict(doc)
     doc["schema"] = SCHEMA_ID
     return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
@@ -113,6 +115,8 @@ def _verify_solve(n: int, weight, prime: int, payload) -> bool:
     0), the rest of the payload, as JSON, exactly the `_record` of n and
     the dimensions they give, then the solver's component certificate run
     again."""
+    from fractions import Fraction
+
     from ptl.cache import canonical_json
     from ptl.solver import kernel_dims, recertifies
     vectors = payload.get("vectors") if isinstance(payload, dict) else None
@@ -139,6 +143,7 @@ def _record_verifier(key: dict):
     the checksum is all there is to check)."""
     if key.get("module") != "typed-solver":
         return None
+    from ptl.linalg import PRIME_LIMIT, is_prime
     n, weight, prime = key.get("n"), key.get("weight"), key.get("prime")
     valid = (type(n) is int and n >= 1 and type(weight) in (int, type(None))
              and type(prime) is int and 2 <= prime < PRIME_LIMIT and is_prime(prime))
@@ -303,7 +308,7 @@ def cmd_counts(args) -> int:
                            {"n": args.n, "i": args.i,
                             "multipartition_reading": args.multipartition_reading})
     if args.statistic == "hh0":
-        from ptl.weyl import hh0_dimension
+        from ptl.partitions import hh0_dimension
         return _emit_count(args, "hh0", hh0_dimension(args.family, args.n),
                            {"family": args.family, "n": args.n})
     if args.statistic == "prime-bound":
@@ -357,6 +362,7 @@ def cmd_strata(args) -> int:
         if args.d:
             d = args.d
         else:
+            from ptl.linalg import DEFAULT_PRIME
             cache = _cache_from_args(args)
             d = tuple([1] + [
                 sum(_solve_payload(r, None, DEFAULT_PRIME, cache)["dual_weights"].values())
@@ -393,7 +399,7 @@ def cmd_series_burgers(args) -> int:
 def cmd_compare_hp0_hh0(args) -> int:
     if args.family != "D":
         raise SystemExit2("only --family D is implemented")
-    from ptl.weyl import hh0_dimension
+    from ptl.partitions import hh0_dimension
     cache = _cache_from_args(args)
     rows = []
     first_strict = None
@@ -450,14 +456,16 @@ class SystemExit2(SystemExit):
 def _word_prime(text: str) -> int:
     """--prime: a prime below 2^31 (`linalg.PRIME_LIMIT`), the range the
     certificate's prime stream is drawn from."""
+    from ptl.linalg import PRIME_LIMIT, is_prime
     p = int(text)
     if not 2 <= p < PRIME_LIMIT or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")
     return p
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
     """A rational option value such as -3/2 (a zero denominator is rejected)."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -505,17 +513,12 @@ def _add_common(p, formats=("table", "csv", "json"), *, cacheable: bool = False,
                        help=f"result cache directory (or ${ENV_CACHE_DIR})")
         p.add_argument("--no-cache", action="store_true")
     if prime:
+        from ptl.linalg import DEFAULT_PRIME
         p.add_argument("--prime", type=_word_prime, default=DEFAULT_PRIME,
                        help="prime below 2^31 for the modular fast path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ptl",
-        description="Exact Poisson-trace computations for Weyl group quotients")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    typed = sub.add_parser("typed", help="typed constraint solver")
+def _typed_parser(typed):
     tsub = typed.add_subparsers(dest="subcommand", required=True)
     solve = tsub.add_parser("solve")
     which = solve.add_mutually_exclusive_group(required=True)
@@ -530,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fam)
     fam.set_defaults(func=cmd_typed_families)
 
-    hp0 = sub.add_parser("hp0", help="brute-force bracket spans")
+
+def _hp0_parser(hp0):
     hsub = hp0.add_subparsers(dest="subcommand", required=True)
     brute = hsub.add_parser("brute")
     brute.add_argument("--group", required=True,
@@ -553,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(aminus, prime=True)
     aminus.set_defaults(func=cmd_hp0_aminus)
 
-    counts = sub.add_parser("counts", help="partition statistics")
+
+def _counts_parser(counts):
     csub = counts.add_subparsers(dest="statistic", required=True)
     for name in ("multipartitions", "p", "p-prime"):
         c = csub.add_parser(name)
@@ -580,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(hh)
     hh.set_defaults(func=cmd_counts, statistic="hh0")
 
-    strata = sub.add_parser("strata", help="symplectic leaf bookkeeping")
+
+def _strata_parser(strata):
     ssub = strata.add_subparsers(dest="variety", required=True)
     sp = ssub.add_parser("symmetric-power")
     sp.add_argument("--n", type=int, required=True)
@@ -599,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(td, cacheable=True)
     td.set_defaults(func=cmd_strata, variety="type-d")
 
-    series = sub.add_parser("series", help="series verification aids")
-    sesub = series.add_subparsers(dest="subcommand", required=True)
-    bu = sesub.add_parser("burgers")
+
+def _series_parser(series):
+    bu = series.add_subparsers(dest="subcommand", required=True).add_parser("burgers")
     bu.add_argument("--order", type=_at_least(1), default=6)
     bu.add_argument("--h0", type=lambda text: [_rational(c) for c in text.split(",")],
                     help="comma-separated coefficients of x^0, x^2, x^4, ...")
@@ -609,23 +615,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bu, ("table", "json"))
     bu.set_defaults(func=cmd_series_burgers)
 
-    compare = sub.add_parser("compare", help="cross-checks")
-    cosub = compare.add_subparsers(dest="subcommand", required=True)
-    ch = cosub.add_parser("hp0-hh0")
+
+def _compare_parser(compare):
+    ch = compare.add_subparsers(dest="subcommand", required=True).add_parser("hp0-hh0")
     ch.add_argument("--family", default="D")
     ch.add_argument("--n-max", type=_at_least(2), required=True)
     _add_common(ch, cacheable=True, prime=True)
     ch.set_defaults(func=cmd_compare_hp0_hh0)
 
-    cachep = sub.add_parser("cache", help="result cache maintenance")
+
+def _cache_parser(cachep):
     cachep.add_argument("action", choices=("info", "clear", "verify"))
     _add_common(cachep, ("table", "json"), cacheable=True)
     cachep.set_defaults(func=cmd_cache)
+
+
+# command -> (its help, the builder of its parser branch), in help order
+COMMANDS = {
+    "typed": ("typed constraint solver", _typed_parser),
+    "hp0": ("brute-force bracket spans", _hp0_parser),
+    "counts": ("partition statistics", _counts_parser),
+    "strata": ("symplectic leaf bookkeeping", _strata_parser),
+    "series": ("series verification aids", _series_parser),
+    "compare": ("cross-checks", _compare_parser),
+    "cache": ("result cache maintenance", _cache_parser),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `ptl`: every command with its help at the top level,
+    but the sub-commands and options of the command that `argv` runs (its
+    first word that is not an option) only."""
+    parser = argparse.ArgumentParser(
+        prog="ptl",
+        description="Exact Poisson-trace computations for Weyl group quotients")
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((word for word in argv if not word.startswith("-")), None)
+    for name, (text, branch) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            branch(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     mismatch = _d_mismatch(args)
     if mismatch:

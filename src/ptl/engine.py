@@ -78,8 +78,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from ptl.linalg import (
     DEFAULT_PRIME,
@@ -107,16 +107,17 @@ from ptl.weyl import (
 SUBGROUP_KINDS = ("full", "last-point-stabilizer", "ambient")
 
 
-@dataclass(frozen=True)
-class BracketSpanProblem:
-    spec: GroupSpec
-    subgroup: str = "full"
+class BracketSpanProblem(namedtuple("BracketSpanProblem", "spec subgroup")):
+    """HP0(O^G, O^H) for G = `spec` and H named by `subgroup`."""
 
-    def __post_init__(self):
-        if self.subgroup not in SUBGROUP_KINDS:
-            raise ValueError(f"unknown subgroup kind {self.subgroup!r}")
-        if self.subgroup == "last-point-stabilizer" and self.spec.family != "symmetric-reflection":
+    __slots__ = ()
+
+    def __new__(cls, spec: GroupSpec, subgroup: str = "full"):
+        if subgroup not in SUBGROUP_KINDS:
+            raise ValueError(f"unknown subgroup kind {subgroup!r}")
+        if subgroup == "last-point-stabilizer" and spec.family != "symmetric-reflection":
             raise ValueError("last-point-stabilizer lives inside symmetric-reflection")
+        return super().__new__(cls, spec, subgroup)
 
     @property
     def folded(self) -> bool:

@@ -12,6 +12,8 @@ Statistics implemented:
   exposed under the `multipartition_reading` flag rather than discarded.
 * the hyperoctahedral Hilbert statistic: partitions of n graded by
   n - (number of parts).
+* class counts (`hh0_dimension`): dim HH_0 of the invariant Weyl algebra,
+  the number of conjugacy classes acting without eigenvalue one.
 
 Every generating-function evaluation is exact integer polynomial
 truncation; p_{n,i} is computed both from its generating function and by a
@@ -83,6 +85,22 @@ def partition_count_exact_parts(n: int, k: int) -> int:
 def even_part_count(n: int) -> int:
     """Number of partitions of n with an even number of parts."""
     return sum(partition_count_exact_parts(n, k) for k in range(0, n + 1, 2))
+
+
+def hh0_dimension(family: str, n: int) -> int:
+    """Number of conjugacy classes acting on C^{2n} without eigenvalue one.
+
+    typeA(n): S_{n+1} on its doubled reflection representation -- only the
+    (n+1)-cycle class, so 1.  typeB(n): classes with every signed cycle
+    negative, one per partition of n.  typeD(n): the same classes restricted
+    to determinant one, i.e. partitions of n with an even number of parts.
+    """
+    nmin = {"typeA": 1, "typeB": 1, "typeD": 2}.get(family)
+    if nmin is None:
+        raise ValueError(f"unknown family {family!r}")
+    if n < nmin:
+        raise ValueError(f"{family} needs n >= {nmin}")
+    return 1 if family == "typeA" else partition_count(n) if family == "typeB" else even_part_count(n)
 
 
 def multipartition_count(n: int, i: int) -> int:

@@ -14,14 +14,14 @@ immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 
-@dataclass(frozen=True)
-class PoissonStructure:
-    kind: str          # "darboux" | "reflection"
-    n: int             # darboux: number of Darboux pairs; reflection: rank of S_n
+class PoissonStructure(namedtuple("PoissonStructure", "kind n")):
+    """kind "darboux" (n Darboux pairs) or "reflection" (rank of S_n)."""
+
+    __slots__ = ()
 
     @property
     def pairs(self) -> int:

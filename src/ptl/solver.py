@@ -67,8 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -367,13 +366,12 @@ def _completed(n: int, terms: dict) -> dict:
 
 # -- kernel computation ---------------------------------------------------------
 
-@dataclass
-class SolutionBasis:
-    n: int
-    weight: int | None
-    columns: dict[int, list[dict]]      # dual weight -> reduced kernel basis over the s1-free columns
-    weight_dims: GradedDimensionTable   # keyed by dual weight (nonpositive)
-    display: GradedDimensionTable       # keyed by display exponent -w/4
+class SolutionBasis(namedtuple("SolutionBasis", "columns weight_dims display")):
+    """`columns`: dual weight -> reduced kernel basis over the s1-free
+    columns; `weight_dims` and `display`: the kernel's dimensions keyed by
+    dual weight (nonpositive) and by display exponent -w/4."""
+
+    __slots__ = ()
 
 
 def kernel_dims(n: int, weight: int | None, columns: dict[int, list[dict]]) -> GradedDimensionTable:
@@ -448,7 +446,7 @@ def kernel_basis(n: int, weight: int | None = None, *,
         if basis:
             columns[w] = basis
     weight_dims = kernel_dims(n, weight, columns)
-    return SolutionBasis(n, weight, columns, weight_dims, display_table(weight_dims))
+    return SolutionBasis(columns, weight_dims, display_table(weight_dims))
 
 
 def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],

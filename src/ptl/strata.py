@@ -8,20 +8,18 @@ are reported both in units of the base dimension and absolutely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ptl.partitions import multipartition_count, partitions
 
 
-@dataclass(frozen=True)
-class LeafDescriptor:
-    label: str
-    point_part: int                  # r: number of coordinates pinned at the origin
-    partition: tuple[int, ...]       # diagonal cell sizes
-    codim_units: int                 # codimension in units of dim Y
-    codim_absolute: int
-    multiplicity: int
-    stabilizer: str = ""
+class LeafDescriptor(namedtuple("LeafDescriptor", "label point_part partition codim_units "
+                                "codim_absolute multiplicity stabilizer", defaults=("",))):
+    """A leaf: `point_part` r coordinates pinned at the origin, the
+    `partition` of diagonal cell sizes, its codimension in units of dim Y
+    and absolutely, its multiplicity and a textual stabilizer label."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,16 +10,17 @@ t^(1/4) in terms of polynomial degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class GradedDimensionTable:
-    entries: dict[int, int] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    """Nonzero `entries` {key: dimension} and free-form `metadata`; two
+    tables are equal when their entries are."""
 
-    def __post_init__(self):
-        self.entries = {int(k): int(v) for k, v in self.entries.items() if int(v) != 0}
+    def __init__(self, entries: dict | None = None, metadata: dict | None = None):
+        self.entries = {int(k): int(v) for k, v in (entries or {}).items() if int(v) != 0}
+        self.metadata = {} if metadata is None else metadata
+
+    def __repr__(self):
+        return f"GradedDimensionTable({self.entries!r}, {self.metadata!r})"
 
     def items(self):
         return sorted(self.entries.items())

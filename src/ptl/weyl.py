@@ -1,4 +1,4 @@
-"""Invariant orbit-sum bases of finite Weyl groups, and their class counts.
+"""Invariant orbit-sum bases of finite Weyl groups.
 
 Groups handled: the full hyperoctahedral group B_n = S_n x (Z/2)^n of signed
 permutations, its index-two subgroup D_n (even number of sign flips), S_n
@@ -21,40 +21,32 @@ dimension: V = h + 1 as S_n-modules, so C[V + V]^{S_n} = C[h + h]^{S_n}
 (x) C[sum x, sum y], and the invariants of h + h in bidegree (p, q) number
 D(p, q) = N(p, q) - N(p-1, q) - N(p, q-1) + N(p-1, q-1), N(p, q) counting
 the S_n-orbits of bidegree-(p, q) monomials on C^{2n}.
-
-Class counts (`hh0_dimension`): dim HH_0 of the invariant Weyl algebra
-equals the number of conjugacy classes acting without eigenvalue one (the
-trace count of the quantization).  For B_n those classes are the
-all-negative signed cycle types; for D_n, the all-negative types with evenly
-many cycles, i.e. partitions of n with an even number of parts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
 from ptl.linalg import IncrementalModEchelon, prime_stream
 from ptl.poisson import _raw_mul
-from ptl.partitions import partition_count, even_part_count
 
 FAMILIES = ("symmetric-full", "symmetric-reflection", "hyperoctahedral", "demihyperoctahedral")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    family: str
-    n: int
+class GroupSpec(namedtuple("GroupSpec", "family n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        nmin = 2 if self.family == "symmetric-reflection" else 1
-        if self.n < nmin:
-            raise ValueError(f"{self.family} needs n >= {nmin}")
+    def __new__(cls, family: str, n: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        nmin = 2 if family == "symmetric-reflection" else 1
+        if n < nmin:
+            raise ValueError(f"{family} needs n >= {nmin}")
+        return super().__new__(cls, family, n)
 
     @property
     def pairs(self) -> int:
@@ -183,14 +175,11 @@ def orbit_reps(spec: GroupSpec, degree: int, xdeg: int,
     return tuple(sorted(reps, reverse=True))
 
 
-def restrict_to_zero_sum(n: int, degree: int, polys):
-    """Restrict raw polynomials on C^{2n} of degree at most `degree` to the
-    eliminated coordinates: x_n = -(x_1 + ... + x_{n-1}), y_n likewise.
-
-    A generator: the powers of the two linear forms are expanded once, as
-    integer dicts; each input is split by its (x_n, y_n) exponents and
-    multiplied out when it is reached.
-    """
+@lru_cache(maxsize=None)
+def _linear_powers(n: int, degree: int) -> tuple[list[dict], list[dict]]:
+    """The powers 0..degree of -(x_1 + ... + x_{n-1}) and of -(y_1 + ... +
+    y_{n-1}), as integer dicts over the eliminated coordinates: cached,
+    read-only."""
     m = n - 1
     zero = (0,) * (2 * m)
     lin_x = {zero[:i] + (1,) + zero[i + 1:]: -1 for i in range(m)}
@@ -199,6 +188,17 @@ def restrict_to_zero_sum(n: int, degree: int, polys):
     for _ in range(degree):
         xpow.append(_raw_mul(xpow[-1], lin_x))
         ypow.append(_raw_mul(ypow[-1], lin_y))
+    return xpow, ypow
+
+
+def restrict_to_zero_sum(n: int, degree: int, polys):
+    """Restrict raw polynomials on C^{2n} of degree at most `degree` to the
+    eliminated coordinates: x_n = -(x_1 + ... + x_{n-1}), y_n likewise.
+
+    A generator: each input is split by its (x_n, y_n) exponents and
+    multiplied out, by the `_linear_powers`, when it is reached.
+    """
+    m, (xpow, ypow) = n - 1, _linear_powers(n, degree)
     for poly in polys:
         by_last: dict[tuple[int, int], dict] = {}
         for e, c in poly.items():
@@ -250,27 +250,3 @@ def invariant_basis_raw(spec: GroupSpec, degree: int, xdeg: int) -> tuple[dict, 
                     return tuple(chosen)
     raise AssertionError("prime stream ran out before the reflection selection")
 
-
-# -- trace-count dimensions (AFLS counts) ------------------------------------
-
-def hh0_dimension(family: str, n: int) -> int:
-    """Number of conjugacy classes acting on C^{2n} without eigenvalue one.
-
-    typeA(n): S_{n+1} on its doubled reflection representation -- only the
-    (n+1)-cycle class, so 1.  typeB(n): classes with every signed cycle
-    negative, one per partition of n.  typeD(n): the same classes restricted
-    to determinant one, i.e. partitions of n with an even number of parts.
-    """
-    if family == "typeA":
-        if n < 1:
-            raise ValueError("typeA needs n >= 1")
-        return 1
-    if family == "typeB":
-        if n < 1:
-            raise ValueError("typeB needs n >= 1")
-        return partition_count(n)
-    if family == "typeD":
-        if n < 2:
-            raise ValueError("typeD needs n >= 2")
-        return even_part_count(n)
-    raise ValueError(f"unknown family {family!r}")

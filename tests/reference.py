@@ -17,7 +17,7 @@ package relies on:
   against which the mod-p selection and its counted dimension are checked;
 * the class-count scan: conjugacy classes without eigenvalue one by a
   determinant scan that never looks at cycle types, against the closed
-  forms of `weyl.hh0_dimension`;
+  forms of `partitions.hh0_dimension`;
 * `poisson_bracket` on `Polynomial`s, the reference for
   `poisson.raw_bracket`;
 * the leading-term expansion behind the A_- = {A_+, A_-} identity;
@@ -660,13 +660,13 @@ def family_span_dims(n: int) -> GradedDimensionTable:
                                  "kind": "family-span"})
 
 
-def kernel_vectors(sb: SolutionBasis) -> list[Polynomial]:
-    """A basis of the whole kernel of `sb` as polynomials in s1..sn,
-    component by component: the s1^2 monomials, then the completed reduced
-    basis."""
-    n, names, out = sb.n, s_names(sb.n), []
+def kernel_vectors(sb: SolutionBasis, n: int, weight: int | None = None) -> list[Polynomial]:
+    """A basis of the whole kernel of `sb` = `kernel_basis(n, weight)` as
+    polynomials in s1..sn, component by component: the s1^2 monomials, then
+    the completed reduced basis."""
+    names, out = s_names(n), []
     for w, cols in _components(n).items():
-        if sb.weight is None or w == sb.weight:
+        if weight is None or w == weight:
             free = _reduced_components(n)[w][1]
             out += [Polynomial(names, {e[:n]: 1}) for e in cols if e[0] >= 2]
             out += [Polynomial(names, _completed(n, {free[c]: x for c, x in vec.items()}))

@@ -24,6 +24,7 @@ from ptl.engine import (
 from ptl.partitions import (
     bn_hilbert,
     even_part_count,
+    hh0_dimension,
     multipartition_count,
     p_count,
     p_prime_count,
@@ -36,7 +37,7 @@ from ptl.solver import (
     kernel_basis,
 )
 from ptl.strata import leaves_symmetric_power
-from ptl.weyl import GroupSpec, hh0_dimension
+from ptl.weyl import GroupSpec
 from reference import (
     Polynomial,
     act,
@@ -194,7 +195,7 @@ def test_criterion_9_property_suites(seed):
                 assert is_kernel_member(f, n)
 
         # product closure for m + n <= 10
-        bases = {n: kernel_vectors(kernel_basis(n)) for n in range(2, 9)}
+        bases = {n: kernel_vectors(kernel_basis(n), n) for n in range(2, 9)}
         for m in range(2, 6):
             for n in range(m, min(8, 10 - m) + 1):
                 big = s_names(m + n)

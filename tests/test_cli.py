@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -20,9 +21,12 @@ from ptl.cli import ALL_FORMATS, _display_fields, main
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, IncrementalModEchelon, is_prime
 from ptl.partitions import bn_hilbert
+from ptl.poisson import darboux_structure, reflection_structure
+from ptl.strata import leaves_type_d
+from ptl.tables import GradedDimensionTable
 from ptl.weyl import GroupSpec
 import ptl.solver
-from ptl.solver import _components
+from ptl.solver import _components, kernel_basis
 
 
 def run_cli(capsys, *argv):
@@ -681,19 +685,23 @@ def test_package_holds_no_code_only_tests_reach():
 
 @pytest.mark.parametrize("argv, modules", [
     (["hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "4"],
-     {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl",
-      "ptl.partitions"}),
+     {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl"}),
     (["typed", "solve", "--n", "3", "--no-cache"],
      {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver", "ptl.partitions",
-      "ptl.tables"}),
+      "ptl.tables", "json"}),
 ], ids=["hp0-brute", "typed-solve"])
 def test_each_route_loads_only_its_modules(argv, modules):
     # `ptl` resolves its public names on first access, and each command
     # imports its own route: typed solve never loads the engine, and
-    # neither route loads a module it does not run
+    # neither route loads a module it does not run.  The records are named
+    # tuples and plain classes, so neither loads `dataclasses` (nor, through
+    # it, `inspect`); of the two, only the cache loads `json` (counted from
+    # what ptl loads, whatever the interpreter's start-up loaded before)
     env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
-    probe = ("import sys, ptl.cli; code = ptl.cli.main(sys.argv[1:]); "
-             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'ptl'))")
+    probe = ("import sys; before = set(sys.modules); import ptl.cli; "
+             "code = ptl.cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'ptl'"
+             " or m in ('dataclasses', 'inspect', 'json')))")
     out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
     code, *loaded = out.splitlines()[-1].split()
@@ -717,6 +725,41 @@ def test_counts_reject_negative_n_and_i(argv, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "is below 0" in err
+
+
+@pytest.mark.parametrize("record, hashable", [
+    (GroupSpec("demihyperoctahedral", 4), True),
+    (darboux_structure(3), True),
+    (reflection_structure(4), True),
+    (BracketSpanProblem(GroupSpec("symmetric-reflection", 4), "last-point-stabilizer"), True),
+    (leaves_type_d(4, (1, 0, 1, 1, 2))[0], True),
+    (GradedDimensionTable({0: 1, 4: 2}, {"group": "hyperoctahedral", "n": 4}), False),
+    (kernel_basis(4), False),
+], ids=["GroupSpec", "PoissonStructure-darboux", "PoissonStructure-reflection",
+        "BracketSpanProblem", "LeafDescriptor", "GradedDimensionTable", "SolutionBasis"])
+def test_records_round_trip_through_pickle(record, hashable):
+    # a process pool pickles its tasks: every record unpickles to an equal
+    # one, with the same fields, through its own validation; the hashable
+    # ones (cache keys among them) are immutable
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
+    if hashable:
+        assert hash(copy) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(copy, copy._fields[0], None)
+
+
+def test_pooled_brute_run_ends():
+    # --workers 2 pickles each cell's task, a BracketSpanProblem among its
+    # arguments, to the pool: a task that a worker cannot unpickle leaves
+    # the pool waiting, so the run is bounded by a timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
+    argv = ["hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "6"]
+    pooled = subprocess.run([sys.executable, "-m", "ptl.cli", *argv, "--workers", "2"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    serial = subprocess.run([sys.executable, "-m", "ptl.cli", *argv],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert (pooled.returncode, pooled.stdout, pooled.stderr) == (0, serial.stdout, "")
 
 
 def test_stdlib_only():

@@ -271,12 +271,12 @@ def test_xi_terms_are_binom_half_times_four_to_the_t():
 
 
 def test_kernel_small_n():
-    assert kernel_vectors(kernel_basis(1)) == []
+    assert kernel_vectors(kernel_basis(1), 1) == []
     sb2 = kernel_basis(2)
-    assert [v.text() for v in kernel_vectors(sb2)] == ["s1^2"]
+    assert [v.text() for v in kernel_vectors(sb2, 2)] == ["s1^2"]
     assert sb2.display.series() == "1"
     sb3 = kernel_basis(3)
-    assert [v.text() for v in kernel_vectors(sb3)] == ["s1^3"]
+    assert [v.text() for v in kernel_vectors(sb3, 3)] == ["s1^3"]
     assert sb3.weight_dims.entries == {0: 1}
 
 
@@ -285,11 +285,11 @@ def test_kernel_n2_excludes_s2():
     assert len(_components(2)[-4]) == 1   # the s2 component (one part)
     assert _system(2, -4)[1]  # a nonzero constraint exists
     sb = kernel_basis(2, weight=-4)
-    assert kernel_vectors(sb) == []
+    assert kernel_vectors(sb, 2, -4) == []
 
 
 def test_kernel_weight_filter():
-    assert [v.text() for v in kernel_vectors(kernel_basis(4, weight=-8))] == ["-3*s1*s3 + s2^2"]
+    assert [v.text() for v in kernel_vectors(kernel_basis(4, weight=-8), 4, -8)] == ["-3*s1*s3 + s2^2"]
 
 
 def test_family_generators_examples():
@@ -324,7 +324,7 @@ def test_family_membership_n_le_12():
 
 def test_product_closure():
     # products of kernel elements stay in the kernel (subalgebra property)
-    bases = {n: kernel_vectors(kernel_basis(n)) for n in range(2, 9)}
+    bases = {n: kernel_vectors(kernel_basis(n), n) for n in range(2, 9)}
     for m in range(2, 6):
         for n in range(m, min(8, 10 - m) + 1):
             big = s_names(m + n)
@@ -489,14 +489,14 @@ def test_n8_extra_solution_at_weight_minus_20():
         if w != -20:
             assert dim == fam.entries.get(w, 0)
     # and every kernel vector is certified exactly
-    for v in kernel_vectors(sb):
+    for v in kernel_vectors(sb, 8):
         assert is_kernel_member(v.terms, 8)
 
 
 def test_kernel_members_annihilated_pointwise(rng):
     # xi_k(F) vanishes at every stratum point: the component sum is zero
     # (individual derivation components may cancel against each other)
-    for F in kernel_vectors(kernel_basis(4)):
+    for F in kernel_vectors(kernel_basis(4), 4):
         for k in (1, 2):
             point = {f"s{2*k}": Fraction(rng.randint(1, 5)),
                      f"s{2*k+1}": Fraction(rng.randint(-5, 5)),

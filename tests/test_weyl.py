@@ -6,10 +6,10 @@ import pytest
 
 from ptl import linalg, weyl
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
+from ptl.partitions import hh0_dimension
 from ptl.poisson import darboux_structure, reflection_structure
 from ptl.weyl import (
     GroupSpec,
-    hh0_dimension,
     invariant_basis_raw,
     monomials_of_degree,
     orbit_rep,
