@@ -119,8 +119,12 @@ class ResultCache:
         return len(paths)
 
     def clear(self) -> int:
-        n = 0
-        for path in self.entries():
-            path.unlink()
-            n += 1
-        return n
+        """Remove every record; raises CacheCorruption on an entry that
+        cannot be removed, such as a directory named like a record."""
+        paths = self.entries()
+        for path in paths:
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise CacheCorruption(f"cannot remove cache record {path.name}: {exc}") from exc
+        return len(paths)

@@ -397,8 +397,6 @@ def cmd_series_burgers(args) -> int:
 # -- compare ---------------------------------------------------------------------------
 
 def cmd_compare_hp0_hh0(args) -> int:
-    if args.family != "D":
-        raise SystemExit2("only --family D is implemented")
     from ptl.partitions import hh0_dimension
     cache = _cache_from_args(args)
     rows = []
@@ -618,7 +616,6 @@ def _series_parser(series):
 
 def _compare_parser(compare):
     ch = compare.add_subparsers(dest="subcommand", required=True).add_parser("hp0-hh0")
-    ch.add_argument("--family", default="D")
     ch.add_argument("--n-max", type=_at_least(2), required=True)
     _add_common(ch, cacheable=True, prime=True)
     ch.set_defaults(func=cmd_compare_hp0_hh0)

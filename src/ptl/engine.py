@@ -4,11 +4,11 @@ For each polynomial degree d the span {O^G_a, O^H_b : a + b = d + 2, a >= 1}
 is generated column by column from invariant orbit-sum bases, and the entry
 reported is dim O^H_d minus the certified rank of that span.  Each cell
 has one column set and one certificate.  The columns are streamed through
-a sparse mod-p echelon; a full modular rank certifies itself, and a
-deficit is certified over Q before being reported: the quotient
+a sparse mod-p echelon by `linalg.certified_kernel`, the one certification
+entry point shared with the solver: a full modular rank certifies itself,
+and a deficit is certified over Q before being reported: the quotient
 functionals (the nullspace of the columns, one per non-lead row) are
-lifted off the same echelon by `linalg.certified_nullspace`, the core
-shared with the solver, and checked exactly against every column.
+lifted off the same echelon and checked exactly against every column.
 The first slot need not hold the whole basis of O^G_a.  By the Leibniz rule
 {ab, h} = {a, bh} + {b, ah}, and as O^H is an O^G-module, {O^G, O^H} is
 spanned by the {g, O^H_b}, g running over algebra generators of O^G and b
@@ -81,11 +81,7 @@ import itertools
 from collections import namedtuple
 from contextlib import nullcontext
 
-from ptl.linalg import (
-    DEFAULT_PRIME,
-    IncrementalModEchelon,
-    certified_nullspace,
-)
+from ptl.linalg import DEFAULT_PRIME, certified_kernel
 from ptl.poisson import (
     PoissonStructure,
     darboux_structure,
@@ -202,8 +198,11 @@ def _column_pairs(problem: BracketSpanProblem, degree: int) -> list[tuple]:
 
 
 def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
-                    prime: int = DEFAULT_PRIME, max_columns: int | None = None) -> int:
-    """Certified dim O^H_d - rank {O^G, O^H}_d for one degree, on weight zero."""
+                    prime: int = DEFAULT_PRIME, max_columns: int | None = None) -> int | None:
+    """Certified dim O^H_d - rank {O^G, O^H}_d for one degree, on weight zero;
+    None when the cell would stream more than `max_columns` columns.  The
+    rank is at most dim O^H_d; below it, it is the number of rows less the
+    dimension of the certified kernel."""
     if degree % 2:
         return 0
     rows, dim = _rows(problem, degree)
@@ -213,11 +212,11 @@ def _cell_dimension(problem: BracketSpanProblem, degree: int, *,
     if max_columns is not None:
         n_cols = sum(len(us) * len(vs) for us, vs in blocks)
         if n_cols > max_columns:
-            raise GuardrailExceeded(
-                f"degree {degree} needs {n_cols} columns (> {max_columns})", None)
+            return None
     row_index = {e: i for i, e in enumerate(rows)}
     columns = _bracket_columns(blocks, problem.structure(), row_index, problem.folded)
-    return dim - _certified_rank(columns, len(rows), dim, prime=prime)
+    kernel = certified_kernel(columns, len(rows), dim, prime)
+    return 0 if kernel is None else dim - (len(rows) - len(kernel))
 
 
 def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold: bool):
@@ -251,23 +250,6 @@ def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold:
                 yield col
 
 
-def _certified_rank(columns, length: int, dim: int, *, prime: int) -> int:
-    """Rank over Q of streamed integer columns whose rank is at most dim.
-
-    The mod-p echelon stops at full rank, which certifies itself; on a
-    deficit the rank is length minus the dimension of the exact nullspace
-    that `certified_nullspace` lifts off the same echelon.
-    """
-    ech = IncrementalModEchelon(length, prime)
-    stored: list[dict] = []
-    for col in columns:
-        stored.append(col)
-        ech.add(col)
-        if ech.rank == dim:
-            return dim  # full modular rank is full rational rank
-    return length - len(certified_nullspace(ech, stored))
-
-
 # -- public operations ---------------------------------------------------------
 
 def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
@@ -284,7 +266,7 @@ def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
     if problem.subgroup != "full":
         meta["subgroup"] = problem.subgroup
     degrees = range(max_degree + 1)
-    task = functools.partial(_cell_task, problem, prime=prime, max_columns=max_columns)
+    task = functools.partial(_cell_dimension, problem, prime=prime, max_columns=max_columns)
     entries: dict[int, int] = {}
     pool = None
     if workers > 1:
@@ -302,14 +284,6 @@ def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
             if value:
                 entries[d] = value
     return GradedDimensionTable(entries, meta)
-
-
-def _cell_task(problem: BracketSpanProblem, degree: int, **options) -> int | None:
-    """One cell for `map` or a process pool; None marks a guardrail hit."""
-    try:
-        return _cell_dimension(problem, degree, **options)
-    except GuardrailExceeded:
-        return None
 
 
 def check_aminus_identity(n: int, max_degree: int, *,
@@ -337,7 +311,7 @@ def check_aminus_identity(n: int, max_degree: int, *,
                   if (us := orbit_reps(spec, a, p, "+"))
                   and (vs := orbit_reps(spec, 2 * s - a, s - p, "-"))]
         row_index, dim = {rep: i for i, rep in enumerate(target)}, len(target)
-        rank = _certified_rank(_bracket_columns(blocks, structure, row_index, True), dim, dim,
-                               prime=prime)
-        report[d] = "pass" if rank == dim else "fail"
+        kernel = certified_kernel(_bracket_columns(blocks, structure, row_index, True),
+                                  dim, dim, prime)
+        report[d] = "fail" if kernel else "pass"  # None: full rank reached
     return report

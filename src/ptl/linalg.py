@@ -7,12 +7,17 @@ dimension is reported:
 
 * full modular rank certifies itself (independence mod p implies
   independence over Q);
-* a modular rank deficit is certified by `certified_nullspace`, the one
-  core shared by the solver and the engine: the mod-p nullspace is lifted
-  by CRT over a stream of word-sized primes, rationally reconstructed, and
-  every vector is checked in exact integer arithmetic against every input
-  vector.  The lift provably succeeds before its modulus passes twice the
-  square of the input's Hadamard bound.
+* a modular rank deficit is certified by `certified_nullspace`: the mod-p
+  nullspace is lifted by CRT over a stream of word-sized primes,
+  rationally reconstructed, and every vector is checked in exact integer
+  arithmetic against every input vector.  The lift provably succeeds
+  before its modulus passes twice the square of the input's Hadamard
+  bound.
+
+`certified_kernel` is the one entry point to this policy, for the solver,
+the engine and the A_- check alike: it streams integer vectors into one
+mod-p echelon, stops once their rank reaches the caller's bound, and
+otherwise accepts the caller's candidate basis or lifts one.
 
 There is no rational elimination in the package: the reflection
 invariant bases are selected mod p against their counted dimension
@@ -218,6 +223,33 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
         else:
             pending = _crt(pending, modulus, nxt.nullspace_modp(pending), nxt.p)
             modulus *= nxt.p
+
+
+def certified_kernel(vectors, length: int, bound: int, prime: int,
+                     candidates=()) -> list[dict] | None:
+    """Exact nullspace basis of the integer dict `vectors` (an iterable,
+    drawn lazily into one echelon mod `prime`), or None, drawing no more,
+    once their mod-p rank reaches `bound`, an upper bound on their rank
+    over Q: rank_Q >= rank_p then certifies that rank is `bound`.
+
+    Otherwise the basis is the `candidates` when every vector annihilates
+    them exactly and they are the unit vectors on the echelon's non-lead
+    coordinates, in order (independent, and as many as the bound
+    length - rank_p on the nullspace's dimension); else `certified_nullspace`'s.
+    """
+    ech = IncrementalModEchelon(length, prime)
+    stored: list[dict] = []
+    for vec in vectors:
+        stored.append(vec)
+        ech.add(vec)
+        if ech.rank == bound:
+            return None
+    non_leads = [f for f in range(length) if f not in ech.rows]
+    if ([{f: vec[f] for f in non_leads if f in vec} for vec in candidates]
+            == [{f: 1} for f in non_leads]
+            and all(annihilated(stored, [integer_vector(vec) for vec in candidates]))):
+        return list(candidates)
+    return certified_nullspace(ech, stored)
 
 
 def prime_stream(skip: int = 0):

@@ -51,14 +51,15 @@ Certificate (`_component_kernel`).  The family-(ii) leading monomials
 z = s2^k s_{k+1} g (`_family_leads`) are s1-free, and `family_generators`
 completes each e_z to a kernel element, so the column of z is zero in the
 reduced system; that is checked exactly, column by column, for every k.
-Reduced rows enter a mod-p echelon as they are built, and none are built
-once the mod-p rank is |C0| - |Z|: rank_Q >= rank_p bounds the kernel's
-dimension by |Z|, so {e_z} is its basis.  A component that never reaches
-that rank is lifted by `linalg.certified_nullspace`, which checks every
-reconstructed vector against every row; re-verifying a cached record
-(`recertifies`) accepts its vectors in place of the lift when they are
-annihilated exactly and, on the echelon's non-lead columns, are the unit
-vectors.  Bases are exact column-coefficient dicts over a component's
+Reduced rows stream, as they are built, into `linalg.certified_kernel`,
+the one certification entry point shared with the engine, with the bound
+|C0| - |Z| on their rank; none are built once the mod-p rank reaches it:
+rank_Q >= rank_p bounds the kernel's dimension by |Z|, so {e_z} is its
+basis.  A component that never reaches that rank is lifted, and every
+reconstructed vector is checked against every row; re-verifying a cached
+record (`recertifies`) accepts its vectors in place of the lift when they
+are annihilated exactly and, on the echelon's non-lead columns, are the
+unit vectors.  Bases are exact column-coefficient dicts over a component's
 s1-free columns; only `family_generators` completes vectors (`_completed`)
 into polynomials, as {exponent tuple over s1..sn: Fraction} dicts.
 """
@@ -72,13 +73,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from ptl.linalg import (
-    DEFAULT_PRIME,
-    IncrementalModEchelon,
-    annihilated,
-    certified_nullspace,
-    integer_vector,
-)
+from ptl.linalg import DEFAULT_PRIME, certified_kernel
 from ptl.partitions import partitions
 from ptl.tables import GradedDimensionTable
 
@@ -393,39 +388,24 @@ def _component_kernel(n: int, weight: int, candidates: list[dict], prime: int,
 
     The family-(ii) lead columns Z are first checked to be zero
     (`_check_zero_columns`).  The `_xi_blocks` of k = k_max (default n)
-    down to 1 then enter a sparse mod-p echelon as they are built, each in
-    reverse generation order (a quarter of the fill-in of generation order
-    at n = 33, w = -104).  Rank |C0| - |Z| certifies the basis {e_z}, and
-    the blocks left are never built.
-
-    Otherwise the bound d = |C0| - rank_p exceeds |Z|.  The `candidates`
-    (a cached record's vectors) are the basis when every row annihilates
-    them exactly and there are d of them, the i-th 1 at the i-th non-lead
-    column and 0 at the others, hence independent; otherwise the basis is
-    `certified_nullspace`'s, which depends only on the rows and the prime.
+    down to 1 then stream into `certified_kernel` as they are built, each
+    in reverse generation order (a quarter of the fill-in of generation
+    order at n = 33, w = -104), with the rank bound |C0| - |Z|.  Reaching
+    it certifies the basis {e_z}, and the blocks left are never built.
+    Otherwise the basis is the `candidates` (a cached record's vectors)
+    when `certified_kernel` accepts them, else the lifted one, which
+    depends only on the rows and the prime.
     """
     ks = range(n if k_max is None else k_max, 0, -1)
     _check_zero_columns(n, weight, ks)
     _squares, columns, zeros = _reduced_components(n).get(weight, _NO_COLUMNS)
-    ncols, basis = len(columns), [{z: 1} for z in zeros]
-    target = ncols - len(zeros)
+    basis = [{z: 1} for z in zeros]
+    target = len(columns) - len(zeros)
     if target == 0:
         return basis
-    ech = IncrementalModEchelon(ncols, prime)
-    rows: list[dict] = []
-    for block, _labels in _xi_blocks(n, weight, ks):
-        block.reverse()
-        for row in block:
-            ech.add(row)
-            if ech.rank == target:  # the rows left cannot change it
-                return basis
-        rows += block
-    non_leads = [f for f in range(ncols) if f not in ech.rows]
-    if ([{f: vec[f] for f in non_leads if f in vec} for vec in candidates]
-            == [{f: 1} for f in non_leads]
-            and all(annihilated(rows, [integer_vector(vec) for vec in candidates]))):
-        return candidates
-    return certified_nullspace(ech, rows)
+    rows = (row for block, _labels in _xi_blocks(n, weight, ks) for row in reversed(block))
+    kernel = certified_kernel(rows, len(columns), target, prime, candidates)
+    return basis if kernel is None else kernel
 
 
 def kernel_basis(n: int, weight: int | None = None, *,
@@ -458,8 +438,8 @@ def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],
 
     This is the certificate of `kernel_basis` re-run, not a count against
     the bound |C0| - rank_p: at an unlucky prime that bound overstates the
-    kernel, and `kernel_basis` returned `certified_nullspace`'s basis, which
-    re-running reproduces.
+    kernel, and `kernel_basis` returned the lifted basis, which re-running
+    reproduces.
     """
     comps = _reduced_components(n)
     weights = list(comps) if weight is None else [weight]

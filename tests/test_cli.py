@@ -59,7 +59,7 @@ def test_counts_examples(capsys):
 
 
 def test_compare_verdict_equal(capsys):
-    code, out = run_cli(capsys, "compare", "hp0-hh0", "--family", "D",
+    code, out = run_cli(capsys, "compare", "hp0-hh0",
                         "--n-max", "6", "--format", "json", "--no-cache")
     doc = json.loads(out)
     assert doc["verdict"] == "equal"
@@ -190,6 +190,18 @@ def test_cache_verify_rejects_misfiled_and_malformed_records(tmp_path, capsys):
     misfiled.write_text("[]")
     code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 4
+
+
+def test_cache_clear_reports_a_directory_entry(tmp_path, capsys):
+    # `clear` cannot remove a directory named like a record, and reports it
+    # as `verify` does
+    run_cli(capsys, "typed", "solve", "--n", "2", "--cache-dir", str(tmp_path))
+    (tmp_path / "x.json").mkdir()
+    for action in ("verify", "clear"):
+        code = main(["cache", action, "--cache-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1 and err.startswith("cache corruption: ") and "x.json" in err
 
 
 def test_cache_reverifies_kernel_payload(tmp_path, capsys):

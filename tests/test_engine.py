@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptl import engine, linalg, poisson, solver, weyl
+from ptl import engine, linalg, poisson, weyl
 from ptl.engine import (
     BracketSpanProblem,
     GuardrailExceeded,
@@ -90,9 +90,8 @@ def test_deficit_certificate_needs_no_rational_fallback(monkeypatch):
     assert dict(table.items()) == {0: 1, 4: 1, 8: 2}
     table = hp0_graded_dims(_prob("demihyperoctahedral", 4), 8)
     assert dict(table.items()) == {0: 1, 4: 1, 8: 1}
-    lifted = []
-    monkeypatch.setattr(solver, "certified_nullspace",
-                        lambda *a: lifted.append(a) or linalg.certified_nullspace(*a))
+    lifted, lift = [], linalg.certified_nullspace
+    monkeypatch.setattr(linalg, "certified_nullspace", lambda *a: lifted.append(a) or lift(*a))
     exceptional = ((8, -20, 2), (9, -24, 2), (11, -28, 6), (12, -32, 8),
                    (13, -36, 7), (14, -40, 8), (14, -36, 16))
     for n, w, dim in exceptional:
@@ -307,16 +306,16 @@ def test_hyperoctahedral_cells_bracket_power_sums(monkeypatch):
     # power sums of degree <= 8, and 350 with only the pairs of opposite
     # weights deg_x - deg_y among those
     streamed, weights = [], []
-    rank, bracket = engine._certified_rank, engine.raw_bracket
+    kernel, bracket = engine.certified_kernel, engine.raw_bracket
 
     def spy(columns, *args, **kwargs):
-        return rank((streamed.append(c) or c for c in columns), *args, **kwargs)
+        return kernel((streamed.append(c) or c for c in columns), *args, **kwargs)
 
     def bracket_spy(f, g, structure):
         weights.append(sum(sum(e[:4]) - sum(e[4:]) for e in (next(iter(f)), next(iter(g)))))
         return bracket(f, g, structure)
 
-    monkeypatch.setattr(engine, "_certified_rank", spy)
+    monkeypatch.setattr(engine, "certified_kernel", spy)
     monkeypatch.setattr(engine, "raw_bracket", bracket_spy)
     assert engine._cell_dimension(_prob("hyperoctahedral", 4), 12) == 1
     assert len(streamed) == 350

@@ -9,6 +9,7 @@ from ptl.linalg import (
     DEFAULT_PRIME,
     IncrementalModEchelon,
     annihilated,
+    certified_kernel,
     certified_nullspace,
     is_prime,
 )
@@ -187,3 +188,55 @@ def test_annihilated_checks_each_vector_exactly():
     assert annihilated(rows, [{0: 2, 1: -1}, {0: 2 ** 70, 1: -2 ** 69, 2: 1}, {}]) == [
         True, False, True]
     assert annihilated([], [{0: 5}]) == [True]
+
+
+def test_certified_kernel_stops_drawing_at_the_bound():
+    drawn = []
+
+    def stream():
+        for c in range(6):
+            drawn.append(c)
+            yield {c: 1, 5: c}
+
+    assert certified_kernel(stream(), 6, 3, DEFAULT_PRIME) is None
+    assert drawn == [0, 1, 2]
+
+
+def _lift_spy(monkeypatch):
+    lifts, lift = [], linalg.certified_nullspace
+    monkeypatch.setattr(linalg, "certified_nullspace", lambda *a: lifts.append(1) or lift(*a))
+    return lifts
+
+
+def test_certified_kernel_accepts_canonical_candidates(monkeypatch):
+    lifts = _lift_spy(monkeypatch)
+    vectors = [{0: 2, 1: 1}, {0: 4, 1: 2}]
+    candidates = [{0: Fraction(-1, 2), 1: 1}, {2: 1}]
+    kernel = certified_kernel(iter(vectors), 3, 3, DEFAULT_PRIME, candidates)
+    assert kernel == candidates and all(a is b for a, b in zip(kernel, candidates))
+    assert kernel == rational_nullspace(vectors, 3) and not lifts
+
+
+@pytest.mark.parametrize("candidates", [
+    [{0: -1, 1: 2}, {2: 1}],  # the first one scaled by 2
+    [{0: Fraction(-1, 2), 1: 1}],  # one missing
+    [{0: Fraction(-1, 2) + DEFAULT_PRIME, 1: 1}, {2: 1}],  # annihilated mod p only
+], ids=["scaled", "missing", "not-annihilated"])
+def test_certified_kernel_lifts_past_other_candidates(monkeypatch, candidates):
+    lifts = _lift_spy(monkeypatch)
+    vectors = [{0: 2, 1: 1}]
+    assert certified_kernel(iter(vectors), 3, 3, DEFAULT_PRIME, candidates) == (
+        rational_nullspace(vectors, 3))
+    assert lifts == [1]
+
+
+@pytest.mark.parametrize("prime", [2, 3, DEFAULT_PRIME])
+def test_certified_kernel_below_the_bound_matches_rational(rng, prime):
+    # `rank` bounds the rank over Q, so a bound one above it is never reached
+    for _ in range(30):
+        length = rng.randint(1, 10)
+        rank = rng.randint(0, length)
+        vectors = _low_rank_vectors(rng, rng.randint(rank, rank + 3), length, rank,
+                                    rng.choice((1, 8, 64)))
+        assert certified_kernel(iter(vectors), length, rank + 1, prime) == (
+            rational_nullspace(vectors, length))
