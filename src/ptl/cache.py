@@ -102,9 +102,15 @@ class ResultCache:
             raise
 
     def entries(self) -> list[Path]:
+        """The records; raises CacheCorruption on an entry named like a
+        record that is not a file, such as a directory."""
         if not self.dir:
             return []
-        return sorted(self.dir.glob("*.json"))
+        paths = sorted(self.dir.glob("*.json"))
+        for path in paths:
+            if not path.is_file():
+                raise CacheCorruption(f"cache entry {path.name} is not a file")
+        return paths
 
     def verify_all(self, verifier) -> int:
         """Load every record through `get`, with the hook `verifier(key)`
@@ -119,8 +125,8 @@ class ResultCache:
         return len(paths)
 
     def clear(self) -> int:
-        """Remove every record; raises CacheCorruption on an entry that
-        cannot be removed, such as a directory named like a record."""
+        """Remove every record; raises CacheCorruption as `entries` does,
+        removing none, and on a record that cannot be removed."""
         paths = self.entries()
         for path in paths:
             try:

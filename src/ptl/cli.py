@@ -17,9 +17,10 @@ check (AssertionError) that failed, a certificate that does not
 hold among them, with one line on stderr.
 --workers N runs on a process pool whose workers read, re-verify and write
 the cache exactly as a serial run does.  Only typed-solver payloads are
-cached, each vector of the reduced (s1-free) kernel basis as integers over
-its component's s1-free columns (`_encoded`); `cache verify` re-verifies
-each of them as a load does.
+cached: the certified vectors of the reduced (s1-free) kernel basis, each
+in its primitive integer form over its component's s1-free columns
+(`_solve_dims`), from which a load, like a cold run, counts the
+dimensions; `cache verify` re-verifies each record as a load does.
 `hp0 brute` accepts --cache-dir but recomputes its table on every run.
 
 A command builds only its own branch of the parser (`build_parser`): the
@@ -31,7 +32,6 @@ they would with the whole parser built.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -85,57 +85,34 @@ def _cache_from_args(args) -> ResultCache:
 
 # -- typed solve ---------------------------------------------------------------
 
-def _display_fields(dual_weights: dict) -> dict:
-    from ptl.solver import display_table
-    from ptl.tables import GradedDimensionTable
-    display = display_table(GradedDimensionTable(
-        {int(w): dim for w, dim in dual_weights.items()}))
-    return {"display_series": display.series(),
-            "display_series_latex": display.series(latex=True)}
-
-
-def _record(n: int, dual_weights: dict, vectors: list) -> dict:
-    """A typed-solver payload, whose display series follow from `dual_weights`."""
-    return {"family": "D", "n": n, "dual_weights": dual_weights,
-            **_display_fields(dual_weights), "vectors": vectors}
-
-
-def _encoded(w: int, vec: dict) -> list:
-    """A record's vector: [dual weight, common denominator, [column,
-    numerator, column, numerator, ...]], columns ascending."""
-    den = math.lcm(*(x.denominator for x in vec.values()))
-    flat = [y for c, x in sorted(vec.items()) for y in (c, x.numerator * den // x.denominator)]
-    return [w, den, flat]
+def _decoded(payload) -> dict | None:
+    """The vectors of a typed-solver payload by dual weight, if it is
+    exactly of the form `_solve_dims` writes: {"vectors": [[dual weight,
+    [column, entry, ...]], ...]}, ints only, at least one column, columns
+    ascending from 0, every entry nonzero; None otherwise."""
+    vectors = payload.get("vectors") if isinstance(payload, dict) and len(payload) == 1 else None
+    if type(vectors) is not list:
+        return None
+    columns: dict[int, list[dict]] = {}
+    for item in vectors:
+        if type(item) is not list or len(item) != 2 or type(item[1]) is not list:
+            return None
+        (w, flat), cols, entries = item, item[1][::2], item[1][1::2]
+        if not (flat and len(cols) == len(entries) and all(type(x) is int for x in [w, *flat])
+                and cols[0] >= 0 and all(a < b for a, b in zip(cols, cols[1:]))
+                and all(entries)):
+            return None
+        columns.setdefault(w, []).append(dict(zip(cols, entries)))
+    return columns
 
 
 def _verify_solve(n: int, weight, prime: int, payload) -> bool:
     """Re-verification hook of a typed-solver record: its vectors decoded
-    from exactly the form `_encoded` writes (ints only, a positive
-    denominator coprime to the nonzero numerators, columns ascending from
-    0), the rest of the payload, as JSON, exactly the `_record` of n and
-    the dimensions they give, then the solver's component certificate run
-    again."""
-    from fractions import Fraction
-
-    from ptl.cache import canonical_json
-    from ptl.solver import kernel_dims, recertifies
-    vectors = payload.get("vectors") if isinstance(payload, dict) else None
-    if type(vectors) is not list:
-        return False
-    columns: dict[int, list[dict]] = {}
-    for item in vectors:
-        if type(item) is not list or len(item) != 3 or type(item[2]) is not list:
-            return False
-        (w, den, flat), cols, nums = item, item[2][::2], item[2][1::2]
-        if not (flat and len(cols) == len(nums) and all(type(x) is int for x in [w, den, *flat])
-                and den > 0 and cols[0] >= 0 and all(a < b for a, b in zip(cols, cols[1:]))
-                and all(nums) and math.gcd(den, *nums) == 1):
-            return False
-        columns.setdefault(w, []).append({c: Fraction(x, den) for c, x in zip(cols, nums)})
-    counts = {str(w): dim for w, dim in kernel_dims(n, weight, columns).items()}
-    if canonical_json(payload) != canonical_json(_record(n, counts, vectors)):
-        return False
-    return recertifies(n, weight, columns, prime)
+    (`_decoded`), then the solver's component certificate run again with
+    them as candidates, which must give them back exactly."""
+    from ptl.solver import recertifies
+    columns = _decoded(payload)
+    return columns is not None and recertifies(n, weight, columns, prime)
 
 
 def _record_verifier(key: dict):
@@ -150,28 +127,32 @@ def _record_verifier(key: dict):
     return partial(_verify_solve, n, weight, prime) if valid else (lambda payload: False)
 
 
-def _solve_payload(n: int, weight, prime: int, cache: ResultCache) -> dict:
+def _solve_dims(n: int, weight, prime: int, cache: ResultCache) -> GradedDimensionTable:
+    """The kernel's dimensions of degree n per dual weight, counted from its
+    certified vectors: those of the cache record once they re-verify, else
+    those of `kernel_basis`, which are then cached as integers, each vector
+    as [dual weight, [column, entry, ...]], columns ascending."""
     from ptl.cache import code_version
-    from ptl.solver import kernel_basis
+    from ptl.solver import kernel_basis, kernel_dims
     key = {"module": "typed-solver", "family": "D", "n": n,
            "weight": weight, "prime": prime, "code": code_version()}
     cached = cache.get(key, verify=_record_verifier(key))
     if cached is not None:
-        return cached
+        return kernel_dims(n, weight, _decoded(cached))
     sb = kernel_basis(n, weight, prime=prime)
-    payload = _record(n, {str(w): dim for w, dim in sb.weight_dims.items()},
-                      [_encoded(w, vec) for w, vecs in sb.columns.items() for vec in vecs])
-    cache.put(key, payload)
-    return payload
+    cache.put(key, {"vectors": [[w, [y for c, x in sorted(vec.items()) for y in (c, x)]]
+                                for w, vecs in sb.columns.items() for vec in vecs]})
+    return sb.weight_dims
 
 
-def _solve_doc(payload: dict) -> dict:
+def _solve_doc(dims: GradedDimensionTable) -> dict:
+    from ptl.solver import display_table
     return {
         "kind": "typed-solve",
-        "family": payload["family"],
-        "n": payload["n"],
-        "dual_weights": payload["dual_weights"],
-        "display_series": payload["display_series"],
+        "family": dims.metadata["family"],
+        "n": dims.metadata["n"],
+        "dual_weights": {str(w): dim for w, dim in dims.items()},
+        "display_series": display_table(dims).series(),
     }
 
 
@@ -184,23 +165,24 @@ def cmd_typed_solve(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=args.workers)
     with pool or nullcontext():
-        payloads = list((pool.map if pool else map)(
-            _solve_payload, ns, repeat(args.weight), repeat(prime), repeat(cache)))
+        tables = list((pool.map if pool else map)(
+            _solve_dims, ns, repeat(args.weight), repeat(prime), repeat(cache)))
     if args.format == "json":
-        doc = (_solve_doc(payloads[0]) if args.n is not None else
-               {"kind": "typed-solve-sweep", "results": [_solve_doc(p) for p in payloads]})
+        doc = (_solve_doc(tables[0]) if args.n is not None else
+               {"kind": "typed-solve-sweep", "results": [_solve_doc(t) for t in tables]})
         sys.stdout.write(_emit_json(doc))
-    elif args.format == "latex":
+        return 0
+    from ptl.solver import display_table
+    rows = [(n, display_table(t).series(latex=args.format == "latex"))
+            for n, t in zip(ns, tables)]
+    if args.format == "latex":
         sys.stdout.write("\\begin{tabular}{c|c}\n" + FIGURE_HEADER + "\n")
-        for p in payloads:
-            sys.stdout.write(f"${p['n']}$ & ${p['display_series_latex']}$ \\\\\n")
+        sys.stdout.write("".join(f"${n}$ & ${series}$ \\\\\n" for n, series in rows))
         sys.stdout.write("\\end{tabular}\n")
     elif args.format == "csv":
-        sys.stdout.write(_csv_lines([("n", "display_series")] +
-                                    [(p["n"], p["display_series"]) for p in payloads]))
+        sys.stdout.write(_csv_lines([("n", "display_series")] + rows))
     else:
-        sys.stdout.write(_table_lines(
-            [(p["n"], p["display_series"]) for p in payloads], ("n", "series in t^(1/4)")))
+        sys.stdout.write(_table_lines(rows, ("n", "series in t^(1/4)")))
     return 0
 
 
@@ -364,9 +346,8 @@ def cmd_strata(args) -> int:
         else:
             from ptl.linalg import DEFAULT_PRIME
             cache = _cache_from_args(args)
-            d = tuple([1] + [
-                sum(_solve_payload(r, None, DEFAULT_PRIME, cache)["dual_weights"].values())
-                for r in range(1, args.n + 1)])
+            d = tuple([1] + [sum(_solve_dims(r, None, DEFAULT_PRIME, cache).entries.values())
+                             for r in range(1, args.n + 1)])
         return _emit_strata(args, "type-d", leaves_type_d(args.n, d))
     raise AssertionError(args.variety)
 
@@ -402,8 +383,7 @@ def cmd_compare_hp0_hh0(args) -> int:
     rows = []
     first_strict = None
     for n in range(2, args.n_max + 1):
-        payload = _solve_payload(n, None, args.prime, cache)
-        trace_dim = sum(payload["dual_weights"].values())
+        trace_dim = sum(_solve_dims(n, None, args.prime, cache).entries.values())
         hh0 = hh0_dimension("typeD", n)
         relation = "equal" if trace_dim == hh0 else "greater"
         if relation != "equal" and first_strict is None:

@@ -9,15 +9,18 @@ dimension is reported:
   independence over Q);
 * a modular rank deficit is certified by `certified_nullspace`: the mod-p
   nullspace is lifted by CRT over a stream of word-sized primes,
-  rationally reconstructed, and every vector is checked in exact integer
-  arithmetic against every input vector.  The lift provably succeeds
-  before its modulus passes twice the square of the input's Hadamard
-  bound.
+  rationally reconstructed, scaled to integers, and checked in exact
+  integer arithmetic against every input vector.  The lift provably
+  succeeds before its modulus passes twice the square of the input's
+  Hadamard bound.
 
+A certified kernel vector has one integer form throughout: the primitive
+integer multiple, positive at f, of the nullspace vector that is 1 at its
+own non-lead coordinate f and 0 at the other non-lead coordinates.
 `certified_kernel` is the one entry point to this policy, for the solver,
 the engine and the A_- check alike: it streams integer vectors into one
 mod-p echelon, stops once their rank reaches the caller's bound, and
-otherwise accepts the caller's candidate basis or lifts one.
+otherwise accepts the caller's candidate basis in that form or lifts one.
 
 There is no rational elimination in the package: the reflection
 invariant bases are selected mod p against their counted dimension
@@ -33,7 +36,6 @@ and the mod-p nullspace is back-substituted in descending lead order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 # Default prime: large enough for reliable rank filtering, small enough that
@@ -152,14 +154,9 @@ class IncrementalModEchelon:
         return -self.rank, sorted(self.rows)
 
 
-def integer_vector(vec: dict) -> dict:
-    """An exact vector scaled by the lcm of its denominators, as ints."""
-    den = math.lcm(*(v.denominator for v in vec.values()))
-    return {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
-
-
-def rational_reconstruct(a: int, m: int) -> Fraction | None:
-    """Wang's rational reconstruction of a mod m; None if no small fraction."""
+def rational_reconstruct(a: int, m: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction of a mod m, as (numerator, positive
+    denominator) in lowest terms; None if no small fraction."""
     a %= m
     bound = math.isqrt(m // 2)
     r0, r1 = m, a
@@ -175,7 +172,7 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
         num, den = -num, -den
     if math.gcd(num, den) != 1:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list[dict]:
@@ -184,17 +181,19 @@ def certified_nullspace(ech: IncrementalModEchelon, vectors: list[dict]) -> list
     `ech` holds the integer dict `vectors` at its own prime.  Its nullspace
     vectors (x_f = 1 at their own non-lead coordinate f) are lifted by CRT
     over `prime_stream`; after each prime every pending vector is
-    rationally reconstructed and checked in exact integer arithmetic
-    against every input vector, and kept once it passes (later primes
-    back-substitute only the pending free coordinates).  A stream prime
+    rationally reconstructed, scaled by the lcm of its denominators,
+    checked in exact integer arithmetic against every input vector, and
+    kept once it passes (later primes back-substitute only the pending
+    free coordinates).  A stream prime
     of lower rank or later leads (`IncrementalModEchelon.shape`) is
     skipped; a luckier one restarts the lift from its own nullspace.
 
     Certificate: the length - rank_p returned vectors are independent by
     their shape, so rank_Q <= rank_p; and rank_Q >= rank_p for integer
     vectors.  So they are a basis of the rational nullspace, one vector per
-    non-lead coordinate f with x_f = 1 and x_g = 0 at the other non-lead
-    coordinates g.
+    non-lead coordinate f with x_g = 0 at the other non-lead coordinates g:
+    the primitive integer multiple of the one with x_f = 1 (the lcm of its
+    denominators at f, as their reduced numerators are coprime to them).
 
     Termination: let H be the Hadamard bound of the input.  A prime gives
     a shape other than the rational one only if it divides one fixed
@@ -232,10 +231,12 @@ def certified_kernel(vectors, length: int, bound: int, prime: int,
     once their mod-p rank reaches `bound`, an upper bound on their rank
     over Q: rank_Q >= rank_p then certifies that rank is `bound`.
 
-    Otherwise the basis is the `candidates` when every vector annihilates
-    them exactly and they are the unit vectors on the echelon's non-lead
-    coordinates, in order (independent, and as many as the bound
-    length - rank_p on the nullspace's dimension); else `certified_nullspace`'s.
+    Otherwise the basis is the `candidates` when they are in the module
+    docstring's form on the echelon's non-lead coordinates f, in order
+    (one per f, nonzero at f only among them and positive there, gcd 1),
+    and every vector annihilates them exactly: they are then independent,
+    as many as the bound length - rank_p on the nullspace's dimension, and
+    so exactly `certified_nullspace`'s basis, which is returned otherwise.
     """
     ech = IncrementalModEchelon(length, prime)
     stored: list[dict] = []
@@ -245,9 +246,11 @@ def certified_kernel(vectors, length: int, bound: int, prime: int,
         if ech.rank == bound:
             return None
     non_leads = [f for f in range(length) if f not in ech.rows]
-    if ([{f: vec[f] for f in non_leads if f in vec} for vec in candidates]
-            == [{f: 1} for f in non_leads]
-            and all(annihilated(stored, [integer_vector(vec) for vec in candidates]))):
+    if (len(candidates) == len(non_leads)
+            and all([g for g in non_leads if vec.get(g)] == [f] and vec[f] > 0
+                    and math.gcd(*vec.values()) == 1
+                    for f, vec in zip(non_leads, candidates))
+            and all(annihilated(stored, candidates))):
         return list(candidates)
     return certified_nullspace(ech, stored)
 
@@ -285,20 +288,22 @@ def _crt(residues: dict, modulus: int, new: dict, q: int) -> dict:
 
 
 def _verified(pending: dict, modulus: int, vectors: list[dict]) -> dict:
-    """The pending residue vectors whose rational reconstruction every
-    input vector annihilates exactly, keyed as `pending`."""
+    """The pending residue vectors whose rational reconstruction, scaled by
+    the lcm of its denominators, every input vector annihilates exactly,
+    keyed as `pending`."""
     candidates = {}
     for f, res in pending.items():
-        vec = {}
+        pairs = {}
         for c, r in res.items():
             q = rational_reconstruct(r, modulus)
             if q is None:
                 break
-            if q:
-                vec[c] = q
+            if q[0]:
+                pairs[c] = q
         else:
-            candidates[f] = vec
-    ok = annihilated(vectors, [integer_vector(vec) for vec in candidates.values()])
+            den = math.lcm(*(d for _num, d in pairs.values()))
+            candidates[f] = {c: num * (den // d) for c, (num, d) in pairs.items()}
+    ok = annihilated(vectors, list(candidates.values()))
     return {f: vec for (f, vec), good in zip(candidates.items(), ok) if good}
 
 

@@ -58,10 +58,11 @@ rank_Q >= rank_p bounds the kernel's dimension by |Z|, so {e_z} is its
 basis.  A component that never reaches that rank is lifted, and every
 reconstructed vector is checked against every row; re-verifying a cached
 record (`recertifies`) accepts its vectors in place of the lift when they
-are annihilated exactly and, on the echelon's non-lead columns, are the
-unit vectors.  Bases are exact column-coefficient dicts over a component's
-s1-free columns; only `family_generators` completes vectors (`_completed`)
-into polynomials, as {exponent tuple over s1..sn: Fraction} dicts.
+are annihilated exactly and in its integer form.  Bases are integer
+column-coefficient dicts over a component's s1-free columns, in the one
+form `ptl.linalg` keeps (the family-(ii) leads' unit vectors among them);
+only `family_generators` completes vectors (`_completed`) into
+polynomials, as {exponent tuple over s1..sn: Fraction} dicts.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -231,7 +231,7 @@ def _xi_blocks(n: int, weight: int, ks):
     The rows are built at the scale 4^(n-k) (`_column_rows_for_k`), where
     every closed-form coefficient is an int, and each row is then divided by
     its power-of-two content, but by no more than that scale: so each row is
-    exactly `linalg.integer_vector` of the rational row, whose denominators
+    exactly the rational row scaled by the lcm of its denominators, which
     are powers of two.
     """
     columns = _reduced_components(n).get(weight, _NO_COLUMNS)[1]
@@ -295,6 +295,7 @@ def family_generators(n: int) -> list[dict]:
     s_2^k s_{k+1} g - s_1 * xi_1(s_2^k s_{k+1} g), which the restriction on g
     makes a polynomial rather than a Laurent polynomial.
     """
+    from fractions import Fraction
     if n < 2:
         raise ValueError("families start at n = 2")
     out = []
@@ -344,6 +345,7 @@ def _completed(n: int, terms: dict) -> dict:
     {exponent tuple over s_1..s_n: Fraction}.  AssertionError unless the
     other xi_1 rows annihilate `terms`, as they do on the reduced kernel:
     else the completion would leave a Laurent polynomial."""
+    from fractions import Fraction
     out = {e[:n]: Fraction(x) for e, x in terms.items()}
     laurent: dict = {}
     for e, x in terms.items():
@@ -363,8 +365,8 @@ def _completed(n: int, terms: dict) -> dict:
 
 class SolutionBasis(namedtuple("SolutionBasis", "columns weight_dims display")):
     """`columns`: dual weight -> reduced kernel basis over the s1-free
-    columns; `weight_dims` and `display`: the kernel's dimensions keyed by
-    dual weight (nonpositive) and by display exponent -w/4."""
+    columns, as integer vectors; `weight_dims` and `display`: the kernel's
+    dimensions keyed by dual weight (nonpositive) and by display exponent -w/4."""
 
     __slots__ = ()
 
@@ -431,9 +433,9 @@ def kernel_basis(n: int, weight: int | None = None, *,
 
 def recertifies(n: int, weight: int | None, columns: dict[int, list[dict]],
                 prime: int = DEFAULT_PRIME) -> bool:
-    """Whether `columns` (dual weight -> exact column-coefficient dicts over
-    the s1-free columns, as in `SolutionBasis.columns`) are, component by
-    component, the basis that `_component_kernel` certifies with them as
+    """Whether `columns` (dual weight -> integer column-coefficient dicts
+    over the s1-free columns, as in `SolutionBasis.columns`) are, component
+    by component, the basis that `_component_kernel` certifies with them as
     candidates: over every component of degree n, or over `weight`'s only.
 
     This is the certificate of `kernel_basis` re-run, not a count against

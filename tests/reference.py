@@ -14,7 +14,8 @@ package relies on:
   against which the orbit-sum bases are checked;
 * exact rational elimination (`SparseRationalEchelon`), and with it the
   reflection invariants chosen over Q (`exact_reflection_invariants`),
-  against which the mod-p selection and its counted dimension are checked;
+  against which the mod-p selection and its counted dimension are checked,
+  and the integer form of its vectors (`integer_vector`);
 * the class-count scan: conjugacy classes without eigenvalue one by a
   determinant scan that never looks at cycle types, against the closed
   forms of `partitions.hh0_dimension`;
@@ -557,6 +558,13 @@ class SparseRationalEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def integer_vector(vec: dict) -> dict:
+    """A {coordinate: Fraction} vector scaled by the lcm of its
+    denominators, as ints."""
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    return {c: int(v * den) for c, v in vec.items()}
 
 
 # -- whole engine cells ----------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import ptl
 from ptl.cache import ResultCache, code_version
-from ptl.cli import ALL_FORMATS, _display_fields, main
+from ptl.cli import ALL_FORMATS, main
 from ptl.engine import BracketSpanProblem, hp0_graded_dims
 from ptl.linalg import DEFAULT_PRIME, PRIME_LIMIT, IncrementalModEchelon, is_prime
 from ptl.partitions import bn_hilbert
@@ -26,7 +26,7 @@ from ptl.strata import leaves_type_d
 from ptl.tables import GradedDimensionTable
 from ptl.weyl import GroupSpec
 import ptl.solver
-from ptl.solver import _components, kernel_basis
+from ptl.solver import kernel_basis
 
 
 def run_cli(capsys, *argv):
@@ -174,8 +174,8 @@ def test_cache_verify_detects_tampering(tmp_path, capsys):
     record = next(tmp_path.glob("*.json"))
     data = json.loads(record.read_text())
     # the s1-free basis: s2^2, the one s1-free column of dual weight -8
-    assert data["payload"]["vectors"] == [[-8, 1, [0, 1]]]
-    data["payload"]["vectors"][0][2][1] = 2
+    assert data["payload"] == {"vectors": [[-8, [0, 1]]]}
+    data["payload"]["vectors"][0][1][1] = 2
     record.write_text(json.dumps(data))
     code, _ = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 4
@@ -193,15 +193,17 @@ def test_cache_verify_rejects_misfiled_and_malformed_records(tmp_path, capsys):
 
 
 def test_cache_clear_reports_a_directory_entry(tmp_path, capsys):
-    # `clear` cannot remove a directory named like a record, and reports it
-    # as `verify` does
+    # a directory named like a record is cache corruption to every action:
+    # `info` does not count it, and `clear` removes nothing
     run_cli(capsys, "typed", "solve", "--n", "2", "--cache-dir", str(tmp_path))
+    record = next(tmp_path.glob("*.json"))
     (tmp_path / "x.json").mkdir()
-    for action in ("verify", "clear"):
+    for action in ("info", "verify", "clear"):
         code = main(["cache", action, "--cache-dir", str(tmp_path)])
         out, err = capsys.readouterr()
         assert (code, out) == (4, "")
         assert err.count("\n") == 1 and err.startswith("cache corruption: ") and "x.json" in err
+    assert record.is_file()
 
 
 def test_cache_reverifies_kernel_payload(tmp_path, capsys):
@@ -214,7 +216,7 @@ def test_cache_reverifies_kernel_payload(tmp_path, capsys):
     record = json.loads(record_path.read_text())
     key = record["key"]
     payload = dict(record["payload"])
-    _replace_last_vector(payload, [-4, 1, [0, 1]])  # s2 added: not in the kernel
+    _replace_last_vector(payload, [-4, [0, 1]])  # s2 added: not in the kernel
     cache.put(key, payload)     # checksum now matches the forged payload
     code, _ = run_cli(capsys, *args)
     assert code == 4
@@ -461,77 +463,62 @@ def _forge_record(cache_dir, n, edit):
     raise AssertionError(f"no record for n={n}")
 
 
-def _inflate_dual_weights(payload):
-    w = next(iter(payload["dual_weights"]))
-    payload["dual_weights"] = dict(payload["dual_weights"], **{w: payload["dual_weights"][w] + 1})
-
-
-def _retitle_display(payload):
-    payload["display_series"] = "1 + t"
-
-
 def _replace_last_vector(payload, *new):
-    # swap the record's last [dual weight, denominator, [column, numerator,
-    # ...]] vector (if any) for `new`, with dual_weights and both series
-    # recounted as the s1^2 columns plus the vectors, by their first
-    # entries, so that only the vectors are wrong
-    vectors = payload["vectors"][:-1] + list(new)
-    dual = {}
-    for vec in vectors:
-        dual[str(vec[0])] = dual.get(str(vec[0]), 0) + 1
-    for w, columns in _components(payload["n"]).items():
-        squares = sum(e[0] >= 2 for e in columns)
-        if squares:
-            dual[str(w)] = dual.get(str(w), 0) + squares
-    payload.update(vectors=vectors, dual_weights=dual, **_display_fields(dual))
+    # swap the record's last [dual weight, [column, entry, ...]] vector (if
+    # any) for `new`
+    payload["vectors"] = payload["vectors"][:-1] + list(new)
 
 
 def _duplicate_last_vector(payload):
-    # a dependent record whose counts and series are all consistent
+    # a dependent record
     _replace_last_vector(payload, payload["vectors"][-1], payload["vectors"][-1])
 
 
 def _drop_last_vector(payload):
-    # a record one vector short whose counts and series are all consistent
+    # a record one vector short
     _replace_last_vector(payload)
 
 
 # forged last vectors of the n = 4 record, whose one vector is s2^2, the
-# one s1-free column of dual weight -8: [-8, 1, [0, 1]]
+# one s1-free column of dual weight -8: [-8, [0, 1]] (the "triple" cases
+# keep the names they had when a vector was a triple)
 _FORGED_VECTORS = {
-    "column-out-of-range": [-8, 1, [1, 1]],
-    "column-negative": [-8, 1, [-1, 1]],
-    "denominator-zero": [-8, 0, [0, 1]],
-    "denominator-negative": [-8, -1, [0, -1]],
-    "denominator-not-coprime": [-8, 2, [0, 2]],
-    "numerator-zero": [-8, 1, [0, 0]],
-    "numerator-float": [-8, 1, [0, 1.0]],
-    "numerator-string": [-8, 1, [0, "1"]],
-    "numerator-true": [-8, 1, [0, True]],
-    "column-true": [-8, 1, [True, 1]],
-    "empty-vector": [-8, 1, []],
-    "weight-not-a-component": [4, 1, [0, 1]],
-    "triple-too-short": [-8, 1],
-    "triple-too-long": [-8, 1, [0, 1], 0],
-    "pairs-odd": [-8, 1, [0]],
-    "pairs-not-a-list": [-8, 1, 0],
+    "column-out-of-range": [-8, [1, 1]],
+    "column-negative": [-8, [-1, 1]],
+    "entry-scaled": [-8, [0, 2]],
+    "entry-negated": [-8, [0, -1]],
+    "parent-triple": [-8, 1, [0, 1]],  # [dual weight, denominator, [column, numerator, ...]]
+    "numerator-zero": [-8, [0, 0]],
+    "numerator-float": [-8, [0, 1.0]],
+    "numerator-string": [-8, [0, "1"]],
+    "numerator-true": [-8, [0, True]],
+    "column-true": [-8, [True, 1]],
+    "empty-vector": [-8, []],
+    "weight-not-a-component": [4, [0, 1]],
+    "triple-too-short": [-8],
+    "triple-too-long": [-8, [0, 1], 0],
+    "pairs-odd": [-8, [0]],
+    "pairs-not-a-list": [-8, 0],
 }
 
 
 def _forge_last_vector(name):
     def edit(payload):
-        assert payload["vectors"] == [[-8, 1, [0, 1]]]
+        assert payload == {"vectors": [[-8, [0, 1]]]}
         _replace_last_vector(payload, _FORGED_VECTORS[name])
     return edit
 
 
-_FORGERIES = {edit.__name__: edit for edit in (
-    _inflate_dual_weights, _retitle_display, _duplicate_last_vector, _drop_last_vector)}
+_FORGERIES = {edit.__name__: edit for edit in (_duplicate_last_vector, _drop_last_vector)}
 _FORGERIES.update({name: _forge_last_vector(name) for name in _FORGED_VECTORS})
 _FORGERIES["vectors-not-a-list"] = lambda payload: payload.update(vectors={})
-_FORGERIES["n-of-another-record"] = lambda payload: payload.update(n=5)
-_FORGERIES["count-not-an-int"] = lambda payload: payload.update(
-    dual_weights={w: float(d) for w, d in payload["dual_weights"].items()})
+# the counts and series follow from the vectors, and n is in the key: a
+# payload holds the vectors only, even when the added field is right
+_FORGERIES["dual-weights-added"] = lambda payload: payload.update(
+    dual_weights={"-8": 1, "-4": 1, "0": 1})
+_FORGERIES["display-series-added"] = lambda payload: payload.update(
+    display_series="1 + t + t^2")
+_FORGERIES["n-added"] = lambda payload: payload.update(n=4)
 _FORGERIES["key-added"] = lambda payload: payload.update(note="")
 
 
@@ -567,7 +554,7 @@ def test_workers_reverify_cache(tmp_path, capsys):
     assert code == 0
     code, warm = run_cli(capsys, *args, "--workers", "2")
     assert code == 0 and warm == cold
-    _forge_record(tmp_path, 3, lambda payload: _replace_last_vector(payload, [-8, 1, [0, 1]]))
+    _forge_record(tmp_path, 3, lambda payload: _replace_last_vector(payload, [-8, [0, 1]]))
     code, _ = run_cli(capsys, *args, "--workers", "2")
     assert code == 4
 
@@ -610,18 +597,20 @@ def test_folded_cells_any_prime_and_workers(command, prime, workers):
 
 
 def _change_one_numerator(cache_dir, index):
-    """Move one stored coordinate by 1, keeping the record well formed and
-    its checksum right.  The certificate re-run gives back only the stored
+    """Step one stored entry by 1, keeping the record well formed and its
+    checksum right.  The certificate re-run gives back only the stored
     basis: a unit vector e_z of a family-(ii) lead becomes 2 e_z, and a
-    lifted vector, 1 at its own non-lead column and 0 at the others, either
-    loses that shape or leaves the kernel (a lead column is not zero)."""
+    lifted vector v, the primitive multiple of the one that is 1 at its own
+    non-lead column f and 0 at the other non-lead columns, becomes
+    v +- e_c, which leaves the kernel unless column c is zero; then c is f,
+    v is e_f, and 2 e_f is not primitive."""
     spots = []
     for path in sorted(Path(cache_dir).glob("*.json")):
         record = json.loads(path.read_text())
-        for w, den, flat in record["payload"]["vectors"]:
-            spots += [(record, den, flat, i + 1) for i in range(0, len(flat), 2)]
-    record, den, flat, i = spots[index % len(spots)]
-    flat[i] += den if flat[i] + den else -den
+        for w, flat in record["payload"]["vectors"]:
+            spots += [(record, flat, i + 1) for i in range(0, len(flat), 2)]
+    record, flat, i = spots[index % len(spots)]
+    flat[i] += 1 if flat[i] != -1 else -1
     ResultCache(cache_dir).put(record["key"], record["payload"])
 
 
@@ -632,7 +621,7 @@ def _change_one_numerator(cache_dir, index):
 def test_typed_solve_any_prime_workers_and_cache_state(n_max, prime, workers, state, spot):
     # the stored table's rows n <= n_max at every prime below 2^31, with or
     # without a process pool, and without, into or from a cache; a record
-    # with one numerator changed is cache corruption
+    # with one entry changed is cache corruption
     if state == "changed":
         n_max = max(n_max, 4)  # the n = 2, 3 records hold no vector
     lines = (Path(__file__).parent / "data" / "typed_solve_n34.tex").read_text().splitlines()
@@ -695,29 +684,44 @@ def test_package_holds_no_code_only_tests_reach():
     assert unused == []
 
 
+_TYPED_SOLVE_MODULES = {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver",
+                        "ptl.partitions", "ptl.tables", "json"}
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "4"],
      {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl"}),
-    (["typed", "solve", "--n", "3", "--no-cache"],
-     {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver", "ptl.partitions",
-      "ptl.tables", "json"}),
-], ids=["hp0-brute", "typed-solve"])
-def test_each_route_loads_only_its_modules(argv, modules):
+    (["hp0", "aminus", "--n", "4", "--max-degree", "8", "--prime", "2"],
+     {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl"}),
+    (["typed", "solve", "--n", "8", "--no-cache"], _TYPED_SOLVE_MODULES),
+    (["typed", "solve", "--n-max", "12", "--cache-dir"], _TYPED_SOLVE_MODULES),
+], ids=["hp0-brute", "hp0-aminus", "typed-solve", "typed-solve-cached"])
+def test_each_route_loads_only_its_modules(tmp_path, argv, modules):
     # `ptl` resolves its public names on first access, and each command
     # imports its own route: typed solve never loads the engine, and
     # neither route loads a module it does not run.  The records are named
     # tuples and plain classes, so neither loads `dataclasses` (nor, through
-    # it, `inspect`); of the two, only the cache loads `json` (counted from
-    # what ptl loads, whatever the interpreter's start-up loaded before)
+    # it, `inspect`); of the two, only the cache loads `json`.  Kernel
+    # vectors are integers from the lift to the cache record, so no route
+    # loads `fractions` (nor, through it, `decimal`), though every command
+    # here lifts a nullspace (aminus at --prime 2), and whether a record is
+    # written or re-verified: a cached run is probed cold, then warm.
+    # Counted from what ptl loads, whatever the interpreter's start-up
+    # loaded before
+    if argv[-1] == "--cache-dir":
+        argv = argv + [str(tmp_path)]
     env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
     probe = ("import sys; before = set(sys.modules); import ptl.cli; "
              "code = ptl.cli.main(sys.argv[1:]); "
              "print(code, *sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'ptl'"
-             " or m in ('dataclasses', 'inspect', 'json')))")
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    code, *loaded = out.splitlines()[-1].split()
-    assert (code, set(loaded)) == ("0", modules)
+             " or m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal')))")
+    for _run in range(2 if "--cache-dir" in argv else 1):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        code, *loaded = out.splitlines()[-1].split()
+        assert (code, set(loaded)) == ("0", modules)
+    if "--cache-dir" in argv:
+        assert len(list(tmp_path.glob("*.json"))) == 11
 
 
 @pytest.mark.parametrize("argv", [

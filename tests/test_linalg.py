@@ -13,12 +13,13 @@ from ptl.linalg import (
     certified_nullspace,
     is_prime,
 )
-from reference import SparseRationalEchelon
+from reference import SparseRationalEchelon, integer_vector
 
 
 def rational_nullspace(vectors, length):
     """Exact nullspace basis by rational elimination, one vector per non-lead
-    coordinate f with x_f = 1: the reference for `certified_nullspace`."""
+    coordinate f, the primitive integer multiple of the one with x_f = 1,
+    positive at f: the reference for `certified_nullspace`."""
     ech = SparseRationalEchelon()
     for vec in vectors:
         ech.add({c: Fraction(v) for c, v in vec.items()})
@@ -33,7 +34,7 @@ def rational_nullspace(vectors, length):
             total = sum(coeff * vec[c] for c, coeff in row.items() if c != lead and c in vec)
             if total:
                 vec[lead] = -total / row[lead]
-        basis.append(vec)
+        basis.append(integer_vector(vec))
     return basis
 
 
@@ -177,7 +178,7 @@ def test_unlucky_primes():
     vectors = [{0: q, 2: big}, {1: 1, 2: 3 * big}]
     assert _echelon(vectors, 3, q).shape() > _echelon(vectors, 3, DEFAULT_PRIME).shape()
     assert certified_nullspace(_echelon(vectors, 3, DEFAULT_PRIME), vectors) == [
-        {2: 1, 0: Fraction(-big, q), 1: -3 * big}]
+        {2: q, 0: -big, 1: -3 * big * q}]
 
 
 def test_annihilated_checks_each_vector_exactly():
@@ -211,17 +212,18 @@ def _lift_spy(monkeypatch):
 def test_certified_kernel_accepts_canonical_candidates(monkeypatch):
     lifts = _lift_spy(monkeypatch)
     vectors = [{0: 2, 1: 1}, {0: 4, 1: 2}]
-    candidates = [{0: Fraction(-1, 2), 1: 1}, {2: 1}]
+    candidates = [{0: -1, 1: 2}, {2: 1}]
     kernel = certified_kernel(iter(vectors), 3, 3, DEFAULT_PRIME, candidates)
     assert kernel == candidates and all(a is b for a, b in zip(kernel, candidates))
     assert kernel == rational_nullspace(vectors, 3) and not lifts
 
 
 @pytest.mark.parametrize("candidates", [
-    [{0: -1, 1: 2}, {2: 1}],  # the first one scaled by 2
-    [{0: Fraction(-1, 2), 1: 1}],  # one missing
-    [{0: Fraction(-1, 2) + DEFAULT_PRIME, 1: 1}, {2: 1}],  # annihilated mod p only
-], ids=["scaled", "missing", "not-annihilated"])
+    [{0: -2, 1: 4}, {2: 1}],  # the first one scaled by 2
+    [{0: 1, 1: -2}, {2: 1}],  # the first one negated
+    [{0: -1, 1: 2}],  # one missing
+    [{0: -1 + 2 * DEFAULT_PRIME, 1: 2}, {2: 1}],  # annihilated mod p only
+], ids=["scaled", "negated", "missing", "not-annihilated"])
 def test_certified_kernel_lifts_past_other_candidates(monkeypatch, candidates):
     lifts = _lift_spy(monkeypatch)
     vectors = [{0: 2, 1: 1}]
