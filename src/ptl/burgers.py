@@ -8,8 +8,16 @@ equation with swapped roles of space and time,
 
 whose solutions are implicit: u = f(t - u x).  This module expands
 solutions as exact bivariate series around a base point x0 != 0 and returns
-the residual u_x + u * u_t, which must vanish identically to the truncation
-order.  It is a verification aid only; nothing downstream consumes it.
+the residual u_x + u * u_t, which must vanish identically below the
+truncation order.  It is a verification aid only; nothing downstream
+consumes it.
+
+A series in (dx, t) = (x - x0, t) is a dict {(i, j): Fraction} of the
+coefficients of dx^i t^j, zero terms dropped; every operation takes the
+order below which it keeps terms of total degree i + j.  One guard order
+suffices: the residual below degree d reads u only below degree d + 1
+(u_x and u_t lower the degree by one, and u * u_t is exact below d once u
+and u_t are), so u is expanded below order + 1.
 """
 
 from __future__ import annotations
@@ -39,250 +47,129 @@ def rational_sqrt(c: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-class BiSeries:
-    """Truncated bivariate series in (dx, t) with exact coefficients.
-
-    Terms of total degree >= order are dropped; coefficients are rationals.
-    """
-
-    __slots__ = ("terms", "order")
-
-    def __init__(self, terms: dict | None = None, order: int = 8):
-        self.order = order
-        self.terms = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i + j < order and c:
-                    self.terms[(i, j)] = Fraction(c)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "BiSeries":
-        return cls({(0, 0): Fraction(c)}, order)
-
-    @classmethod
-    def dx(cls, order: int) -> "BiSeries":
-        return cls({(1, 0): Fraction(1)}, order)
-
-    @classmethod
-    def t(cls, order: int) -> "BiSeries":
-        return cls({(0, 1): Fraction(1)}, order)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiSeries.constant(other, self.order)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = BiSeries(None, min(self.order, other.order))
-        r.terms = {k: c for k, c in out.items() if k[0] + k[1] < r.order}
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = BiSeries(None, self.order)
-        r.terms = {k: -c for k, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiSeries.constant(other, self.order)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = BiSeries(None, self.order)
-            c0 = Fraction(other)
-            if c0:
-                r.terms = {k: c * c0 for k, c in self.terms.items()}
-            return r
-        order = min(self.order, other.order)
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j >= order:
-                    continue
-                k = (i, j)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        r = BiSeries(None, order)
-        r.terms = out
-        return r
-
-    __rmul__ = __mul__
-
-    def diff_dx(self) -> "BiSeries":
-        r = BiSeries(None, self.order)
-        r.terms = {(i - 1, j): c * i for (i, j), c in self.terms.items() if i}
-        return r
-
-    def diff_t(self) -> "BiSeries":
-        r = BiSeries(None, self.order)
-        r.terms = {(i, j - 1): c * j for (i, j), c in self.terms.items() if j}
-        return r
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def truncate(self, order: int) -> "BiSeries":
-        r = BiSeries(None, order)
-        r.terms = {k: c for k, c in self.terms.items() if k[0] + k[1] < order}
-        return r
-
-    def __repr__(self):
-        return f"<biseries {sorted(self.terms.items())}>"
+def _add(a: dict, b: dict, scale=1) -> dict:
+    """a + scale * b, zero terms dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + scale * c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
-def _sqrt_biseries(f: BiSeries, order: int) -> BiSeries:
-    """Principal square root of a bivariate series with constant term a
-    perfect rational square."""
-    c0 = f.terms.get((0, 0), Fraction(0))
-    root = rational_sqrt(c0)
-    if root == 0:
-        raise ValueError("square root needs a nonzero constant term here")
-    z = (f - c0) * (Fraction(1) / c0)
-    acc = BiSeries.constant(0, order)
-    power = BiSeries.constant(1, order)
-    for m in range(order + 1):
+def _mul(a: dict, b: dict, order: int) -> dict:
+    """a * b below total degree `order`."""
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + i2 + j1 + j2 < order:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _diff(a: dict, var: int) -> dict:
+    """The derivative by dx (var 0) or by t (var 1)."""
+    di, dj = (1, 0) if var == 0 else (0, 1)
+    return {(i - di, j - dj): c * (i * di + j * dj)
+            for (i, j), c in a.items() if i * di + j * dj}
+
+
+def _compose(coeffs: list, inner: dict, order: int) -> dict:
+    """sum_m coeffs[m] * inner^m below total degree `order`."""
+    acc: dict = {}
+    power = {(0, 0): Fraction(1)}
+    for m, c in enumerate(coeffs):
         if m:
-            power = power * z
-            if power.is_zero():
+            power = _mul(power, inner, order)
+            if not power:
                 break
-        acc = acc + power * binom_half(m)
-    return acc * root
-
-
-def closed_form_witness(order: int, x0=Fraction(1)) -> BiSeries:
-    """u(x, t) = (x + sqrt(x^2 - 4t)) / 2 expanded around (x0, 0).
-
-    Carries two guard orders so that the residual is trustworthy through
-    total degree `order`.
-    """
-    x0 = Fraction(x0)
-    if x0 == 0:
-        raise ValueError("base point must be nonzero")
-    work = order + 2
-    x = BiSeries.dx(work) + x0
-    inside = x * x - 4 * BiSeries.t(work)
-    return (x + _sqrt_biseries(inside, work)) * Fraction(1, 2)
-
-
-def burgers_residual_of(u: BiSeries) -> BiSeries:
-    """u_x + u * u_t, the defect of the swapped-variable Burgers equation.
-
-    The top truncation degree of u contributes incomplete derivative data,
-    so the residual is reported one total order lower.
-    """
-    r = u.diff_dx() + u * u.diff_t()
-    return r.truncate(max(u.order - 1, 1))
-
-
-def _compose_univariate(coeffs: list[Fraction], inner: BiSeries) -> BiSeries:
-    """sum coeffs[m] * inner^m for inner with zero constant term."""
-    if inner.terms.get((0, 0)):
-        raise ValueError("inner series must have zero constant term")
-    order = inner.order
-    acc = BiSeries.constant(coeffs[0], order)
-    power = BiSeries.constant(1, order)
-    for m in range(1, len(coeffs)):
-        power = power * inner
-        if power.is_zero():
-            break
-        acc = acc + power * coeffs[m]
+        if c:
+            acc = _add(acc, power, c)
     return acc
 
 
-def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """Compositional inverse of sum_{m>=1} coeffs[m] z^m (coeffs[0] = 0)."""
-    if coeffs[0] != 0 or len(coeffs) < 2 or coeffs[1] == 0:
-        raise ValueError("need a series with zero constant term and invertible slope")
-    inv = [Fraction(0), Fraction(1) / coeffs[1]]
-    for m in range(2, order + 1):
-        # choose inv_m so the z^m coefficient of coeffs(inv(z)) vanishes
-        val = _univariate_compose(coeffs, inv + [Fraction(0)], m)
-        inv.append(-val / coeffs[1])
-    return inv[: order + 1]
+def _sqrt(f: dict, order: int) -> dict:
+    """Principal square root of a series whose constant term c0 is a nonzero
+    perfect rational square: root(c0) * sqrt(1 + (f - c0) / c0)."""
+    c0 = Fraction(f.get((0, 0), 0))
+    root = rational_sqrt(c0)
+    if root == 0:
+        raise ValueError("square root needs a nonzero constant term here")
+    z = {k: c / c0 for k, c in f.items() if k != (0, 0)}
+    return {k: root * c
+            for k, c in _compose([binom_half(m) for m in range(order)], z, order).items()}
 
 
-def _univariate_compose(outer: list[Fraction], inner: list[Fraction], at: int) -> Fraction:
-    """Coefficient of z^at in outer(inner(z)), inner(0) = 0."""
-    order = at + 1
-    acc = [Fraction(0)] * order
-    acc[0] = outer[0]
-    power = [Fraction(0)] * order
-    power[0] = Fraction(1)
-    for m in range(1, min(len(outer), order)):
-        nxt = [Fraction(0)] * order
-        for i, c in enumerate(power):
-            if not c:
-                continue
-            for j in range(1, min(len(inner), order - i)):
-                nxt[i + j] += c * inner[j]
-        power = nxt
-        if outer[m]:
-            for i, c in enumerate(power):
-                acc[i] += outer[m] * c
-        if all(c == 0 for c in power):
-            break
-    return acc[at]
+def burgers_residual_of(u: dict, order: int) -> dict:
+    """u_x + u * u_t below total degree `order`, the defect of the
+    swapped-variable Burgers equation; exact when u is (module docstring)
+    below order + 1."""
+    r = _add(_diff(u, 0), _mul(u, _diff(u, 1), order))
+    return {k: c for k, c in r.items() if k[0] + k[1] < order}
 
 
-def burgers_residual(h0: list, order: int, x0=Fraction(1)) -> BiSeries:
-    """Residual of the flow started from h(0) = h0 in C^* x^2 + x^4 C[[x^2]],
-    given as its list of coefficients of x^0, x^2, x^4, ....
+def _base(x0) -> Fraction:
+    """The base point x0 as a rational, which must be nonzero."""
+    x0 = Fraction(x0)
+    if x0 == 0:
+        raise ValueError("base point must be nonzero")
+    return x0
+
+
+def closed_form_residual(order: int, x0=Fraction(1)) -> dict:
+    """The residual below `order` of u(x, t) = (x + sqrt(x^2 - 4t)) / 2,
+    expanded around (x0, 0)."""
+    work = order + 1
+    x = {(0, 0): _base(x0), (1, 0): Fraction(1)}
+    inside = _add(_mul(x, x, work), {(0, 1): Fraction(1)}, -4)
+    u = {k: c / 2 for k, c in _add(x, _sqrt(inside, work)).items()}
+    return burgers_residual_of(u, order)
+
+
+def burgers_residual(h0: list, order: int, x0=Fraction(1)) -> dict:
+    """Residual below `order` of the flow started from h(0) = h0 in
+    C^* x^2 + x^4 C[[x^2]], given as its list of coefficients of x^0, x^2,
+    x^4, ....
 
     Builds u = 2 sqrt(h) as a series in (x - x0, t) by solving the implicit
-    relation u = f(t - u x), where f matches the initial slice u(x, 0) =
-    2 sqrt(h0); returns u_x + u u_t truncated at the requested total order.
-    Requires h0(x0) to be a nonzero perfect rational square.
+    relation u = f(t - u x - psi0), where f matches the initial slice
+    u0(dx) = u(x0 + dx, 0) = 2 sqrt(h0(x0 + dx)).  Requires h0(x0) to be a
+    nonzero perfect rational square.
     """
     coeffs = [Fraction(c) for c in h0]
     if len(coeffs) < 2 or coeffs[1] == 0:
         raise ValueError("leading x^2 coefficient must be nonzero")
-    x0 = Fraction(x0)
-    if x0 == 0:
-        raise ValueError("base point must be nonzero")
-    work = order + 2
-    # u0(dx) = 2 sqrt(h0(x0 + dx)) as a univariate series in dx
-    h_shift = BiSeries(None, work)
-    x = BiSeries.dx(work) + x0
-    xx = x * x
-    pw = BiSeries.constant(1, work)
-    for i, c in enumerate(coeffs):
-        if i:
-            pw = pw * xx
-        if c:
-            h_shift = h_shift + pw * c
-    u0 = _sqrt_biseries(h_shift, work) * 2
-    u0_coeffs = [u0.terms.get((i, 0), Fraction(0)) for i in range(work)]
-    # psi(dx) = -(x0 + dx) * u0(dx); f = u0 o psi^{-1} around psi(0)
-    psi = [-(x0 * u0_coeffs[0])]
-    for i in range(1, work):
-        psi.append(-(x0 * u0_coeffs[i] + u0_coeffs[i - 1]))
-    psi0 = psi[0]
-    psi_shift = [Fraction(0)] + psi[1:]
-    rho = _series_inverse(psi_shift, work)
-    f_coeffs = [_univariate_compose(u0_coeffs, rho, m) for m in range(work)]
+    x0 = _base(x0)
+    work = order + 1
+    x = {(0, 0): x0, (1, 0): Fraction(1)}
+    root = _sqrt(_compose(coeffs, _mul(x, x, work), work), work)
+    u0 = [2 * root.get((i, 0), 0) for i in range(work)]
+    # psi(dx) = -(x0 + dx) * u0(dx); f(psi(dx) - psi0) = u0(dx) is solved
+    # for f_m triangularly, since (psi - psi0)^k starts at psi1^k dx^k
+    psi = [-x0 * u0[0]] + [-(x0 * u0[i] + u0[i - 1]) for i in range(1, work)]
+    if psi[1] == 0:
+        raise ValueError("need a series with zero constant term and invertible slope")
+    shift = {(i, 0): c for i, c in enumerate(psi) if i and c}
+    powers = [{(0, 0): Fraction(1)}]
+    for _ in range(1, work):
+        powers.append(_mul(powers[-1], shift, work))
+    f: list[Fraction] = []
+    for m in range(work):
+        known = sum(fk * powers[k].get((m, 0), 0) for k, fk in enumerate(f))
+        f.append((u0[m] - known) / psi[1] ** m)
     # solve u = f(t - u x - psi0) degree by degree: a degree-D defect is
-    # removed by dividing by the linearization constant 1 + x0 f'(0)
-    cstar = Fraction(1) + x0 * f_coeffs[1]
+    # removed by dividing by the linearization constant 1 + x0 f'(0), and
+    # the terms below degree D + 1 are all that degree D reads
+    cstar = 1 + x0 * f[1]
     if cstar == 0:
         raise ValueError("degenerate implicit relation at the base point")
-    u = BiSeries.constant(u0_coeffs[0], work)
-    x_full = BiSeries.dx(work) + x0
+    u = {(0, 0): u0[0]}
+    t_shift = {(0, 0): -psi[0], (0, 1): Fraction(1)}
     for deg in range(1, work):
-        arg = BiSeries.t(work) - u * x_full - psi0
-        defect = u - _compose_univariate(f_coeffs, arg)
-        correction = BiSeries(
-            {k: -c / cstar for k, c in defect.terms.items() if k[0] + k[1] == deg},
-            work)
-        u = u + correction
-    return burgers_residual_of(u).truncate(order)
+        arg = _add(t_shift, _mul(u, x, deg + 1), -1)
+        defect = _add(u, _compose(f, arg, deg + 1), -1)
+        u = _add(u, {k: -c / cstar for k, c in defect.items() if k[0] + k[1] == deg})
+    return burgers_residual_of(u, order)

@@ -15,13 +15,19 @@ resource guardrail exceeded (the degrees computed before it are still
 printed, with a truncation marker), 4 cache corruption, 5 an internal
 check (AssertionError) that failed, a certificate that does not
 hold among them, with one line on stderr.
---workers N runs on a process pool whose workers read, re-verify and write
-the cache exactly as a serial run does.  Only typed-solver payloads are
+--workers N (typed solve, hp0 brute) runs the command's tasks through one
+map (`_worker_map`): in process for N = 1, else on a multiprocessing pool
+whose workers read, re-verify and write the cache exactly as a serial run
+does, and which leaving terminates.  Only typed-solver payloads are
 cached: the certified vectors of the reduced (s1-free) kernel basis, each
 in its primitive integer form over its component's s1-free columns
 (`_solve_dims`), from which a load, like a cold run, counts the
 dimensions; `cache verify` re-verifies each record as a load does.
 `hp0 brute` accepts --cache-dir but recomputes its table on every run.
+
+`series burgers` prints whether the Burgers residual below --order
+vanishes, computed in exact series arithmetic (`ptl.burgers`), and exits 1
+if it does not.
 
 A command builds only its own branch of the parser (`build_parser`): the
 top level names every command with its help, and only the command that
@@ -34,9 +40,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import partial
-from itertools import repeat
 
 # Each command imports the modules of its own route when it runs, so that
 # `import ptl.cli` and one command load only what that command needs: only
@@ -81,6 +86,20 @@ def _cache_from_args(args) -> ResultCache:
         return ResultCache(cache_dir)
     except OSError as exc:
         raise SystemExit2(f"unusable cache directory {cache_dir}: {exc.strerror}") from None
+
+
+@contextmanager
+def _worker_map(workers: int):
+    """The map that runs a command's tasks, results in task order: the
+    builtin `map` for one worker, else the `imap` of a pool of `workers`
+    processes.  Leaving the pool terminates its workers, so an error or a
+    guardrail hit does not wait for the tasks still running."""
+    if workers == 1:
+        yield map
+        return
+    from multiprocessing import Pool
+    with Pool(workers) as pool:
+        yield pool.imap
 
 
 # -- typed solve ---------------------------------------------------------------
@@ -160,13 +179,9 @@ def cmd_typed_solve(args) -> int:
     cache = _cache_from_args(args)
     prime = args.prime
     ns = [args.n] if args.n is not None else list(range(2, args.n_max + 1))
-    pool = None
-    if args.workers > 1 and len(ns) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=args.workers)
-    with pool or nullcontext():
-        tables = list((pool.map if pool else map)(
-            _solve_dims, ns, repeat(args.weight), repeat(prime), repeat(cache)))
+    task = partial(_solve_dims, weight=args.weight, prime=prime, cache=cache)
+    with _worker_map(args.workers if len(ns) > 1 else 1) as mapper:
+        tables = list(mapper(task, ns))
     if args.format == "json":
         doc = (_solve_doc(tables[0]) if args.n is not None else
                {"kind": "typed-solve-sweep", "results": [_solve_doc(t) for t in tables]})
@@ -210,8 +225,9 @@ def cmd_hp0_brute(args) -> int:
     problem = BracketSpanProblem(GroupSpec(args.group, args.n), args.subgroup)
     exit_code = 0
     try:
-        table = hp0_graded_dims(problem, args.max_degree, prime=args.prime,
-                                max_columns=args.max_columns, workers=args.workers)
+        with _worker_map(args.workers) as mapper:
+            table = hp0_graded_dims(problem, args.max_degree, prime=args.prime,
+                                    max_columns=args.max_columns, mapper=mapper)
     except GuardrailExceeded as exc:
         table = exc.table
         sys.stderr.write(f"guardrail: {exc}; partial table follows\n")
@@ -284,11 +300,8 @@ def cmd_counts(args) -> int:
         return _emit_count(args, "p", p_count(args.n, args.i),
                            {"n": args.n, "i": args.i})
     if args.statistic == "p-prime":
-        return _emit_count(args, "p-prime",
-                           p_prime_count(args.n, args.i,
-                                         multipartition_reading=args.multipartition_reading),
-                           {"n": args.n, "i": args.i,
-                            "multipartition_reading": args.multipartition_reading})
+        return _emit_count(args, "p-prime", p_prime_count(args.n, args.i),
+                           {"n": args.n, "i": args.i})
     if args.statistic == "hh0":
         from ptl.partitions import hh0_dimension
         return _emit_count(args, "hh0", hh0_dimension(args.family, args.n),
@@ -355,23 +368,22 @@ def cmd_strata(args) -> int:
 # -- series burgers ------------------------------------------------------------------
 
 def cmd_series_burgers(args) -> int:
-    from ptl.burgers import burgers_residual, burgers_residual_of, closed_form_witness
+    from ptl.burgers import burgers_residual, closed_form_residual
     if args.h0:
         residual = burgers_residual(args.h0, args.order, x0=args.x0)
         mode = "h0"
     else:
-        u = closed_form_witness(args.order, x0=args.x0)
-        residual = burgers_residual_of(u).truncate(args.order)
+        residual = closed_form_residual(args.order, x0=args.x0)
         mode = "closed-form"
-    zero = residual.is_zero()
+    zero = not residual
     if args.format == "json":
         sys.stdout.write(_emit_json({
             "kind": "burgers", "mode": mode, "order": args.order,
             "residual_zero": zero,
-            "residual_terms": len(residual.terms)}))
+            "residual_terms": len(residual)}))
     else:
         sys.stdout.write("residual = 0\n" if zero else
-                         f"residual != 0 ({len(residual.terms)} terms)\n")
+                         f"residual != 0 ({len(residual)} terms)\n")
     return 0 if zero else 1
 
 
@@ -542,8 +554,6 @@ def _counts_parser(counts):
         c = csub.add_parser(name)
         c.add_argument("--n", type=_at_least(0), required=True)
         c.add_argument("--i", type=_at_least(0), required=True)
-        if name == "p-prime":
-            c.add_argument("--multipartition-reading", action="store_true")
         _add_common(c)
         c.set_defaults(func=cmd_counts, statistic=name)
     bn = csub.add_parser("bn-hilbert")

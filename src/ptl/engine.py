@@ -79,7 +79,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from contextlib import nullcontext
 
 from ptl.linalg import DEFAULT_PRIME, certified_kernel
 from ptl.poisson import (
@@ -254,10 +253,12 @@ def _bracket_columns(blocks, structure: PoissonStructure, row_index: dict, fold:
 
 def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
                     prime: int = DEFAULT_PRIME, max_columns: int | None = None,
-                    workers: int = 1) -> GradedDimensionTable:
+                    mapper=map) -> GradedDimensionTable:
     """Graded dimension table of HP0(O^G, O^H) through the given degree.
 
-    On a resource guardrail hit the partial table is attached to the raised
+    The cells are computed by `mapper`, which maps a function over the
+    degrees in order: the builtin `map`, or a process pool's `imap`.  On a
+    resource guardrail hit the partial table is attached to the raised
     GuardrailExceeded with an explicit truncation marker in the metadata.
     """
     meta = {"group": problem.spec.family, "n": problem.spec.n,
@@ -268,21 +269,14 @@ def hp0_graded_dims(problem: BracketSpanProblem, max_degree: int, *,
     degrees = range(max_degree + 1)
     task = functools.partial(_cell_dimension, problem, prime=prime, max_columns=max_columns)
     entries: dict[int, int] = {}
-    pool = None
-    if workers > 1:
-        # leaving a multiprocessing pool terminates its workers, so a
-        # guardrail hit does not wait for the later cells already running
-        from multiprocessing import Pool
-        pool = Pool(workers)
-    with pool or nullcontext():
-        for d, value in zip(degrees, (pool.imap if pool else map)(task, degrees)):
-            if value is None:
-                meta["truncated"] = True
-                meta["truncated_at_degree"] = d
-                table = GradedDimensionTable(entries, meta)
-                raise GuardrailExceeded(f"guardrail exceeded at degree {d}", table)
-            if value:
-                entries[d] = value
+    for d, value in zip(degrees, mapper(task, degrees)):
+        if value is None:
+            meta["truncated"] = True
+            meta["truncated_at_degree"] = d
+            table = GradedDimensionTable(entries, meta)
+            raise GuardrailExceeded(f"guardrail exceeded at degree {d}", table)
+        if value:
+            entries[d] = value
     return GradedDimensionTable(entries, meta)
 
 

@@ -6,10 +6,9 @@ Statistics implemented:
   with total size n); generating function prod_{m>=1} (1-t^m)^{-i}.
 * p_{n,i}: partitions of n with exactly n-i parts; bivariate generating
   function prod_{m>=0} 1/(1 - s^m t^{m+1}).
-* p'_{n,i}: partitions of n with exactly n-i parts, all parts even.  The
-  phrase behind this count also admits a multipartition reading (tuples of
-  n-i partitions, every component of even size); that alternative count is
-  exposed under the `multipartition_reading` flag rather than discarded.
+* p'_{n,i}: partitions of n with exactly n-i parts, all parts even.  This
+  is the reading that the type-D leaf bookkeeping fixes: the typeD prime
+  bound equals the leaves' multiplicities summed over each codimension.
 * the hyperoctahedral Hilbert statistic: partitions of n graded by
   n - (number of parts).
 * class counts (`hh0_dimension`): dim HH_0 of the invariant Weyl algebra,
@@ -163,37 +162,11 @@ def p_count(n: int, i: int) -> int:
     return direct
 
 
-@lru_cache(maxsize=None)
-def _even_exact_parts(n: int, k: int) -> int:
-    """Partitions of n into exactly k parts, all parts even."""
-    if n % 2 or k < 0:
+def p_prime_count(n: int, i: int) -> int:
+    """p'_{n,i}: partitions of n with n-i parts, all parts even."""
+    if n % 2 or i > n:
         return 0
-    return partition_count_exact_parts(n // 2, k)
-
-
-def p_prime_count(n: int, i: int, *, multipartition_reading: bool = False) -> int:
-    """p'_{n,i}: partitions of n with n-i parts, all parts even.
-
-    With `multipartition_reading=True`, counts ordered (n-i)-tuples of
-    partitions of even sizes (empty components allowed) with total size n
-    instead -- the alternative reading of the same phrase.
-    """
-    k = n - i
-    if multipartition_reading:
-        if k < 0:
-            return 0
-        return _even_multipartitions(n, k)
-    return _even_exact_parts(n, k)
-
-
-@lru_cache(maxsize=None)
-def _even_multipartitions(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = 0
-    for first in range(0, n + 1, 2):
-        total += partition_count(first) * _even_multipartitions(n - first, k - 1)
-    return total
+    return partition_count_exact_parts(n // 2, n - i)
 
 
 def bn_hilbert(n: int) -> GradedDimensionTable:

@@ -383,22 +383,21 @@ def kernel_dims(n: int, weight: int | None, columns: dict[int, list[dict]]) -> G
         {"family": "D", "n": n, "grading": "dual-weight"})
 
 
-def _component_kernel(n: int, weight: int, candidates: list[dict], prime: int,
-                      k_max: int | None = None) -> list[dict]:
+def _component_kernel(n: int, weight: int, candidates: list[dict], prime: int) -> list[dict]:
     """Certified exact basis of the reduced kernel of one component, as
     column-coefficient dicts over its s1-free columns.
 
     The family-(ii) lead columns Z are first checked to be zero
-    (`_check_zero_columns`).  The `_xi_blocks` of k = k_max (default n)
-    down to 1 then stream into `certified_kernel` as they are built, each
-    in reverse generation order (a quarter of the fill-in of generation
-    order at n = 33, w = -104), with the rank bound |C0| - |Z|.  Reaching
-    it certifies the basis {e_z}, and the blocks left are never built.
+    (`_check_zero_columns`).  The `_xi_blocks` of k = n down to 1 then
+    stream into `certified_kernel` as they are built, each in reverse
+    generation order (a quarter of the fill-in of generation order at
+    n = 33, w = -104), with the rank bound |C0| - |Z|.  Reaching it
+    certifies the basis {e_z}, and the blocks left are never built.
     Otherwise the basis is the `candidates` (a cached record's vectors)
     when `certified_kernel` accepts them, else the lifted one, which
     depends only on the rows and the prime.
     """
-    ks = range(n if k_max is None else k_max, 0, -1)
+    ks = range(n, 0, -1)
     _check_zero_columns(n, weight, ks)
     _squares, columns, zeros = _reduced_components(n).get(weight, _NO_COLUMNS)
     basis = [{z: 1} for z in zeros]
@@ -411,7 +410,7 @@ def _component_kernel(n: int, weight: int, candidates: list[dict], prime: int,
 
 
 def kernel_basis(n: int, weight: int | None = None, *,
-                 prime: int = DEFAULT_PRIME, k_max: int | None = None) -> SolutionBasis:
+                 prime: int = DEFAULT_PRIME) -> SolutionBasis:
     """Exact kernel of the restricted xi_k constraints on degree-n polynomials.
 
     Returns the reduced basis per bigraded component (all dual weights, or
@@ -424,7 +423,7 @@ def kernel_basis(n: int, weight: int | None = None, *,
     for w in _components(n):
         if weight is not None and w != weight:
             continue
-        basis = _component_kernel(n, w, [], prime, k_max)
+        basis = _component_kernel(n, w, [], prime)
         if basis:
             columns[w] = basis
     weight_dims = kernel_dims(n, weight, columns)

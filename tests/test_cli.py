@@ -695,7 +695,9 @@ _TYPED_SOLVE_MODULES = {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver
      {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl"}),
     (["typed", "solve", "--n", "8", "--no-cache"], _TYPED_SOLVE_MODULES),
     (["typed", "solve", "--n-max", "12", "--cache-dir"], _TYPED_SOLVE_MODULES),
-], ids=["hp0-brute", "hp0-aminus", "typed-solve", "typed-solve-cached"])
+    (["series", "burgers", "--order", "5", "--h0", "0,1,1", "--x0", "3/4"],
+     {"ptl", "ptl.cli", "ptl.burgers", "fractions", "decimal"}),
+], ids=["hp0-brute", "hp0-aminus", "typed-solve", "typed-solve-cached", "series-burgers"])
 def test_each_route_loads_only_its_modules(tmp_path, argv, modules):
     # `ptl` resolves its public names on first access, and each command
     # imports its own route: typed solve never loads the engine, and
@@ -705,7 +707,9 @@ def test_each_route_loads_only_its_modules(tmp_path, argv, modules):
     # vectors are integers from the lift to the cache record, so no route
     # loads `fractions` (nor, through it, `decimal`), though every command
     # here lifts a nullspace (aminus at --prime 2), and whether a record is
-    # written or re-verified: a cached run is probed cold, then warm.
+    # written or re-verified: a cached run is probed cold, then warm.  Only
+    # `series burgers` computes in fractions.  A run on one worker maps in
+    # process, so it loads neither `multiprocessing` nor `concurrent`.
     # Counted from what ptl loads, whatever the interpreter's start-up
     # loaded before
     if argv[-1] == "--cache-dir":
@@ -714,7 +718,8 @@ def test_each_route_loads_only_its_modules(tmp_path, argv, modules):
     probe = ("import sys; before = set(sys.modules); import ptl.cli; "
              "code = ptl.cli.main(sys.argv[1:]); "
              "print(code, *sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'ptl'"
-             " or m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal')))")
+             " or m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal',"
+             " 'multiprocessing', 'concurrent')))")
     for _run in range(2 if "--cache-dir" in argv else 1):
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
                              capture_output=True, text=True).stdout

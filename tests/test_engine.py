@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ptl import engine, linalg, poisson, weyl
+from ptl.cli import _worker_map
 from ptl.engine import (
     BracketSpanProblem,
     GuardrailExceeded,
@@ -117,8 +118,8 @@ def test_engine_certification_survives_bad_primes():
 def test_guardrail_raises_with_partial_table():
     tables = []
     for workers in (1, 2):
-        with pytest.raises(GuardrailExceeded) as exc:
-            hp0_graded_dims(_prob("hyperoctahedral", 2), 8, max_columns=10, workers=workers)
+        with pytest.raises(GuardrailExceeded) as exc, _worker_map(workers) as mapper:
+            hp0_graded_dims(_prob("hyperoctahedral", 2), 8, max_columns=10, mapper=mapper)
         tables.append(exc.value.table)
     assert tables[0].metadata["truncated"] is True
     assert "truncated_at_degree" in tables[0].metadata
@@ -139,8 +140,9 @@ def test_reflection_rank_one():
 
 def test_worker_pool_matches_sequential():
     prob = _prob("hyperoctahedral", 2)
-    seq = hp0_graded_dims(prob, 8, workers=1)
-    par = hp0_graded_dims(prob, 8, workers=2)
+    seq = hp0_graded_dims(prob, 8)
+    with _worker_map(2) as mapper:
+        par = hp0_graded_dims(prob, 8, mapper=mapper)
     assert seq == par and seq.metadata == par.metadata
 
 

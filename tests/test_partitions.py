@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -15,6 +16,7 @@ from ptl.partitions import (
     partitions,
     prime_bound,
 )
+from ptl.strata import leaves_type_d
 from reference import multipartition_count_enum
 
 
@@ -69,23 +71,15 @@ def test_p_prime_enumeration_agreement():
             assert p_prime_count(n, i) == direct
 
 
-def test_p_prime_multipartition_reading():
-    # ordered (n-i)-tuples of even-size partitions summing to n
-    assert p_prime_count(2, 1, multipartition_reading=True) == 2  # (2) or (1,1)
-    assert p_prime_count(4, 2, multipartition_reading=True) == 2 * 2 + 2 * 5
-    # cross-check by brute force for small sizes
-    from itertools import product
-    for n in range(0, 7):
-        for k in range(0, 4):
-            count = 0
-            sizes = [list(range(0, n + 1, 2))] * k
-            for combo in product(*sizes):
-                if sum(combo) == n:
-                    m = 1
-                    for s in combo:
-                        m *= partition_count(s)
-                    count += m
-            assert p_prime_count(n, n - k, multipartition_reading=True) == count
+def test_p_prime_reading_matches_type_d_leaves(rng):
+    # p' counts partitions, not multipartitions: the typeD prime bound is
+    # the multiplicity of the type-D leaves summed over codimension i
+    for n, _draw in itertools.product(range(2, 12), range(5)):
+        d = [rng.randint(0, 5) for _ in range(n + 1)]
+        leaves = leaves_type_d(n, d)
+        for i in range(n + 1):
+            assert prime_bound("typeD", n, i, d) == sum(
+                leaf.multiplicity for leaf in leaves if leaf.codim_units == i), (n, i, d)
 
 
 def test_bn_hilbert_small():

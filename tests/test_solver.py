@@ -16,6 +16,7 @@ from ptl.solver import (
     _components,
     _label,
     _label_code,
+    _reduced_components,
     _xi_blocks,
     _xi_slice,
     _xi_terms,
@@ -336,11 +337,17 @@ def test_product_closure():
                     assert is_kernel_member((Fb * Gb).terms, m + n)
 
 
-def test_k_range_stability():
-    for n in range(2, 9):
-        base = kernel_basis(n)
-        extended = kernel_basis(n, k_max=2 * n)
-        assert base.weight_dims == extended.weight_dims
+def test_xi_k_beyond_n_has_no_row():
+    # k ranges over 1..n only: xi_k with k > n reaches no column of degree
+    # n, neither in the assembled blocks nor column by column
+    for n in range(2, 13):
+        for w, (_squares, columns, _zeros) in _reduced_components(n).items():
+            ks = range(n + 1, 2 * n + 1)
+            assert all(not rows for rows, _labels in _xi_blocks(n, w, ks)), (n, w)
+            for e in columns:
+                support = [i + 1 for i, x in enumerate(e) if x]
+                assert not any(val for k in ks for _label, val in
+                               _column_rows_for_k(k, n, e, support, _label_code(e, n)))
 
 
 def test_bigraded_sum_matches_total():
