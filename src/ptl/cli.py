@@ -6,14 +6,14 @@ counts ... | strata ... | series burgers | compare hp0-hh0 | cache ...
 Outputs are deterministic (byte-identical for identical configurations and
 cache states).  Exit codes: 0 success, 2 flag/validation errors (including a
 --format that the command does not print, a --prime that is not a prime
-below 2^31, --workers below 1, --n-max below 2, a series --order below 1,
-a negative --max-degree or --max-columns, a negative --n or --i of a
-partition count, --n given with --n-max, a --d other than non-negative
-d_0..d_n for strata type-d or d_0..d_i for a typeD prime bound, and a
---cache-dir or $PTL_CACHE_DIR that cannot be made a directory), 3
-resource guardrail exceeded (the degrees computed before it are still
-printed, with a truncation marker), 4 cache corruption, 5 an internal
-check (AssertionError) that failed, a certificate that does not
+below 2^31, --workers below 1, --n-max or a strata type-d --n below 2, a
+series --order below 1, a negative --max-degree or --max-columns, a
+negative --n or --i of a partition count, --n given with --n-max, a --d
+other than non-negative d_0..d_n for strata type-d or d_0..d_i for a typeD
+prime bound, and a --cache-dir or $PTL_CACHE_DIR that cannot be made a
+directory), 3 resource guardrail exceeded (the degrees computed before it
+are still printed, with a truncation marker), 4 cache corruption, 5 an
+internal check (AssertionError) that failed, a certificate that does not
 hold among them, with one line on stderr.
 --workers N (typed solve, hp0 brute) runs the command's tasks through one
 map (`_worker_map`): in process for N = 1, else on a multiprocessing pool
@@ -28,6 +28,11 @@ dimensions; `cache verify` re-verifies each record as a load does.
 `series burgers` prints whether the Burgers residual below --order
 vanishes, computed in exact series arithmetic (`ptl.burgers`), and exits 1
 if it does not.
+
+Each command builds its output in every form it prints: one JSON document,
+its CSV rows (header first) and its text, a table or, for `typed solve`,
+`hp0 brute` and `counts bn-hilbert`, latex.  It hands them to `_write`, the
+one writer to stdout, which prints the form that --format names.
 
 A command builds only its own branch of the parser (`build_parser`): the
 top level names every command with its help, and only the command that
@@ -60,21 +65,24 @@ FIGURE_HEADER = (
 
 def _emit_json(doc: dict) -> str:
     import json
-    doc = dict(doc)
-    doc["schema"] = SCHEMA_ID
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+    return json.dumps({**doc, "schema": SCHEMA_ID}, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
-def _table_lines(pairs, header=("key", "value")) -> str:
-    width = max([len(str(k)) for k, _ in pairs] + [len(header[0])]) if pairs else len(header[0])
-    lines = [f"{header[0]:>{width}}  {header[1]}"]
-    for k, v in pairs:
-        lines.append(f"{str(k):>{width}}  {v}")
-    return "\n".join(lines) + "\n"
+def _write(fmt: str, doc: dict, rows=(), text: str = "") -> None:
+    """The one writer to stdout: a command's JSON document `doc` for json,
+    its CSV `rows` (header first) for csv, and its `text`, a table or latex,
+    for any other format."""
+    if fmt == "json":
+        text = _emit_json(doc)
+    elif fmt == "csv":
+        text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+    sys.stdout.write(text)
 
 
-def _csv_lines(rows) -> str:
-    return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+def _table_lines(pairs, header) -> str:
+    """`pairs` under `header`, one per line, keys right-aligned."""
+    width = max(len(str(k)) for k, _ in [header, *pairs])
+    return "".join(f"{str(k):>{width}}  {v}\n" for k, v in [header, *pairs])
 
 
 def _cache_from_args(args) -> ResultCache:
@@ -164,53 +172,41 @@ def _solve_dims(n: int, weight, prime: int, cache: ResultCache) -> GradedDimensi
     return sb.weight_dims
 
 
-def _solve_doc(dims: GradedDimensionTable) -> dict:
-    from ptl.solver import display_table
+def _solve_doc(dims: GradedDimensionTable, display: GradedDimensionTable) -> dict:
     return {
         "kind": "typed-solve",
         "family": dims.metadata["family"],
         "n": dims.metadata["n"],
         "dual_weights": {str(w): dim for w, dim in dims.items()},
-        "display_series": display_table(dims).series(),
+        "display_series": display.series(),
     }
 
 
 def cmd_typed_solve(args) -> int:
+    from ptl.solver import display_table
     cache = _cache_from_args(args)
-    prime = args.prime
     ns = [args.n] if args.n is not None else list(range(2, args.n_max + 1))
-    task = partial(_solve_dims, weight=args.weight, prime=prime, cache=cache)
+    task = partial(_solve_dims, weight=args.weight, prime=args.prime, cache=cache)
     with _worker_map(args.workers if len(ns) > 1 else 1) as mapper:
         tables = list(mapper(task, ns))
-    if args.format == "json":
-        doc = (_solve_doc(tables[0]) if args.n is not None else
-               {"kind": "typed-solve-sweep", "results": [_solve_doc(t) for t in tables]})
-        sys.stdout.write(_emit_json(doc))
-        return 0
-    from ptl.solver import display_table
-    rows = [(n, display_table(t).series(latex=args.format == "latex"))
-            for n, t in zip(ns, tables)]
+    displays = [display_table(t) for t in tables]
+    docs = [_solve_doc(t, d) for t, d in zip(tables, displays)]
+    pairs = [(doc["n"], doc["display_series"]) for doc in docs]
     if args.format == "latex":
-        sys.stdout.write("\\begin{tabular}{c|c}\n" + FIGURE_HEADER + "\n")
-        sys.stdout.write("".join(f"${n}$ & ${series}$ \\\\\n" for n, series in rows))
-        sys.stdout.write("\\end{tabular}\n")
-    elif args.format == "csv":
-        sys.stdout.write(_csv_lines([("n", "display_series")] + rows))
+        text = "".join(f"${n}$ & ${d.series(latex=True)}$ \\\\\n" for n, d in zip(ns, displays))
+        text = "\\begin{tabular}{c|c}\n" + FIGURE_HEADER + "\n" + text + "\\end{tabular}\n"
     else:
-        sys.stdout.write(_table_lines(rows, ("n", "series in t^(1/4)")))
+        text = _table_lines(pairs, ("n", "series in t^(1/4)"))
+    doc = docs[0] if args.n is not None else {"kind": "typed-solve-sweep", "results": docs}
+    _write(args.format, doc, [("n", "display_series"), *pairs], text)
     return 0
 
 
 def cmd_typed_families(args) -> int:
     from ptl.solver import family_generators, polynomial_text
     texts = [polynomial_text(g) for g in family_generators(args.n)]
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"kind": "typed-families", "n": args.n,
-                                     "generators": texts}))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_lines([("generator",)] + [(t,) for t in texts]))
-    else:
-        sys.stdout.write("\n".join(texts) + "\n")
+    _write(args.format, {"kind": "typed-families", "n": args.n, "generators": texts},
+           [("generator",)] + [(t,) for t in texts], "\n".join(texts) + "\n")
     return 0
 
 
@@ -232,137 +228,91 @@ def cmd_hp0_brute(args) -> int:
         table = exc.table
         sys.stderr.write(f"guardrail: {exc}; partial table follows\n")
         exit_code = 3
-    _write_hp0_table(table, args.format)
-    return exit_code
-
-
-def _write_hp0_table(table: GradedDimensionTable, fmt: str):
-    if fmt == "json":
-        sys.stdout.write(_emit_json({**table.to_json_dict(), "kind": "hp0-table"}))
-        return
     meta = table.metadata
     # a truncated table holds only the degrees below the one that hit the guardrail
     end = meta.get("truncated_at_degree", meta["max_degree"] + 1)
     pairs = [(d, table.entries.get(d, 0)) for d in range(end)]
-    if fmt == "csv":
-        sys.stdout.write(_csv_lines([("degree", "dim")] + pairs))
-        return
-    if fmt == "latex":
+    doc = {**table.to_json_dict(), "kind": "hp0-table"}
+    if args.format == "latex":
         if table.entries and all(k % 4 == 0 for k in table.entries):
             # the figures' convention: series in t^(1/4) of the degree
             table = table.reindexed(lambda d: d // 4)
-        sys.stdout.write(f"${meta['group']}_{{{meta['n']}}}$ & "
-                         f"${table.series(latex=True)}$ \\\\\n")
-        if meta["truncated"]:
-            sys.stdout.write(f"% truncated at degree {end}\n")
-        return
-    note = f" (truncated at degree {end})" if meta["truncated"] else ""
-    sys.stdout.write(f"# HP0 dims for {meta['group']}(n={meta['n']})"
-                     f" through degree {meta['max_degree']}{note}\n")
-    sys.stdout.write(_table_lines(pairs, ("degree", "dim")))
+        text = f"${meta['group']}_{{{meta['n']}}}$ & ${table.series(latex=True)}$ \\\\\n"
+        text += f"% truncated at degree {end}\n" if meta["truncated"] else ""
+    else:
+        note = f" (truncated at degree {end})" if meta["truncated"] else ""
+        text = (f"# HP0 dims for {meta['group']}(n={meta['n']})"
+                f" through degree {meta['max_degree']}{note}\n"
+                + _table_lines(pairs, ("degree", "dim")))
+    _write(args.format, doc, [("degree", "dim"), *pairs], text)
+    return exit_code
 
 
 def cmd_hp0_aminus(args) -> int:
     from ptl.engine import check_aminus_identity
     report = check_aminus_identity(args.n, args.max_degree, prime=args.prime)
-    if args.format == "json":
-        sys.stdout.write(_emit_json({
-            "kind": "aminus-report", "n": args.n, "max_degree": args.max_degree,
-            "report": {str(k): v for k, v in sorted(report.items())}}))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_lines([("degree", "status")] + sorted(report.items())))
-    else:
-        sys.stdout.write(_table_lines(sorted(report.items()), ("degree", "status")))
+    pairs = sorted(report.items())
+    _write(args.format, {"kind": "aminus-report", "n": args.n, "max_degree": args.max_degree,
+                         "report": {str(k): v for k, v in pairs}},
+           [("degree", "status"), *pairs], _table_lines(pairs, ("degree", "status")))
     return 0 if all(v == "pass" for v in report.values()) else 1
 
 
 # -- counts ----------------------------------------------------------------------
 
-def _emit_count(args, statistic: str, value: int, params: dict) -> int:
-    if args.format == "json":
-        doc = {"kind": "count", "statistic": statistic, "value": value}
-        doc.update(params)
-        sys.stdout.write(_emit_json(doc))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_lines([tuple(params.values()) + (value,)]))
-    else:
-        sys.stdout.write(f"{value}\n")
-    return 0
-
-
 def cmd_counts(args) -> int:
-    from ptl.partitions import bn_hilbert, multipartition_count, p_count, p_prime_count, prime_bound
-    if args.statistic == "multipartitions":
-        return _emit_count(args, "multipartitions",
-                           multipartition_count(args.n, args.i),
-                           {"n": args.n, "i": args.i})
-    if args.statistic == "p":
-        return _emit_count(args, "p", p_count(args.n, args.i),
-                           {"n": args.n, "i": args.i})
-    if args.statistic == "p-prime":
-        return _emit_count(args, "p-prime", p_prime_count(args.n, args.i),
-                           {"n": args.n, "i": args.i})
-    if args.statistic == "hh0":
-        from ptl.partitions import hh0_dimension
-        return _emit_count(args, "hh0", hh0_dimension(args.family, args.n),
-                           {"family": args.family, "n": args.n})
-    if args.statistic == "prime-bound":
-        return _emit_count(args, "prime-bound",
-                           prime_bound(args.family, args.n, args.i, args.d),
-                           {"family": args.family, "n": args.n, "i": args.i})
+    import ptl.partitions as pt
     if args.statistic == "bn-hilbert":
-        table = bn_hilbert(args.n)
-        if args.format == "json":
-            sys.stdout.write(_emit_json({
-                "kind": "count-table", "statistic": "bn-hilbert", "n": args.n,
-                "dims": {str(k): v for k, v in table.items()},
-                "series": table.series()}))
-        elif args.format == "csv":
-            sys.stdout.write(_csv_lines([("exponent", "dim")] + list(table.items())))
-        elif args.format == "latex":
-            sys.stdout.write(f"${args.n}$ & ${table.series(latex=True)}$ \\\\\n")
-        else:
-            sys.stdout.write(table.series() + "\n")
+        table = pt.bn_hilbert(args.n)
+        text = (f"${args.n}$ & ${table.series(latex=True)}$ \\\\\n" if args.format == "latex"
+                else table.series() + "\n")
+        _write(args.format, {"kind": "count-table", "statistic": "bn-hilbert", "n": args.n,
+                             "dims": {str(k): v for k, v in table.items()},
+                             "series": table.series()},
+               [("exponent", "dim"), *table.items()], text)
         return 0
-    raise AssertionError(args.statistic)
+    # statistic -> (its function, the options it reads, in order); prime-bound
+    # also passes --d
+    function, names = {
+        "multipartitions": (pt.multipartition_count, ("n", "i")),
+        "p": (pt.p_count, ("n", "i")),
+        "p-prime": (pt.p_prime_count, ("n", "i")),
+        "hh0": (pt.hh0_dimension, ("family", "n")),
+        "prime-bound": (pt.prime_bound, ("family", "n", "i")),
+    }[args.statistic]
+    params = {name: getattr(args, name) for name in names}
+    extra = [args.d] if args.statistic == "prime-bound" else []
+    value = function(*params.values(), *extra)
+    _write(args.format, {"kind": "count", "statistic": args.statistic, "value": value, **params},
+           [(*params.values(), value)], f"{value}\n")
+    return 0
 
 
 # -- strata ------------------------------------------------------------------------
 
-def _emit_strata(args, variety: str, leaves) -> int:
-    if args.format == "json":
-        sys.stdout.write(_emit_json({
-            "kind": "strata", "variety": variety,
-            "leaves": [leaf.to_json_dict() for leaf in leaves]}))
-    elif args.format == "csv":
-        rows = [("label", "r", "partition", "codim_units", "codim_absolute", "multiplicity")]
-        rows += [(l.label, l.point_part, " ".join(map(str, l.partition)),
-                  l.codim_units, l.codim_absolute, l.multiplicity) for l in leaves]
-        sys.stdout.write(_csv_lines(rows))
-    else:
-        pairs = [(l.label, f"codim {l.codim_absolute} (units {l.codim_units}), "
-                  f"mult {l.multiplicity}") for l in leaves]
-        sys.stdout.write(_table_lines(pairs, ("leaf", "data")))
-    return 0
-
-
 def cmd_strata(args) -> int:
     from ptl.strata import leaves_kleinian, leaves_symmetric_power, leaves_type_d
     if args.variety == "symmetric-power":
-        return _emit_strata(args, "symmetric-power",
-                            leaves_symmetric_power(args.n, args.dim_y))
-    if args.variety == "kleinian":
-        return _emit_strata(args, "kleinian", leaves_kleinian(args.n, args.m))
-    if args.variety == "type-d":
-        if args.d:
-            d = args.d
-        else:
+        leaves = leaves_symmetric_power(args.n, args.dim_y)
+    elif args.variety == "kleinian":
+        leaves = leaves_kleinian(args.n, args.m)
+    else:
+        d = args.d
+        if not d:
             from ptl.linalg import DEFAULT_PRIME
             cache = _cache_from_args(args)
             d = tuple([1] + [sum(_solve_dims(r, None, DEFAULT_PRIME, cache).entries.values())
                              for r in range(1, args.n + 1)])
-        return _emit_strata(args, "type-d", leaves_type_d(args.n, d))
-    raise AssertionError(args.variety)
+        leaves = leaves_type_d(args.n, d)
+    rows = [("label", "r", "partition", "codim_units", "codim_absolute", "multiplicity")]
+    rows += [(l.label, l.point_part, " ".join(map(str, l.partition)),
+              l.codim_units, l.codim_absolute, l.multiplicity) for l in leaves]
+    pairs = [(l.label, f"codim {l.codim_absolute} (units {l.codim_units}), "
+              f"mult {l.multiplicity}") for l in leaves]
+    _write(args.format, {"kind": "strata", "variety": args.variety,
+                         "leaves": [leaf.to_json_dict() for leaf in leaves]},
+           rows, _table_lines(pairs, ("leaf", "data")))
+    return 0
 
 
 # -- series burgers ------------------------------------------------------------------
@@ -371,19 +321,13 @@ def cmd_series_burgers(args) -> int:
     from ptl.burgers import burgers_residual, closed_form_residual
     if args.h0:
         residual = burgers_residual(args.h0, args.order, x0=args.x0)
-        mode = "h0"
     else:
         residual = closed_form_residual(args.order, x0=args.x0)
-        mode = "closed-form"
     zero = not residual
-    if args.format == "json":
-        sys.stdout.write(_emit_json({
-            "kind": "burgers", "mode": mode, "order": args.order,
-            "residual_zero": zero,
-            "residual_terms": len(residual)}))
-    else:
-        sys.stdout.write("residual = 0\n" if zero else
-                         f"residual != 0 ({len(residual)} terms)\n")
+    _write(args.format, {"kind": "burgers", "mode": "h0" if args.h0 else "closed-form",
+                         "order": args.order, "residual_zero": zero,
+                         "residual_terms": len(residual)},
+           text="residual = 0\n" if zero else f"residual != 0 ({len(residual)} terms)\n")
     return 0 if zero else 1
 
 
@@ -393,28 +337,19 @@ def cmd_compare_hp0_hh0(args) -> int:
     from ptl.partitions import hh0_dimension
     cache = _cache_from_args(args)
     rows = []
-    first_strict = None
     for n in range(2, args.n_max + 1):
         trace_dim = sum(_solve_dims(n, None, args.prime, cache).entries.values())
         hh0 = hh0_dimension("typeD", n)
-        relation = "equal" if trace_dim == hh0 else "greater"
-        if relation != "equal" and first_strict is None:
-            first_strict = n
         rows.append({"n": n, "trace_dim": trace_dim, "hh0_dim": hh0,
-                     "relation": relation})
+                     "relation": "equal" if trace_dim == hh0 else "greater"})
+    first_strict = next((r["n"] for r in rows if r["relation"] != "equal"), None)
     verdict = "equal" if first_strict is None else f"proper-from-n={first_strict}"
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"kind": "compare-hp0-hh0", "family": "D",
-                                     "rows": rows, "verdict": verdict}))
-    elif args.format == "csv":
-        out = [("n", "trace_dim", "hh0_dim", "relation")]
-        out += [(r["n"], r["trace_dim"], r["hh0_dim"], r["relation"]) for r in rows]
-        sys.stdout.write(_csv_lines(out))
-    else:
-        pairs = [(r["n"], f"trace {r['trace_dim']}  hh0 {r['hh0_dim']}  {r['relation']}")
-                 for r in rows]
-        sys.stdout.write(_table_lines(pairs, ("n", "comparison")))
-        sys.stdout.write(f"verdict: {verdict}\n")
+    pairs = [(r["n"], f"trace {r['trace_dim']}  hh0 {r['hh0_dim']}  {r['relation']}")
+             for r in rows]
+    _write(args.format, {"kind": "compare-hp0-hh0", "family": "D", "rows": rows,
+                         "verdict": verdict},
+           [("n", "trace_dim", "hh0_dim", "relation")] + [tuple(r.values()) for r in rows],
+           _table_lines(pairs, ("n", "comparison")) + f"verdict: {verdict}\n")
     return 0
 
 
@@ -428,10 +363,7 @@ def cmd_cache(args) -> int:
         n, done = cache.verify_all(_record_verifier), " verified"
     else:
         n, done = cache.clear(), " removed"
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"kind": "cache-info", "entries": n}))
-    else:
-        sys.stdout.write(f"{n} cache entries{done}\n")
+    _write(args.format, {"kind": "cache-info", "entries": n}, text=f"{n} cache entries{done}\n")
     return 0
 
 
@@ -527,7 +459,7 @@ def _typed_parser(typed):
 def _hp0_parser(hp0):
     hsub = hp0.add_subparsers(dest="subcommand", required=True)
     brute = hsub.add_parser("brute")
-    brute.add_argument("--group", required=True,
+    brute.add_argument("--group", required=True, metavar="GROUP", help="one of %(choices)s",
                        choices=("symmetric-full", "symmetric-reflection",
                                 "hyperoctahedral", "demihyperoctahedral"))
     brute.add_argument("--n", type=int, required=True)
@@ -587,7 +519,7 @@ def _strata_parser(strata):
     _add_common(kl)
     kl.set_defaults(func=cmd_strata, variety="kleinian")
     td = ssub.add_parser("type-d")
-    td.add_argument("--n", type=int, required=True)
+    td.add_argument("--n", type=_at_least(2), required=True)
     td.add_argument("--d", type=_dims, default=None,
                     help="comma-separated d_0..d_n (default: solver)")
     _add_common(td, cacheable=True)

@@ -351,13 +351,15 @@ _PRIME_BOUND_D = ("counts", "prime-bound", "--family", "typeD", "--n", "4", "--i
     ("counts", "prime-bound", "--family", "typeA-sym", "--n", "4", "--i", "1", "--d", "1,0"),
     ("strata", "type-d", "--n", "3", "--d", "1,-5,1,1"),
     ("strata", "type-d", "--n", "3", "--d", "1,0,1,1,1"),
+    ("strata", "type-d", "--n", "-1", "--d", "1"),
 ], ids=["n-and-n-max", "solve-workers-0", "brute-workers-0", "max-columns-negative",
         "brute-max-degree-negative", "aminus-max-degree-negative", "solve-n-max-1",
         "compare-n-max-1", "burgers-order-0", "burgers-order-negative",
         "burgers-x0-zero-denominator", "burgers-h0-zero-denominator",
         "retired-certify", "retired-generator-mode", "retired-closed-form",
         "prime-bound-d-negative", "prime-bound-d-surplus", "prime-bound-d-not-int",
-        "prime-bound-d-typeA", "strata-d-negative", "strata-d-surplus"])
+        "prime-bound-d-typeA", "strata-d-negative", "strata-d-surplus",
+        "strata-n-below-2"])
 def test_invalid_option_values_exit_2(argv, capsys):
     # an option value out of range is a flag error: exit 2, nothing on stdout
     with pytest.raises(SystemExit) as exc:
@@ -697,7 +699,12 @@ _TYPED_SOLVE_MODULES = {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver
     (["typed", "solve", "--n-max", "12", "--cache-dir"], _TYPED_SOLVE_MODULES),
     (["series", "burgers", "--order", "5", "--h0", "0,1,1", "--x0", "3/4"],
      {"ptl", "ptl.cli", "ptl.burgers", "fractions", "decimal"}),
-], ids=["hp0-brute", "hp0-aminus", "typed-solve", "typed-solve-cached", "series-burgers"])
+    (["counts", "p", "--n", "4", "--i", "2"], {"ptl", "ptl.cli", "ptl.partitions", "ptl.tables"}),
+    (["strata", "kleinian", "--n", "2", "--m", "1"],
+     {"ptl", "ptl.cli", "ptl.partitions", "ptl.strata", "ptl.tables"}),
+    (["cache", "info", "--no-cache"], {"json", "ptl", "ptl.cache", "ptl.cli"}),
+], ids=["hp0-brute", "hp0-aminus", "typed-solve", "typed-solve-cached", "series-burgers",
+        "counts-p", "strata-kleinian", "cache-info"])
 def test_each_route_loads_only_its_modules(tmp_path, argv, modules):
     # `ptl` resolves its public names on first access, and each command
     # imports its own route: typed solve never loads the engine, and

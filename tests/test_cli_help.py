@@ -34,6 +34,7 @@ CASES = [("help_" + "_".join(("ptl",) + words), words + ("--help",), 0)
     ("error_latex_counts_p", ("counts", "p", "--n", "4", "--i", "1", "--format", "latex"), 2),
     ("error_option_before_command", ("--bogus", "counts", "p", "--n", "4", "--i", "1"), 2),
     ("error_d_mismatch", ("strata", "type-d", "--n", "3", "--d", "1,0"), 2),
+    ("error_strata_n_below_2", ("strata", "type-d", "--n", "-1", "--d", "1"), 2),
 ]
 
 
