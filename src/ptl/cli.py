@@ -363,7 +363,8 @@ def cmd_cache(args) -> int:
         n, done = cache.verify_all(_record_verifier), " verified"
     else:
         n, done = cache.clear(), " removed"
-    _write(args.format, {"kind": "cache-info", "entries": n}, text=f"{n} cache entries{done}\n")
+    _write(args.format, {"kind": "cache-info", "action": args.action, "entries": n},
+           text=f"{n} cache entries{done}\n")
     return 0
 
 

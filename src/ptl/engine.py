@@ -12,14 +12,20 @@ lifted off the same echelon and checked exactly against every column.
 The first slot need not hold the whole basis of O^G_a.  By the Leibniz rule
 {ab, h} = {a, bh} + {b, ah}, and as O^H is an O^G-module, {O^G, O^H} is
 spanned by the {g, O^H_b}, g running over algebra generators of O^G and b
-over every degree.  For S_n and B_n on Darboux pairs the polarized power
-sums sum_i x_i^k y_i^l of degree at most n, resp. 2n, generate O^G (H. Weyl,
-The Classical Groups; k + l even for B_n, whose invariants are the
-multisymmetric functions of (x^2, xy, y^2)), so their full cells put these
-in the first slot.  D_n cells keep the whole basis, with a <= b: the power
-sums generate only the B_n-invariants (rank 2,583 of 2,584 on D_5 in degree
-16), and A_+ times the n + 1 polarizations of x1...xn does not even span the
-all-odd sector (for D_4 in degree 6, 3 x 5 products against dimension 16).
+over every degree.  The first slot holds these generators:
+- S_n: the polarized power sums sum_{i <= n} x_i^k y_i^l of degree at most
+  n (H. Weyl, The Classical Groups), restricted on the reflection pair,
+  restriction being onto; S_1 also takes degree 2, for the a = 2 block of
+  the sl_2 lemma below;
+- B_n: those of even degree at most 2n, the B_n-invariants being the
+  multisymmetric functions of (x^2, xy, y^2);
+- D_n: those of B_n and the all-odd orbit sums, as O^{D_n} = A_+ + A_- with
+  A_+ = O^{B_n} (the power sums alone have rank 2,583 of 2,584 on D_5 in
+  degree 16);
+- `check_aminus_identity`, which brackets A_+ against the A_+-module A_-:
+  those of B_n.
+Of each degree a only the part of weight <= 0 is bracketed (the sl_2 lemma
+below), which of the power sums is p_{0,a} = sum_i y_i^a alone.
 Degree 0 needs no special casing: the empty bracket span is {0} unless 1
 is literally a bracket, as happens for Darboux structures whose group
 fixes a Darboux pair.
@@ -36,7 +42,8 @@ its orbit representative r gives the coefficient of {u, v} at r times
 unchanged.  A monomial that the sign subgroup moves by -1 cancels in the
 orbit sum and has no row; v0 itself is all-even or all-odd, hence fixed.
 The other cells (the reflection action, relative and ambient targets)
-bracket whole polynomials, with rows for the coordinates of H's invariants.
+bracket whole polynomials, the generators as whole orbit sums, with rows
+for the coordinates of H's invariants.
 
 `check_aminus_identity` checks the A-/A+ sector identity of the
 demihyperoctahedral ring, A_- = {A+, A-}, on folded cells.
@@ -66,12 +73,46 @@ weight zero.  This is the invariance of Poisson traces under the
 Hamiltonian flow of the invariant E (Etingof and Schedler, "Poisson traces
 and D-modules on Poisson varieties", GAFA 2010).
 
+The traces are invariant under the flows of q_+ = sum_i x_i^2 / 2 and
+q_- = sum_i y_i^2 / 2 as well.  Lemma (sl_2): S_0 is spanned by the brackets
+of the first-slot pieces of weight <= 0 with the pieces of O^H of the
+opposite weight.  Proof:
+1. q_+ and q_- lie in O^G_2, and so in O^H, as E does (on the reflection
+   pair, restricted).  By the argument of 2, {q_+, .} raises the weight by
+   2 and {q_-, .} lowers it by 2, and with {E, .} they span an sl_2 (R. Howe,
+   "Remarks on classical invariant theory", Trans. AMS 313, 1989).
+2. So V is a finite-dimensional sl_2-module, and S a submodule by
+   {q, {g, h}} = {{q, g}, h} + {g, {q, h}}.  Each first slot U_a is one too:
+   the power sums of degree a span a copy of L(a), the image of C[x, y]_a,
+   and A_- is an A_+-module.  On the reflection pair {q_+, .} commutes with
+   restriction: sum_{i <= n} x_i^2 / 2 is q_+ pulled back along the
+   orthogonal projection onto the zero-sum pair plus (sum_i x_i)^2 / 2n,
+   whose brackets vanish there; likewise q_-.
+3. The a = 2 block, p_{0,2} = 2 q_- against V_2, brackets to {q_-, V_2},
+   the weight-zero part of sl_2.V, the sum of the non-trivial isotypic
+   parts of V (J. E. Humphreys, Introduction to Lie Algebras and
+   Representation Theory, section 7).  With pi the projection onto the
+   invariants, S = sl_2.V + pi(S), so S_0 = {q_-, V_2} + pi(S).
+4. The bracket map U_a (x) O^H_b -> V is sl_2-equivariant, so pi of it
+   factors through the coinvariants of U_a (x) O^H_b.  There e^j u (x) h is
+   (-1)^j u (x) e^j h, for u a lowest-weight vector, of weight -k, and
+   e = {q_+, .}, and a tensor of nonzero weight is 0.  So pi(S) is spanned
+   by the pi{u, h} with h of weight k, and pi{u, h} - {u, h} lies in
+   (sl_2.V)_0 = {q_-, V_2}.
+So the {u, h} and, by 3, {q_-, V_2} span S_0, and the columns hold them
+all: each lowest-weight vector lies in the weight <= 0 part of its U_a.
+For the power sums, U_a = L(a), that is p_{0,a} alone; the all-odd orbit
+sums enter with their whole weight <= 0 part.  The lemma holds for
+`check_aminus_identity` with A_+ and A_- for O^G and O^H, as q_+ and q_-
+lie in A_+.
+
 So a cell asks `ptl.weyl` only for the (degree, x-degree) pieces it
 brackets.  Its rows are the weight-zero orbit representatives if it folds,
 else the weight-zero monomials, against which a reflection cell counts
-dim V_0.  A first-slot piece of x-degree p meets the second-slot one of
-x-degree d/2 + 1 - p (B_4, degree 12: 350 columns of the 3,264 over all
-weights); of a folded pair only the smaller orbit sum is expanded.
+dim V_0.  A first-slot piece of x-degree p <= a / 2 meets the second-slot
+one of x-degree d/2 + 1 - p (B_4, degree 12: 88 columns, against 350 with
+every weight of the power sums and 3,264 over all weights); of a folded pair
+only the smaller orbit sum is expanded.
 """
 
 from __future__ import annotations
@@ -97,6 +138,7 @@ from ptl.weyl import (
     orbit_size,
     orbit_sum,
     reflection_dimension,
+    restrict_to_zero_sum,
 )
 
 SUBGROUP_KINDS = ("full", "last-point-stabilizer", "ambient")
@@ -165,33 +207,38 @@ def _h_piece(problem: BracketSpanProblem, degree: int, xdeg: int) -> tuple:
     return orbit_reps(h, degree, xdeg) if problem.folded else invariant_basis_raw(h, degree, xdeg)
 
 
-def _power_sum(spec: GroupSpec, degree: int, xdeg: int) -> tuple:
-    """The representative of sum_i x_i^xdeg y_i^(degree - xdeg), if that is in O^G."""
-    pad = (0,) * (spec.pairs - 1)
-    return () if spec.family == "hyperoctahedral" and degree % 2 else (
-        (xdeg,) + pad + (degree - xdeg,) + pad,)
+def _first_slot(problem: BracketSpanProblem, degree: int, xdeg: int) -> tuple:
+    """The generators of O^G in bidegree (xdeg, degree - xdeg) (module
+    docstring): the power sum p_{0,degree} = sum_i y_i^degree up to degree
+    `top`, and for D_n the all-odd orbit sums.  Representatives when the
+    cell folds, else whole nonzero polynomials, restricted on the reflection
+    pair."""
+    family, n = problem.spec
+    top = max(n, 2) if family.startswith("symmetric") else 0 if degree % 2 else 2 * n
+    reps = ((0,) * n + (degree,) + (0,) * (n - 1),) if xdeg == 0 and degree <= top else ()
+    if family == "demihyperoctahedral":
+        reps += orbit_reps(problem.spec, degree, xdeg, "-")
+    if problem.folded:
+        return reps
+    polys = [orbit_sum(rep, n) for rep in reps]
+    polys = restrict_to_zero_sum(n, degree, polys) if family == "symmetric-reflection" else polys
+    return tuple(f for f in polys if f)
 
 
 # -- one degree cell ----------------------------------------------------------
 
-def _column_pairs(problem: BracketSpanProblem, degree: int) -> list[tuple]:
+def _column_pairs(problem: BracketSpanProblem, degree: int, second=_h_piece) -> list[tuple]:
     """(first slot, second slot) blocks whose brackets span the weight-zero
-    part of {O^G, O^H}_degree: per split a + b = degree + 2 = 2s, low a first,
-    the pieces of x-degrees p (high first) and s - p, of opposite weights
-    (module docstring).
-
-    Full S_n and B_n cells put the power sums of degree a <= n, resp. 2n, in
-    the first slot; the other cells all of O^G_a, and for H = G only a <= b.
-    """
-    spec, full = problem.spec, problem.subgroup == "full"
-    top = full and {"symmetric-full": spec.n, "hyperoctahedral": 2 * spec.n}.get(spec.family)
-    last = min(top, degree + 1) if top else (degree + 2) // 2 if full else degree + 1
+    part of {O^G, O^H}_degree, by one rule for every cell (module docstring):
+    per split a + b = degree + 2 = 2s, low a first, the `_first_slot` pieces
+    of x-degree p <= a / 2 (high first), of weight 2p - a <= 0, each against
+    the piece of x-degree s - p of the second slot of degree b, of the
+    opposite weight.  `second(problem, b, x)` gives that piece: `_h_piece`,
+    or A_- for `check_aminus_identity`."""
     s, blocks = degree // 2 + 1, []
-    for a in range(1, last + 1):
-        for p in range(min(a, s), max(0, a - s) - 1, -1):  # 0 <= p <= a, 0 <= s - p <= 2s - a
-            us = (_power_sum(spec, a, p) if top else
-                  orbit_reps(spec, a, p) if problem.folded else invariant_basis_raw(spec, a, p))
-            if us and (vs := _h_piece(problem, 2 * s - a, s - p)):
+    for a in range(1, degree + 2):
+        for p in range(a // 2, max(0, a - s) - 1, -1):  # 2p <= a, 0 <= s - p <= 2s - a
+            if (us := _first_slot(problem, a, p)) and (vs := second(problem, 2 * s - a, s - p)):
                 blocks.append((us, vs))
     return blocks
 
@@ -286,24 +333,21 @@ def check_aminus_identity(n: int, max_degree: int, *,
 
     A_+ / A_- are the sign-character eigenspaces of the demihyperoctahedral
     invariant ring (all index degrees even / all odd).  Each degree is
-    checked on weight zero (module docstring); degrees whose weight-zero
-    part of (A_-)_d is 0, the odd ones among them, pass vacuously.
+    checked on weight zero, the B_n power sums generating A_+ in the first
+    slot (module docstring); degrees whose weight-zero part of (A_-)_d is 0,
+    the odd ones among them, pass vacuously.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    spec = GroupSpec("demihyperoctahedral", n)
-    structure = darboux_structure(n)
+    spec, structure = GroupSpec("demihyperoctahedral", n), darboux_structure(n)
+    first = BracketSpanProblem(GroupSpec("hyperoctahedral", n))
     report: dict[int, str] = {}
     for d in range(n % 2, max_degree + 1, 2):
         target = () if d % 2 else orbit_reps(spec, d, d // 2, "-")
         if not target:
             report[d] = "pass"
             continue
-        s = d // 2 + 1
-        blocks = [(us, vs) for a in range(2, 2 * s, 2)
-                  for p in range(min(a, s), max(0, a - s) - 1, -1)
-                  if (us := orbit_reps(spec, a, p, "+"))
-                  and (vs := orbit_reps(spec, 2 * s - a, s - p, "-"))]
+        blocks = _column_pairs(first, d, lambda _, b, x: orbit_reps(spec, b, x, "-"))
         row_index, dim = {rep: i for i, rep in enumerate(target)}, len(target)
         kernel = certified_kernel(_bracket_columns(blocks, structure, row_index, True),
                                   dim, dim, prime)

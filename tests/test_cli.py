@@ -82,20 +82,20 @@ def test_guardrail_exit_3(capsys):
 
 
 def test_truncated_table_prints_only_computed_degrees(capsys):
-    # B_2 stops at degree 4, whose cell streams 10 weight-zero columns;
-    # degrees 4..8 were never computed (dim 4 is 1)
+    # B_2 stops at degree 6, whose cell streams 6 weight-zero columns;
+    # degrees 6..8 were never computed (dim 4 is 1, dim 8 is 0)
     argv = ("hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "8",
             "--max-columns", "5", "--no-cache", "--format")
     code, out = run_cli(capsys, *argv, "json")
-    assert code == 3 and json.loads(out)["truncated_at_degree"] == 4
+    assert code == 3 and json.loads(out)["truncated_at_degree"] == 6
     code, out = run_cli(capsys, *argv, "table")
     assert code == 3
-    assert out.splitlines()[0].endswith("through degree 8 (truncated at degree 4)")
-    assert out.splitlines()[2:] == [f"     {d}  {v}" for d, v in enumerate((1, 0, 0, 0))]
+    assert out.splitlines()[0].endswith("through degree 8 (truncated at degree 6)")
+    assert out.splitlines()[2:] == [f"     {d}  {v}" for d, v in enumerate((1, 0, 0, 0, 1, 0))]
     code, out = run_cli(capsys, *argv, "csv")
-    assert code == 3 and out == "degree,dim\n0,1\n1,0\n2,0\n3,0\n"
+    assert code == 3 and out == "degree,dim\n0,1\n1,0\n2,0\n3,0\n4,1\n5,0\n"
     code, out = run_cli(capsys, *argv, "latex")
-    assert code == 3 and out == "$hyperoctahedral_{2}$ & $1$ \\\\\n% truncated at degree 4\n"
+    assert code == 3 and out == "$hyperoctahedral_{2}$ & $1 + t$ \\\\\n% truncated at degree 6\n"
 
 
 @pytest.mark.parametrize("command", [

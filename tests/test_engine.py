@@ -15,7 +15,7 @@ from ptl.linalg import DEFAULT_PRIME
 from ptl.partitions import bn_hilbert
 from ptl.poisson import raw_bracket
 from ptl.solver import kernel_basis
-from ptl.weyl import GroupSpec, monomials_of_degree, restrict_to_zero_sum
+from ptl.weyl import GroupSpec, monomials_of_degree, orbit_sum, restrict_to_zero_sum
 from reference import (
     SparseRationalEchelon,
     exact_bracket_rank,
@@ -116,13 +116,14 @@ def test_engine_certification_survives_bad_primes():
 
 
 def test_guardrail_raises_with_partial_table():
+    # B_2 streams 0, 1, 2, 6 and 9 columns at degrees 0, 2, 4, 6 and 8
     tables = []
     for workers in (1, 2):
         with pytest.raises(GuardrailExceeded) as exc, _worker_map(workers) as mapper:
-            hp0_graded_dims(_prob("hyperoctahedral", 2), 8, max_columns=10, mapper=mapper)
+            hp0_graded_dims(_prob("hyperoctahedral", 2), 8, max_columns=5, mapper=mapper)
         tables.append(exc.value.table)
     assert tables[0].metadata["truncated"] is True
-    assert "truncated_at_degree" in tables[0].metadata
+    assert tables[0].metadata["truncated_at_degree"] == 6
     assert tables[0] == tables[1] and tables[0].metadata == tables[1].metadata
 
 
@@ -213,9 +214,15 @@ def test_folded_aminus_matches_unfolded_reference():
         assert check_aminus_identity(n, max_degree) == whole_aminus_report(n, max_degree)
 
 
-def _euler_element(m):
-    # sum_i x_i y_i on m pairs
-    return {tuple(int(k % m == i) for k in range(2 * m)): 1 for i in range(m)}
+def _sl2_triple(m):
+    # E = sum_i x_i y_i, 2 q_+ = sum_i x_i^2 and 2 q_- = sum_i y_i^2 on m pairs
+    def monomial(j, k):
+        return tuple((t == j) + (t == k) for t in range(2 * m))
+    return tuple({monomial(i + a, i + b): 1 for i in range(m)} for a, b in ((0, m), (0, 0), (m, m)))
+
+
+def _weight(e, m):
+    return sum(e[:m]) - sum(e[m:])
 
 
 @pytest.mark.parametrize("family, ns", [
@@ -225,24 +232,41 @@ def _euler_element(m):
     ("symmetric-reflection", (2, 3, 4)),
 ])
 def test_euler_element_brackets_by_weight(family, ns):
-    # the lemma behind weight-zero cells (engine docstring): E = sum x_i y_i,
-    # on the reflection pair the restriction of sum_{i <= n} x_i y_i, is an
-    # invariant of degree 2, and {E, e} = (deg_y e - deg_x e) e for every
-    # monomial e (times n, the scale of the reflection structure's raw bracket)
+    # the lemmas behind weight-zero cells and lowest-weight first slots
+    # (engine docstring): E, q_+ and q_- (on the reflection pair the
+    # restrictions of the sums over i <= n) are invariants of degree 2;
+    # {E, e} = (deg_y e - deg_x e) e for every monomial e (times n, the
+    # scale of the reflection structure's raw bracket), and {q_+, e} and
+    # {q_-, e} have e's weight plus and minus 2.  Every cell kind brackets
+    # p_{0,2} = 2 q_- against the weight +2 piece of O^H_d, so its column
+    # set holds {q_-, V_2}
     for n in ns:
         spec = GroupSpec(family, n)
         m, reflection = spec.pairs, family == "symmetric-reflection"
-        euler = (next(restrict_to_zero_sum(n, 2, [_euler_element(n)])) if reflection
-                 else _euler_element(m))
+        triple = _sl2_triple(n)
+        if reflection:
+            triple = tuple(restrict_to_zero_sum(n, 2, triple))
+        euler, qplus, qminus = triple
         ech = SparseRationalEchelon()
         for u in whole_basis(spec, 2):
             ech.add({k: Fraction(c) for k, c in u.items()})
-        assert not ech.add({k: Fraction(c) for k, c in euler.items()})
+        for q in triple:
+            assert not ech.add({k: Fraction(c) for k, c in q.items()})
         structure = BracketSpanProblem(spec).structure()
         for d in range(5):
             for e in monomials_of_degree(2 * m, d):
-                shift = (sum(e[m:]) - sum(e[:m])) * (n if reflection else 1)
+                shift = -_weight(e, m) * (n if reflection else 1)
                 assert raw_bracket(euler, {e: 1}, structure) == ({e: shift} if shift else {})
+                for q, step in ((qplus, 2), (qminus, -2)):
+                    image = raw_bracket(q, {e: 1}, structure)
+                    assert {_weight(k, m) for k in image} <= {_weight(e, m) + step}
+        kinds = ("full", "ambient") + (("last-point-stabilizer",) if reflection else ())
+        for prob in (BracketSpanProblem(spec, kind) for kind in kinds):
+            for d in (2, 4, 6):
+                top = engine._h_piece(prob, d, d // 2 + 1)
+                firsts = [[orbit_sum(u, m) if prob.folded else u for u in us]
+                          for us, vs in engine._column_pairs(prob, d) if vs == top]
+                assert not top or any(qminus in us for us in firsts), (prob, d)
 
 
 # every cell kind, the reflection, relative and ambient ones included
@@ -305,8 +329,10 @@ def test_full_cells_bracket_one_term_representatives(monkeypatch):
 def test_hyperoctahedral_cells_bracket_power_sums(monkeypatch):
     # the B_4 degree-12 cell has a rank deficit, so it streams every column:
     # 6,447 with the whole basis of O^G_a in the first slot, 3,264 with the
-    # power sums of degree <= 8, and 350 with only the pairs of opposite
-    # weights deg_x - deg_y among those
+    # power sums of degree <= 8, 350 with only the pairs of opposite weights
+    # deg_x - deg_y among those, and 88 = 57 + 24 + 7 with only the lowest
+    # weights: sum_i y_i^a, a = 2, 4, 6, against the weight +a piece of
+    # O^G_{14 - a} (a = 8 would need weight +8 in degree 6)
     streamed, weights = [], []
     kernel, bracket = engine.certified_kernel, engine.raw_bracket
 
@@ -320,8 +346,8 @@ def test_hyperoctahedral_cells_bracket_power_sums(monkeypatch):
     monkeypatch.setattr(engine, "certified_kernel", spy)
     monkeypatch.setattr(engine, "raw_bracket", bracket_spy)
     assert engine._cell_dimension(_prob("hyperoctahedral", 4), 12) == 1
-    assert len(streamed) == 350
-    assert len(weights) >= 350 and set(weights) == {0}
+    assert len(streamed) == 88
+    assert len(weights) >= 88 and set(weights) == {0}
 
 
 def test_row_bases_expand_no_orbit(monkeypatch):
@@ -347,11 +373,14 @@ def test_row_bases_expand_no_orbit(monkeypatch):
     ("demihyperoctahedral", 5, 16),
     ("hyperoctahedral", 5, 18),
     ("demihyperoctahedral", 6, 16),
+    ("hyperoctahedral", 7, 24),
+    ("demihyperoctahedral", 7, 24),
 ])
 def test_whole_table_cross_check(family, n, max_degree):
     # the engine's whole table against the typed solver (D_n) or the
     # partition statistic (B_n), one class every 4 degrees; D_6 through
-    # degree 16 includes its top entry, degree 12 of dimension 2
+    # degree 16 includes its top entry, degree 12 of dimension 2, and B_7
+    # and D_7 through degree 24 theirs, degrees 24 and 16
     table = hp0_graded_dims(_prob(family, n), max_degree)
     assert all(d % 4 == 0 for d in table.entries)
     reference = kernel_basis(n).display if family == "demihyperoctahedral" else bn_hilbert(n)
