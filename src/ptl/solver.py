@@ -17,9 +17,11 @@ Since Q is applied to a ratio with zero constant term, every coefficient is
 an honest rational Laurent expression; no symbolic radicals appear here.
 In closed form, the d/ds_{k+t} coefficient is 2(k+t)-1 times a sum over
 the partitions of t that depends on k only through the index shift 2k
-(`_xi_slice`), and 4^t times it has integer coefficients, so every
+(`_xi_terms`), and 4^t times it has integer coefficients, so every
 constraint row is assembled in integers, one xi_k at a time (`_xi_blocks`).
-A row is keyed by its Laurent label packed into one int (`_label_code`).
+A row is keyed by its Laurent label packed into one int (`_label_code`);
+packed at digit width b, the terms of slice t are one table shared by
+every k, shifted by 2k - 1 digits (`_slice_table`).
 
 The constraints preserve the bigrading, so the kernel is computed one
 (degree, dual weight) component at a time.  Write a column as s1^a m with
@@ -69,47 +71,36 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
 from ptl.linalg import DEFAULT_PRIME, certified_kernel
-from ptl.partitions import partitions
+from ptl.partitions import partition_count_exact_parts, partitions
 from ptl.tables import GradedDimensionTable
 
-@lru_cache(maxsize=None)
 def _xi_terms(t: int) -> tuple:
     """One term per partition lambda of t: (4^t * C(1/2, l) * l! / prod m_u!,
     l, ((u, m_u), ...)), with l the number of parts and m_u the multiplicity
     of part u, parts ascending.  The coefficient is an int: C(1/2, l) =
-    (-1)^(l+1) * 2 * Catalan(l-1) / 4^l for l >= 1, and l <= t."""
+    (-1)^(l+1) * 2 * Catalan(l-1) / 4^l for l >= 1, and l <= t.
+
+    Times s_{2k}^(-l) * prod_u s_{2k+u}^(m_u), the terms sum to slice t of
+    xi_k times 4^t, its d/ds_{k+t} coefficient divided by 2(k+t)-1: that is
+    4^t [X^t] Q(P / s_{2k}) with P = sum_{u >= 1} s_{2k+u} X^u, which the
+    multinomial expansion of each P^l turns into this sum."""
     out = []
     for lam in partitions(t):
-        ell, mult = len(lam), Counter(lam)
+        ell = len(lam)
+        mult = tuple((u, len(list(run))) for u, run in itertools.groupby(reversed(lam)))
         coeff = math.factorial(ell)
-        for m in mult.values():
+        for _u, m in mult:
             coeff //= math.factorial(m)
         if ell:
             catalan = math.comb(2 * ell - 2, ell - 1) // ell
             coeff *= (-1) ** (ell + 1) * 2 * catalan * 4 ** (t - ell)
-        out.append((coeff, ell, tuple(sorted(mult.items()))))
+        out.append((coeff, ell, mult))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _xi_slice(k: int, t: int) -> dict:
-    """Slice t of xi_k times 4^t: its d/ds_{k+t} coefficient divided by
-    2(k+t)-1 and multiplied by 4^t, as {((s-index, exponent), ...) sorted by
-    index: int}.
-
-    That is 4^t [X^t] Q(P / s_{2k}) with P = sum_{u >= 1} s_{2k+u} X^u, which
-    the multinomial expansion of each P^l turns into a sum over the
-    partitions lambda of t (`_xi_terms`) of
-    C(1/2, l) * (l! / prod m_u!) * s_{2k}^(-l) * prod_i s_{2k+lambda_i}.
-    Treat the returned dict as immutable (it is cached).
-    """
-    return {(((2 * k, -ell),) + tuple((2 * k + u, m) for u, m in parts) if ell else ()): c
-            for c, ell, parts in _xi_terms(t)}
 
 
 # -- constraint assembly ------------------------------------------------------
@@ -149,13 +140,12 @@ def _polynomial_xi1(code: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _slice_codes(k: int, t: int, b: int) -> tuple:
-    """`_xi_slice(k, t)` for d/ds_{k+t} at digit width b, as (code offset,
-    coefficient) pairs: a column's code plus the offset is the code of its
-    label, the column divided by s_{k+t} times the slice monomial."""
-    shift = 1 << b * (k + t - 1)
-    return tuple((sum(x << b * (i - 1) for i, x in mono) - shift, c)
-                 for mono, c in _xi_slice(k, t).items())
+def _slice_table(t: int, b: int) -> tuple:
+    """Slice t of every xi_k at digit width b, as (q, coefficient) pairs in
+    `_xi_terms(t)` order, with q = sum_u m_u * 2^(b*u) - l: the code of the
+    term's monomial s_{2k}^(-l) * prod_u s_{2k+u}^(m_u) is q << b*(2k-1),
+    so one table serves every k."""
+    return tuple((sum(m << b * u for u, m in mult) - ell, c) for c, ell, mult in _xi_terms(t))
 
 
 def _partition_to_expo(lam: tuple, N: int) -> tuple:
@@ -171,7 +161,7 @@ def _column_rows_for_k(k: int, n: int, e: tuple, support: list, code: int):
     `support` lists the s-indices where e is nonzero, ascending, and
     `code` is `_label_code(e, n)`.
 
-    Slice t = j - k of xi_k enters through d/ds_j; `_xi_slice` scales it by
+    Slice t = j - k of xi_k enters through d/ds_j; `_xi_terms` scales it by
     4^t, so a further 4^(n-j) puts every slice of xi_k on the one scale
     4^(n-k) (j <= n).  The label keeps s_{2k}'s (possibly negative)
     exponent; clearing the denominator uniformly across a component
@@ -186,36 +176,41 @@ def _column_rows_for_k(k: int, n: int, e: tuple, support: list, code: int):
         js = [j for j in support if j <= n]
         # d/ds_j for k <= j < 2k hits zero exponents here; j > n never occurs
     b = _digit_width(n)
+    shift = b * (2 * k - 1)
     for j in js:
-        scale = e[j - 1] * (2 * j - 1) << 2 * (n - j)
-        for offset, c in _slice_codes(k, j - k, b):
-            yield code + offset, scale * c
+        scale, at = e[j - 1] * (2 * j - 1) << 2 * (n - j), code - (1 << b * (j - 1))
+        for q, c in _slice_table(j - k, b):
+            yield at + (q << shift), scale * c
 
 
-@lru_cache(maxsize=None)
-def _components(n: int) -> MappingProxyType:
-    """Component monomials keyed by dual weight w = 4*(parts - n), read-only
-    because the result is cached."""
-    N = 2 * n
-    comps: dict[int, list[tuple]] = {}
-    for lam in partitions(n):
-        w = 4 * (len(lam) - n)
-        comps.setdefault(w, []).append(_partition_to_expo(lam, N))
-    return MappingProxyType({w: tuple(sorted(cols, reverse=True))
-                             for w, cols in sorted(comps.items())})
+def _reach(e: tuple, support: list) -> int:
+    """The largest k with a row on the column e, whose s-indices `support`
+    lists ascending: below 2k, xi_k reaches only a smallest s-index j >= k
+    of exponent 1, and no further one."""
+    first = support[0]
+    if e[first - 1] != 1:
+        return first // 2
+    return min(first, support[1] // 2) if len(support) > 1 else first
 
 
 @lru_cache(maxsize=None)
 def _reduced_components(n: int) -> MappingProxyType:
-    """Per dual weight: (number of s1^2 columns, the s1-free columns, the
+    """Per dual weight w = 4*(parts - n), for parts = 1..n in ascending
+    order: (the number of s1^2 columns, the s1-free columns, descending, the
     positions among them of the family-(ii) leads), read-only because the
-    result is cached."""
+    result is cached.  A column is a partition of n as an exponent tuple
+    over s_1..s_2n; the s1^2 columns of w are s1^2 times the partitions of
+    n - 2 into parts - 2 parts, and only the s1-free ones are built."""
+    free: dict[int, list[tuple]] = {}
+    for lam in partitions(n):
+        if lam[-1] >= 2:
+            free.setdefault(len(lam), []).append(_partition_to_expo(lam, 2 * n))
     leads = set(_family_leads(n))
     out = {}
-    for w, cols in _components(n).items():
-        free = tuple(e for e in cols if not e[0])
-        out[w] = (sum(e[0] >= 2 for e in cols), free,
-                  tuple(i for i, e in enumerate(free) if e in leads))
+    for parts in range(1, n + 1):
+        cols = tuple(sorted(free.get(parts, ()), reverse=True))
+        out[4 * (parts - n)] = (partition_count_exact_parts(n - 2, parts - 2), cols,
+                                tuple(i for i, e in enumerate(cols) if e in leads))
     return MappingProxyType(out)
 
 
@@ -237,10 +232,7 @@ def _xi_blocks(n: int, weight: int, ks):
     columns = _reduced_components(n).get(weight, _NO_COLUMNS)[1]
     supports = [[i + 1 for i, x in enumerate(e) if x] for e in columns]
     codes = [_label_code(e, n) for e in columns]
-    # the largest k with a row on the column: below 2k, xi_k reaches only a
-    # smallest s-index j >= k of exponent 1, and no further one
-    reach = [min(s[0], s[1] // 2 if len(s) > 1 else s[0]) if e[s[0] - 1] == 1 else s[0] // 2
-             for e, s in zip(columns, supports)]
+    reach = [_reach(e, s) for e, s in zip(columns, supports)]
     for k in ks:
         row_index: dict = {}
         rows: list[dict] = []
@@ -269,14 +261,18 @@ def _xi_blocks(n: int, weight: int, ks):
 
 def _check_zero_columns(n: int, weight: int, ks) -> None:
     """AssertionError unless every family-(ii) lead column of the component
-    is zero in the reduced rows of each xi_k of `ks`, one column at a time."""
+    is zero in the reduced rows of each xi_k of `ks`, one column at a time;
+    a k beyond the column's `_reach` has no row on it."""
     _squares, columns, zeros = _reduced_components(n).get(weight, _NO_COLUMNS)
     for z in zeros:
         e = columns[z]
         support = [i + 1 for i, x in enumerate(e) if x]
+        code, reach = _label_code(e, n), _reach(e, support)
         for k in ks:
+            if k > reach:
+                continue
             entries: dict[int, int] = {}
-            for label, val in _column_rows_for_k(k, n, e, support, _label_code(e, n)):
+            for label, val in _column_rows_for_k(k, n, e, support, code):
                 if k > 1 or not _polynomial_xi1(label, n):
                     entries[label] = entries.get(label, 0) + val
             if any(entries.values()):
@@ -420,7 +416,7 @@ def kernel_basis(n: int, weight: int | None = None, *,
     if n < 1:
         raise ValueError("n >= 1 required")
     columns: dict[int, list[dict]] = {}
-    for w in _components(n):
+    for w in _reduced_components(n):
         if weight is not None and w != weight:
             continue
         basis = _component_kernel(n, w, [], prime)

@@ -25,8 +25,9 @@ package relies on:
 * whole engine cells: the bracket spans of `ptl.engine` over every weight,
   against which its weight-zero cells are checked;
 * the typed solver's Fraction membership test, family spans and kernel
-  bases as polynomials (`kernel_vectors`), and multipartitions by
-  enumeration.
+  bases as polynomials (`kernel_vectors`), its xi slices built for each k
+  (`_xi_slice`) and every column of a degree, s1 included (`_components`),
+  which the package never builds, and multipartitions by enumeration.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from ptl import engine
 from ptl.partitions import partition_count, partition_count_exact_parts, partitions
@@ -44,9 +47,10 @@ from ptl.solver import (
     SolutionBasis,
     _column_rows_for_k,
     _completed,
-    _components,
     _label_code,
+    _partition_to_expo,
     _reduced_components,
+    _xi_terms,
     family_generators,
     polynomial_text,
 )
@@ -631,6 +635,28 @@ def whole_aminus_report(n: int, max_degree: int) -> dict[int, str]:
 
 
 # -- typed solver: membership and family spans -----------------------------------
+
+@lru_cache(maxsize=None)
+def _xi_slice(k: int, t: int) -> dict:
+    """Slice t of xi_k times 4^t, for one k: its d/ds_{k+t} coefficient
+    divided by 2(k+t)-1, as {((s-index, exponent), ...) sorted by index:
+    int}, from the terms of `solver._xi_terms(t)`.  Treat the returned dict
+    as immutable (it is cached)."""
+    return {(((2 * k, -ell),) + tuple((2 * k + u, m) for u, m in parts) if ell else ()): c
+            for c, ell, parts in _xi_terms(t)}
+
+
+@lru_cache(maxsize=None)
+def _components(n: int) -> MappingProxyType:
+    """Every column of degree n, s1 or not, keyed by dual weight
+    w = 4*(parts - n) ascending: the partitions of n as exponent tuples over
+    s_1..s_2n, descending; read-only because the result is cached."""
+    comps: dict[int, list[tuple]] = {}
+    for lam in partitions(n):
+        comps.setdefault(4 * (len(lam) - n), []).append(_partition_to_expo(lam, 2 * n))
+    return MappingProxyType({w: tuple(sorted(cols, reverse=True))
+                             for w, cols in sorted(comps.items())})
+
 
 def constraint_residual(terms: dict, k: int, n: int) -> dict:
     """xi_k(F) after the substitution s_1 = ... = s_{2k-1} = 0, F given by

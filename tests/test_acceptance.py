@@ -33,7 +33,6 @@ from ptl.partitions import (
 )
 from ptl.poisson import darboux_structure, reflection_structure
 from ptl.solver import (
-    _components,
     _xi_blocks,
     family_generators,
     kernel_basis,
@@ -42,6 +41,7 @@ from ptl.strata import leaves_symmetric_power
 from ptl.weyl import GroupSpec
 from reference import (
     Polynomial,
+    _components,
     act,
     darboux_names,
     elements,

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +17,12 @@ from ptl.solver import (
     _column_rows_for_k,
     _component_kernel,
     _completed,
-    _components,
+    _digit_width,
     _label,
     _label_code,
+    _reach,
     _reduced_components,
     _xi_blocks,
-    _xi_slice,
     _xi_terms,
     family_generators,
     kernel_basis,
@@ -29,6 +33,8 @@ from ptl.weyl import GroupSpec
 from reference import (
     Polynomial,
     SparseRationalEchelon,
+    _components,
+    _xi_slice,
     constraint_residual,
     family_span_dims,
     integer_vector,
@@ -262,6 +268,65 @@ def test_label_codes_are_injective_past_eight_bit_exponents():
     assert _label(_label_code(wrapped, n), n) == wrapped
 
 
+def _rows_from_per_k_slices(k, n, e):
+    """4^(n-k) * xi_k on the column e after s_1 = ... = s_{2k-1} = 0, as
+    (label code, value) pairs built from the per-k slice `_xi_slice(k, t)`:
+    the label is e divided by s_j times the slice monomial."""
+    low = [i + 1 for i in range(2 * k - 1) if e[i]]
+    if len(low) > 1 or (low and (low[0] < k or e[low[0] - 1] != 1)):
+        return []
+    b, code = _digit_width(n), _label_code(e, n)
+    return [(code - (1 << b * (j - 1)) + sum(x << b * (i - 1) for i, x in mono),
+             e[j - 1] * (2 * j - 1) * 4 ** (n - j) * c)
+            for j in low or [j + 1 for j in range(2 * k - 1, n) if e[j]]
+            for mono, c in _xi_slice(k, j - k).items()]
+
+
+def test_shared_slice_tables_give_the_per_k_rows():
+    # one slice table per (t, digit width) serves every k: the rows of every
+    # s1-free column equal those of xi_k's own slices, term for term, and a
+    # k beyond the column's reach has none
+    for n in range(1, 27):
+        for w, (_squares, columns, _zeros) in _reduced_components(n).items():
+            for e in columns:
+                support = [i + 1 for i, x in enumerate(e) if x]
+                for k in range(1, n + 1):
+                    rows = list(_column_rows_for_k(k, n, e, support, _label_code(e, n)))
+                    assert rows == _rows_from_per_k_slices(k, n, e), (n, e, k)
+                    assert not rows or k <= _reach(e, support), (n, e, k)
+
+
+def test_reduced_components_match_the_whole_components():
+    # built from the s1-free partitions alone, each weight's entry is the
+    # one read off all the columns: the s1^2 count, the s1-free columns in
+    # the same order, and the positions of the family-(ii) leads
+    for n in range(1, 31):
+        leads = set(ptl.solver._family_leads(n))
+        expected = {}
+        for w, cols in _components(n).items():
+            free = tuple(e for e in cols if not e[0])
+            expected[w] = (sum(e[0] >= 2 for e in cols), free,
+                           tuple(i for i, e in enumerate(free) if e in leads))
+        assert list(_reduced_components(n).items()) == list(expected.items()), n
+
+
+def test_solver_tables_stay_small():
+    # what the solver's memo tables hold after kernel_basis(n), n <= 26, in
+    # a fresh interpreter: the s1-free columns and one slice table per
+    # (t, digit width), 1.8 MiB on Python 3.10 to 3.13; every column and a
+    # slice table per (k, t) held 9.6 MiB
+    probe = ("import tracemalloc\n"
+             "from ptl.solver import kernel_basis\n"
+             "tracemalloc.start()\n"
+             "for n in range(1, 27):\n"
+             "    kernel_basis(n)\n"
+             "print(tracemalloc.get_traced_memory()[0])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ptl.solver.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) <= 4 << 20
+
+
 def test_xi_terms_are_binom_half_times_four_to_the_t():
     for t in range(31):
         terms = _xi_terms(t)
@@ -361,7 +426,6 @@ def test_bigraded_sum_matches_total():
 def test_constraints_never_mix_weights():
     # row labels are disjoint across bigraded components, so solving
     # per-(n, w) component equals solving the full degree-n space
-    from ptl.solver import _components
     for n in (4, 5, 6):
         seen = {}
         for w in _components(n):
