@@ -162,10 +162,10 @@ def burgers_residual(h0: list, order: int, x0=Fraction(1)) -> dict:
         f.append((u0[m] - known) / psi[1] ** m)
     # solve u = f(t - u x - psi0) degree by degree: a degree-D defect is
     # removed by dividing by the linearization constant 1 + x0 f'(0), and
-    # the terms below degree D + 1 are all that degree D reads
+    # the terms below degree D + 1 are all that degree D reads; that constant
+    # is never 0, as f_1 = u0_1 / psi1 gives 1 + x0 f_1 = -u0_0 / psi1, and
+    # u0_0 = 2 sqrt(h0(x0)) is nonzero once the square root exists
     cstar = 1 + x0 * f[1]
-    if cstar == 0:
-        raise ValueError("degenerate implicit relation at the base point")
     u = {(0, 0): u0[0]}
     t_shift = {(0, 0): -psi[0], (0, 1): Fraction(1)}
     for deg in range(1, work):

@@ -690,6 +690,20 @@ _TYPED_SOLVE_MODULES = {"ptl", "ptl.cli", "ptl.cache", "ptl.linalg", "ptl.solver
                         "ptl.partitions", "ptl.tables", "json"}
 
 
+def _probe_modules(argv) -> tuple[str, set]:
+    """The exit code of `ptl argv` in a fresh `python -S`, and the modules
+    of ptl and the watched ones that it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
+    probe = ("import sys, ptl.cli; code = ptl.cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'ptl'"
+             " or m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal',"
+             " 'multiprocessing', 'concurrent', '_hashlib', 'pathlib', 'tempfile')))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, *loaded = out.splitlines()[-1].split()
+    return code, set(loaded)
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["hp0", "brute", "--group", "hyperoctahedral", "--n", "2", "--max-degree", "4"],
      {"ptl", "ptl.cli", "ptl.linalg", "ptl.engine", "ptl.poisson", "ptl.tables", "ptl.weyl"}),
@@ -716,22 +730,20 @@ def test_each_route_loads_only_its_modules(tmp_path, argv, modules):
     # here lifts a nullspace (aminus at --prime 2), and whether a record is
     # written or re-verified: a cached run is probed cold, then warm.  Only
     # `series burgers` computes in fractions.  A run on one worker maps in
-    # process, so it loads neither `multiprocessing` nor `concurrent`.
-    # Counted from what ptl loads, whatever the interpreter's start-up
-    # loaded before
+    # process, so it loads neither `multiprocessing` nor `concurrent`.  The
+    # cache hashes with CPython's own SHA-256 and names paths by string, so
+    # no route loads OpenSSL (`_hashlib`), `pathlib` or `tempfile`; nor does
+    # `cache verify` on the cached route's records.  Run under `python -S`,
+    # so that no site `.pth` file has loaded a watched module before ptl
     if argv[-1] == "--cache-dir":
         argv = argv + [str(tmp_path)]
-    env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
-    probe = ("import sys; before = set(sys.modules); import ptl.cli; "
-             "code = ptl.cli.main(sys.argv[1:]); "
-             "print(code, *sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'ptl'"
-             " or m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal',"
-             " 'multiprocessing', 'concurrent')))")
-    for _run in range(2 if "--cache-dir" in argv else 1):
-        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        code, *loaded = out.splitlines()[-1].split()
-        assert (code, set(loaded)) == ("0", modules)
+    runs = [(argv, modules)]
+    if "--cache-dir" in argv:
+        # cold, warm, then `cache verify` on the records written
+        runs = [(argv, modules), (argv, modules),
+                (["cache", "verify", "--cache-dir", str(tmp_path)], _TYPED_SOLVE_MODULES)]
+    for run_argv, run_modules in runs:
+        assert _probe_modules(run_argv) == ("0", run_modules)
     if "--cache-dir" in argv:
         assert len(list(tmp_path.glob("*.json"))) == 11
 
@@ -793,17 +805,19 @@ def test_pooled_brute_run_ends():
 def test_stdlib_only():
     # ptl has no runtime dependency, and the CLI imports no numpy; neither
     # `import ptl.cli` nor `hp0 brute`, which takes no cache, loads the
-    # cache or hashlib
+    # cache, hashlib, OpenSSL, pathlib or tempfile (under `python -S`, so
+    # that no site `.pth` file has loaded them first)
     env = dict(os.environ, PYTHONPATH=str(Path(ptl.__file__).resolve().parents[1]))
     probe = ("import sys, ptl.cli\n"
-             "loaded = lambda: [m in sys.modules for m in ('numpy', 'ptl.cache', 'hashlib')]\n"
+             "loaded = lambda: [m for m in ('numpy', 'ptl.cache', 'hashlib', '_hashlib',"
+             " 'pathlib', 'tempfile') if m in sys.modules]\n"
              "before = loaded()\n"
              "ptl.cli.main(['hp0', 'brute', '--group', 'hyperoctahedral', '--n', '2', "
              "'--max-degree', '4'])\n"
              "print(before, loaded())")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[False, False, False] [False, False, False]"
+    assert out.splitlines()[-1] == "[] []"
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"].get("dependencies", []) == []
